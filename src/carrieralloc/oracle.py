@@ -4,25 +4,29 @@ Solves max sum_i ln U_i(total_i) subject to per-carrier capacities and
 non-negativity, independently of the bidding protocol, so the distributed
 fixed point can be checked against a certified optimum.
 
-Two phases:
+The solver works in price space alone.  Every ln U_i is strictly concave with
+a positive marginal, so at the optimum user i buys its demand T_i(pi) at the
+price pi of the carriers it uses.  The per-user totals the carriers can serve
+form a transversal polymatroid: for every set S of users, the sum of T_i over
+S is at most the capacity of the carriers N(S) that S reaches.  A separable
+concave function over a polymatroid is maximized by decomposition (Fujishige
+1980; Groenevelt, EJOR 1991).  For a group of users and the carriers they
+reach:
 
-1. Projected gradient ascent.  Each capacity constraint touches a disjoint
-   block of variables, so projection decomposes into per-carrier projections
-   onto {x >= 0, sum x <= R} (clip, then the standard simplex threshold).
-   Backtracking (halving) line search from 1.0 with Armijo constant 1e-4.
+1. bisect the common price at which the group's demand equals its capacity;
+2. route every user's demand at that price by max flow, source -> user
+   (demand) -> reachable carrier -> sink (capacity).  A flow that routes all
+   demand is Hall's condition: the group shares that price, and the flow is
+   its rates;
+3. otherwise the source side of the maximal min cut (the users and carriers
+   that cannot reach the sink in the residual graph) is overloaded at that
+   price.  It becomes a group of its own, priced higher, and the other users
+   on the other carriers form a second group, priced lower.
 
-2. Active-set refinement.  The gradient phase stalls along near-flat
-   directions (a sigmoidal marginal is constant to machine precision over a
-   wide rate interval), so the optimum is finished combinatorially: carriers
-   that share a marginal user must carry equal duals, each such group is
-   cleared by bisecting the common price until aggregate demand equals
-   aggregate capacity, and per-UE totals are read off the demand functions.
-   This pins totals that the gradient phase would need ~1e7 iterations to
-   resolve, and makes identically-parameterized users exactly symmetric.
-
-KKT residuals of the result (or of any candidate allocation) are reported by
-kkt_check; the refinement is only kept when it certifies at least as well as
-the gradient iterate.
+Each split leaves two strictly smaller groups, so a solve makes at most 2M-1
+price clearings and needs no starting point and no iteration budget.  A
+carrier that no user reaches gets price 0.  The result is returned only when
+kkt_check certifies it at the requested tolerance.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ __all__ = [
     "kkt_check",
     "dual_objective",
 ]
-
-ARMIJO_C = 1e-4
 
 
 class OracleError(RuntimeError):
@@ -90,6 +92,15 @@ class KKTReport:
     passed: bool
 
 
+_RESIDUALS = (
+    "stationarity_active",
+    "stationarity_inactive",
+    "complementary_slackness",
+    "capacity_violation",
+    "negativity_violation",
+)
+
+
 @dataclass
 class OracleSolution:
     rates: Dict[Tuple[int, int], float]
@@ -115,10 +126,10 @@ class _Problem:
         self.M = len(self.ues)
         self.r_cap = float(self.caps.sum())
         cindex = {cid: k for k, cid in enumerate(self.cids)}
+        self.reach = [sorted(cindex[cid] for cid in ue.carriers) for ue in self.ues]
         self.mask = np.zeros((self.K, self.M), dtype=bool)
-        for j, ue in enumerate(self.ues):
-            for cid in ue.carriers:
-                self.mask[cindex[cid], j] = True
+        for j, reach in enumerate(self.reach):
+            self.mask[reach, j] = True
 
         sig = [(j, u) for j, u in enumerate(self.utilities) if isinstance(u, SigmoidalUtility)]
         log = [(j, u) for j, u in enumerate(self.utilities) if isinstance(u, LogarithmicUtility)]
@@ -156,419 +167,226 @@ class _Problem:
     def objective(self, totals: np.ndarray) -> float:
         return float(self.log_utilities(totals).sum())
 
-    def marginals(self, totals: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.M)
-        if self.sig_j.size:
-            t = totals[self.sig_j]
-            a, b = self.sig_a, self.sig_b
-            with np.errstate(divide="ignore", over="ignore"):
-                lead = 1.0 / (-np.expm1(-a * t))
-            s = 0.5 * (1.0 + np.tanh(0.5 * a * (t - b)))
-            out[self.sig_j] = a * (lead - s)
-        if self.log_j.size:
-            t = totals[self.log_j]
-            kt = self.log_k * t
-            with np.errstate(divide="ignore"):
-                out[self.log_j] = self.log_k / ((1.0 + kt) * np.log1p(kt))
-        return out
-
     def demand(self, j: int, price: float) -> float:
-        return solve_rate_for_price(self.utilities[j], price, self.r_cap)
+        """Rate at which user j's marginal equals ``price``.
+
+        The inverter stops once |marginal - price| <= 1e-10 * price, which
+        at prices near 10 would use up the whole KKT tolerance.  Where the
+        marginal is steep, one secant step inside the inverter's final
+        bracket (width 1e-12 * r_cap) removes most of that residual.
+        """
+        u = self.utilities[j]
+        rate = solve_rate_for_price(u, price, self.r_cap)
+        h = 1e-12 * self.r_cap
+        if not h < rate < self.r_cap - h:
+            return rate
+        m = u.marginal(rate)
+        slope = (u.marginal(rate + h) - m) / h
+        if slope < 0.0 and abs(m - price) <= -slope * h:
+            polished = rate - (m - price) / slope
+            if abs(u.marginal(polished) - price) < abs(m - price):
+                return polished
+        return rate
 
 
-def _project_rows(prob: _Problem, r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    for k in range(prob.K):
-        out[k] = project_carrier_block(r[k], float(prob.caps[k]))
-    return out
+def _clear_price(
+    prob: _Problem, users: Sequence[int], capacity: float, start: float
+) -> Tuple[float, np.ndarray]:
+    """Common price at which the users' total demand equals ``capacity``.
 
+    Brackets the price by decades from ``start``, then bisects it in log
+    space to a relative width of 1e-15.  Returns that price and each user's
+    total.  Where a marginal is flat to machine precision, demand can jump
+    inside the final bracket; every user's demand is then interpolated
+    linearly in price between the bracket ends, so the totals sum to
+    ``capacity`` and each stays between its demands at the two ends.
+    """
 
-def _projected_gradient(
-    prob: _Problem,
-    r0: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> Tuple[np.ndarray, int, float]:
-    """Phase 1: projected gradient ascent with Armijo backtracking."""
-    r = r0.copy()
-    f = prob.objective(r.sum(axis=0))
-    pg_tol = max(tol, 1e-6)
-    window_f = f
-    pg_norm = np.inf
-    it = 0
-    while it < max_iters:
-        it += 1
-        totals = r.sum(axis=0)
-        g = prob.marginals(totals)[None, :] * prob.mask
-        t = 1.0
-        accepted = False
-        done = False
-        for trial in range(60):
-            cand = _project_rows(prob, r + t * g)
-            move = cand - r
-            if trial == 0:
-                # the unit-step projected-gradient map doubles as the
-                # first line-search candidate
-                pg_norm = float(np.abs(move).max())
-                if pg_norm <= pg_tol:
-                    done = True
-                    break
-            f_cand = prob.objective(cand.sum(axis=0))
-            if f_cand >= f + ARMIJO_C * float((g * move).sum()):
-                r, f = cand, f_cand
-                accepted = True
-                break
-            t *= 0.5
-        if done or not accepted:
-            break  # converged, or no ascent direction at double precision
-        if it % 50 == 0:
-            if f - window_f <= 1e-8 * max(1.0, abs(f)):
-                break  # progress stalled (flat directions); refinement takes over
-            window_f = f
-    return r, it, pg_norm
+    def demands(price: float) -> np.ndarray:
+        return np.array([prob.demand(j, price) for j in users])
 
-
-def _recover_duals(prob: _Problem, r: np.ndarray, tol: float) -> np.ndarray:
-    """Duals from stationarity: average marginal of users active on a carrier."""
-    totals = r.sum(axis=0)
-    marg = prob.marginals(np.maximum(totals, 1e-300))
-    thresh = math.sqrt(max(tol, 1e-12))
-    prices = np.zeros(prob.K)
-    for k in range(prob.K):
-        active = (r[k] > thresh) & prob.mask[k]
-        if active.any():
-            prices[k] = float(marg[active].mean())
-        else:
-            in_range = prob.mask[k]
-            prices[k] = float(marg[in_range].max()) if in_range.any() else 0.0
-    return prices
-
-
-def _clear_price(prob: _Problem, ue_idx: Sequence[int], capacity: float) -> float:
-    """Bisect the common price at which aggregate demand equals capacity."""
-    lo, hi = 1e-14, 1e8
-
-    def total_demand(price: float) -> float:
-        return sum(prob.demand(j, price) for j in ue_idx)
-
-    while total_demand(hi) > capacity:
-        hi *= 10.0
+    lo = hi = start
+    d_lo = d_hi = demands(start)
+    while d_hi.sum() > capacity:
         if hi > 1e250:
             raise OracleError("could not bracket clearing price from above")
-    while total_demand(lo) < capacity:
-        lo *= 0.1
+        lo, d_lo = hi, d_hi
+        hi *= 10.0
+        d_hi = demands(hi)
+    while d_lo.sum() < capacity:
         if lo < 1e-250:
             raise OracleError("could not bracket clearing price from below")
-    for _ in range(120):
+        hi, d_hi = lo, d_lo
+        lo *= 0.1
+        d_lo = demands(lo)
+        if np.array_equal(d_lo, d_hi):
+            # No demand grows any more: every marginal is 0 in floating
+            # point past it, so spare capacity costs nothing and is shared.
+            return lo, d_lo + (capacity - d_lo.sum()) / len(users)
+    while hi - lo > 1e-15 * hi:
         mid = math.sqrt(lo * hi)
-        if total_demand(mid) > capacity:
-            lo = mid
+        d_mid = demands(mid)
+        if d_mid.sum() > capacity:
+            lo, d_lo = mid, d_mid
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return math.sqrt(lo * hi)
+            hi, d_hi = mid, d_mid
+    jump = np.maximum(d_lo - d_hi, 0.0)
+    theta = min(1.0, (capacity - d_hi.sum()) / jump.sum()) if jump.sum() > 0.0 else 0.0
+    return hi - theta * (hi - lo), d_hi + theta * jump
 
 
-def _components(
-    prob: _Problem,
-    prices: np.ndarray,
-    forced: Sequence[Tuple[int, int]] = (),
-) -> List[List[int]]:
-    """Carrier groups linked by some UE whose cheapest carriers span them.
+def _hall_split(
+    demand: Sequence[float], caps: Sequence[float], reach: List[List[int]]
+) -> Tuple[List[Dict[int, float]], List[int], List[int]]:
+    """Max flow source -> user (demand) -> reachable carrier -> sink (capacity).
 
-    ``forced`` pairs are unioned unconditionally (carriers discovered to be
-    coupled at the optimum even though their trial prices differ).
+    Users and carriers are numbered locally; ``reach[j]`` lists the carriers
+    of user j.  Returns the flow on every user-carrier edge, and the users
+    and carriers that cannot reach the sink in the final residual graph (the
+    source side of the maximal min cut).  Residuals up to 1e-12 of the total
+    capacity count as zero, so the cut holds no user exactly when the flow
+    routes every demand to that precision.  Shortest augmenting paths
+    (Edmonds-Karp) over at most M + K + 2 nodes.
     """
-    parent = list(range(prob.K))
+    eps = 1e-12 * float(sum(caps))
+    users_of: List[List[int]] = [[] for _ in caps]
+    for j, carriers in enumerate(reach):
+        for l in carriers:
+            users_of[l].append(j)
+    flow = [dict.fromkeys(carriers, 0.0) for carriers in reach]
+    need = list(demand)  # residual of source -> user
+    room = list(caps)  # residual of carrier -> sink
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a, b in forced:
-        union(a, b)
-    for j in range(prob.M):
-        reach = np.nonzero(prob.mask[:, j])[0]
-        pmin = prices[reach].min()
-        tied = [int(k) for k in reach if prices[k] <= pmin * (1.0 + 1e-9) + 1e-15]
-        for k in tied[1:]:
-            union(tied[0], k)
-    groups: Dict[int, List[int]] = {}
-    for k in range(prob.K):
-        groups.setdefault(find(k), []).append(k)
-    return [sorted(g) for g in groups.values()]
-
-
-def _assignments(prob: _Problem, prices: np.ndarray, comps: List[List[int]]) -> List[List[int]]:
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for k in comp:
-            comp_of[k] = ci
-    assigned: List[List[int]] = [[] for _ in comps]
-    for j in range(prob.M):
-        reach = np.nonzero(prob.mask[:, j])[0]
-        k_best = min((float(prices[k]), int(k)) for k in reach)[1]
-        assigned[comp_of[k_best]].append(j)
-    return assigned
-
-
-def _refine_active_set(prob: _Problem, prices0: np.ndarray) -> np.ndarray:
-    """Phase 2: iterate (assign users to cheapest carriers, clear prices).
-
-    When a cleared user would strictly prefer a carrier outside its group,
-    the optimum couples those carriers (their duals must coincide); such
-    pairs are merged permanently, so the loop performs at most K-1 merges
-    and cannot oscillate between assignments.
-    """
-    prices = prices0.copy()
-    forced: List[Tuple[int, int]] = []
-    for _ in range(100):
-        comps = _components(prob, prices, forced)
-        assigned = _assignments(prob, prices, comps)
-        new_prices = prices.copy()
-        for comp, ue_idx in zip(comps, assigned):
-            capacity = float(prob.caps[comp].sum())
-            if not ue_idx:
-                # Nobody wants this group even at price ~0: zero dual.
-                new_prices[comp] = 0.0
-                continue
-            pi = _clear_price(prob, ue_idx, capacity)
-            for k in comp:
-                new_prices[k] = pi
-            if len(comp) > 1 and len(comp) <= 10:
-                split = _feasibility_split(prob, comp, ue_idx, pi)
-                if split is not None:
-                    inside_set, inside_ues, outside_ues = split
-                    pi_in = _clear_price(
-                        prob, inside_ues, float(prob.caps[inside_set].sum())
-                    )
-                    rest = [k for k in comp if k not in inside_set]
-                    if outside_ues and rest:
-                        pi_out = _clear_price(
-                            prob, outside_ues, float(prob.caps[rest].sum())
-                        )
-                    else:
-                        pi_out = pi
-                    for k in inside_set:
-                        new_prices[k] = pi_in
-                    for k in rest:
-                        new_prices[k] = pi_out
-        merged = False
-        comp_of: Dict[int, int] = {}
-        for ci, comp in enumerate(comps):
-            for k in comp:
-                comp_of[k] = ci
-        for ci, (comp, ue_idx) in enumerate(zip(comps, assigned)):
-            pi_own = float(new_prices[comp[0]])
-            for j in ue_idx:
-                for k in np.nonzero(prob.mask[:, j])[0]:
-                    k = int(k)
-                    if comp_of[k] != ci and new_prices[k] < pi_own * (1.0 - 1e-12):
-                        forced.append((comp[0], k))
-                        merged = True
-        shift = float(np.abs(new_prices - prices).max())
-        scale = float(np.abs(new_prices).max()) or 1.0
-        prices = new_prices
-        if not merged and shift <= 1e-13 * scale:
-            break
-    return prices
-
-
-def _feasibility_split(
-    prob: _Problem, comp: List[int], ue_idx: List[int], pi: float
-) -> Optional[Tuple[List[int], List[int], List[int]]]:
-    """Hall-style check: a carrier subset overloaded by its captive users."""
-    members = set(comp)
-    demands = {j: prob.demand(j, pi) for j in ue_idx}
-    n = len(comp)
-    for mask_bits in range(1, (1 << n) - 1):
-        subset = [comp[i] for i in range(n) if mask_bits >> i & 1]
-        sub_set = set(subset)
-        inside = [
-            j
-            for j in ue_idx
-            if set(int(k) for k in np.nonzero(prob.mask[:, j])[0]) & members <= sub_set
-        ]
-        cap = float(prob.caps[subset].sum())
-        load = sum(demands[j] for j in inside)
-        if load > cap * (1.0 + 1e-9) + 1e-9:
-            outside = [j for j in ue_idx if j not in inside]
-            return subset, inside, outside
-    return None
-
-
-def _rates_from_prices(
-    prob: _Problem, prices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Totals from demand functions, split across carriers to fill capacity."""
-    comps = _components(prob, prices)
-    assigned = _assignments(prob, prices, comps)
-    totals = np.zeros(prob.M)
-    rates = np.zeros((prob.K, prob.M))
-    for comp, ue_idx in zip(comps, assigned):
-        if not ue_idx:
-            continue
-        pi = float(prices[comp[0]])
-        remaining = {k: float(prob.caps[k]) for k in comp}
-        members = set(comp)
-        for j in ue_idx:
-            totals[j] = prob.demand(j, max(pi, 1e-300))
-        # captive users first (single reachable carrier in the group)
-        order = sorted(
-            ue_idx,
-            key=lambda j: (
-                len(set(int(k) for k in np.nonzero(prob.mask[:, j])[0]) & members),
-                prob.uids[j],
-            ),
-        )
-        for j in order:
-            want = totals[j]
-            for k in sorted(set(int(t) for t in np.nonzero(prob.mask[:, j])[0]) & members):
-                if want <= 0.0:
+    while True:
+        # from_user[l]: the user a carrier was reached from; from_carrier[j]:
+        # the carrier a user was reached from (None: from the source)
+        from_carrier: Dict[int, Optional[int]] = {
+            j: None for j in range(len(reach)) if need[j] > eps
+        }
+        from_user: Dict[int, int] = {}
+        queue = list(from_carrier)
+        end = None
+        for j in queue:
+            for l in reach[j]:
+                if l in from_user:
+                    continue
+                from_user[l] = j
+                if room[l] > eps:
+                    end = l
                     break
-                take = min(want, remaining[k])
-                rates[k, j] = take
-                remaining[k] -= take
-                want -= take
-            if want > 1e-6 * max(1.0, totals[j]):
-                raise OracleError(
-                    "active-set split could not place a user's rate within capacity"
-                )
-    # Absorb the clearing gap (demand staircases make it nonzero at machine
-    # precision) into the user whose marginal is flattest: shifting that
-    # user's total perturbs stationarity the least, mirroring how the true
-    # optimum parks residual capacity on a near-flat marginal.
-    totals = rates.sum(axis=0)
-    for k in range(prob.K):
-        s = rates[k].sum()
-        gap = prob.caps[k] - s
-        if s <= 0.0 or gap == 0.0 or abs(gap) > 1e-4 * prob.caps[k]:
+                for i in users_of[l]:
+                    if i not in from_carrier and flow[i][l] > eps:
+                        from_carrier[i] = l
+                        queue.append(i)
+            if end is not None:
+                break
+        if end is None:
+            break
+        forward, backward = [], []
+        l = end
+        while l is not None:
+            j = from_user[l]
+            forward.append((j, l))
+            l = from_carrier[j]
+            if l is not None:
+                backward.append((j, l))
+        first = forward[-1][0]
+        push = min([need[first], room[end]] + [flow[j][l] for j, l in backward])
+        for j, l in forward:
+            flow[j][l] += push
+        for j, l in backward:
+            flow[j][l] -= push
+        need[first] -= push
+        room[end] -= push
+
+    # Reach the sink backwards: a carrier with room, every user of such a
+    # carrier, and every carrier whose flow to such a user can be pushed back.
+    to_sink = {l for l, r in enumerate(room) if r > eps}
+    queue = list(to_sink)
+    reaching_users = set()
+    for l in queue:
+        for j in users_of[l]:
+            if j in reaching_users:
+                continue
+            reaching_users.add(j)
+            for l2, x in flow[j].items():
+                if x > eps and l2 not in to_sink:
+                    to_sink.add(l2)
+                    queue.append(l2)
+    cut_users = [j for j in range(len(reach)) if j not in reaching_users]
+    cut_carriers = [l for l in range(len(caps)) if l not in to_sink]
+    return flow, cut_users, cut_carriers
+
+
+def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Prices, rates and the number of price clearings of the optimum.
+
+    A group is a list of users and the set of carriers they may use; its
+    last entry is a price from which to bracket its clearing price.
+    """
+    prices = np.zeros(prob.K)
+    rates = np.zeros((prob.K, prob.M))
+    groups = [(list(range(prob.M)), set(range(prob.K)), 1.0)]
+    clearings = 0
+    while groups:
+        users, carriers, start = groups.pop()
+        reach = [[l for l in prob.reach[j] if l in carriers] for j in users]
+        reached = sorted({l for r in reach for l in r})
+        pi, totals = _clear_price(prob, users, float(prob.caps[reached].sum()), start)
+        clearings += 1
+        local = {l: i for i, l in enumerate(reached)}
+        flow, cut_users, cut_carriers = _hall_split(
+            totals, prob.caps[reached], [[local[l] for l in r] for r in reach]
+        )
+        if 0 < len(cut_users) < len(users):
+            inside = {users[i] for i in cut_users}
+            inside_carriers = {reached[l] for l in cut_carriers}
+            groups.append((sorted(inside), inside_carriers, pi))
+            groups.append(
+                ([j for j in users if j not in inside], set(reached) - inside_carriers, pi)
+            )
             continue
-        loaded = [j for j in range(prob.M) if rates[k, j] > 0.0]
-        j_flat = min(loaded, key=lambda j: _marginal_slope(prob, j, totals[j]))
-        rates[k, j_flat] = max(0.0, rates[k, j_flat] + gap)
-    totals = rates.sum(axis=0)
-    return rates, totals
+        prices[reached] = pi
+        for i, j in enumerate(users):
+            for l, x in flow[i].items():
+                rates[reached[l], j] = x
+    return prices, rates, clearings
 
 
-def _marginal_slope(prob: _Problem, j: int, total: float) -> float:
-    """|d marginal / d rate| by central difference; tie-break metric only."""
-    h = 1e-4 * max(1.0, total)
-    lo = max(total - h, 1e-12)
-    hi = total + h
-    u = prob.utilities[j]
-    return abs(u.marginal(hi) - u.marginal(lo)) / (hi - lo)
-
-
-def _build_solution(
-    prob: _Problem,
-    scenario,
-    rates: np.ndarray,
-    prices: np.ndarray,
-    tol: float,
-    iterations: int,
-) -> OracleSolution:
-    totals = rates.sum(axis=0)
-    rate_map = {
-        (prob.cids[k], prob.uids[j]): float(rates[k, j])
-        for k in range(prob.K)
-        for j in range(prob.M)
-        if prob.mask[k, j]
-    }
-    price_map = {prob.cids[k]: float(prices[k]) for k in range(prob.K)}
-    sol = OracleSolution(
-        rates=rate_map,
-        totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
-        prices=price_map,
-        objective=prob.objective(totals),
-        kkt=None,  # filled below
-        iterations=iterations,
-        converged=False,
-    )
-    sol.kkt = kkt_check(sol, scenario, tol)
-    sol.converged = sol.kkt.passed
-    return sol
-
-
-def solve_central(
-    scenario,
-    tol: float = 1e-9,
-    max_iters: int = 1_000_000,
-    start_rates: Optional[Dict[Tuple[int, int], float]] = None,
-) -> OracleSolution:
+def solve_central(scenario, tol: float = 1e-9) -> OracleSolution:
     """Certified optimum of the log-utility allocation problem.
 
-    ``tol`` is both the target for the projected-gradient phase and the KKT
-    tolerance the returned solution is certified against.  ``start_rates``
-    overrides the default interior starting point R_l / M_l (used by the
-    uniqueness tests; any feasible point works).
+    ``tol`` is the KKT tolerance the returned solution is certified against;
+    ``iterations`` counts price clearings.  Raises OracleError, naming the
+    worst KKT residual, when the result does not certify.
     """
     if not (tol > 0.0):
         raise OracleError(f"tol must be > 0, got {tol}")
     prob = _Problem(scenario)
-
-    r0 = np.zeros((prob.K, prob.M))
-    if start_rates is None:
-        for k in range(prob.K):
-            members = prob.mask[k]
-            if members.any():
-                r0[k, members] = prob.caps[k] / members.sum()
-    else:
-        cindex = {cid: k for k, cid in enumerate(prob.cids)}
-        uindex = {uid: j for j, uid in enumerate(prob.uids)}
-        for (cid, uid), v in start_rates.items():
-            r0[cindex[cid], uindex[uid]] = v
-        r0 = _project_rows(prob, r0)
-        zero_total = r0.sum(axis=0) <= 0.0
-        if zero_total.any():
-            raise OracleError("start_rates must give every UE a positive total")
-
-    def attempt(start: np.ndarray, budget: int) -> Tuple[OracleSolution, np.ndarray, float]:
-        r_pg, iters, pg_norm = _projected_gradient(prob, start, tol, budget)
-        candidates: List[OracleSolution] = []
-        prices_pg = _recover_duals(prob, r_pg, tol)
-        try:
-            prices_ref = _refine_active_set(prob, prices_pg)
-            rates_ref, _ = _rates_from_prices(prob, prices_ref)
-            candidates.append(
-                _build_solution(prob, scenario, rates_ref, prices_ref, tol, iters)
-            )
-        except OracleError:
-            pass
-        candidates.append(_build_solution(prob, scenario, r_pg, prices_pg, tol, iters))
-        best = min(
-            candidates,
-            key=lambda s: max(s.kkt.stationarity_active, s.kkt.stationarity_inactive),
-        )
-        return best, r_pg, pg_norm
-
-    # The refinement resolves whatever the gradient phase leaves, so a short
-    # first phase usually suffices; re-run with the full budget only if the
-    # result fails to certify.
-    phase1 = min(max_iters, 25_000)
-    best, r_pg, pg_norm = attempt(r0, phase1)
-    if not best.converged and phase1 < max_iters:
-        best2, r_pg, pg_norm = attempt(r_pg, max_iters - phase1)
-        best2.iterations += phase1
-        if max(best2.kkt.stationarity_active, best2.kkt.stationarity_inactive) <= max(
-            best.kkt.stationarity_active, best.kkt.stationarity_inactive
-        ):
-            best = best2
-    if not best.converged and best.iterations >= max_iters:
+    prices, rates, clearings = _decompose(prob)
+    totals = rates.sum(axis=0)
+    sol = OracleSolution(
+        rates={
+            (prob.cids[k], prob.uids[j]): float(rates[k, j])
+            for k in range(prob.K)
+            for j in range(prob.M)
+            if prob.mask[k, j]
+        },
+        totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
+        prices={prob.cids[k]: float(prices[k]) for k in range(prob.K)},
+        objective=prob.objective(totals),
+        kkt=None,  # filled below
+        iterations=clearings,
+        converged=True,
+    )
+    sol.kkt = kkt_check(sol, scenario, tol)
+    if not sol.kkt.passed:
+        worst = max(_RESIDUALS, key=lambda name: getattr(sol.kkt, name))
         raise OracleError(
-            f"no certified solution within {max_iters} iterations "
-            f"(pg norm {pg_norm:.3e}, stationarity "
-            f"{best.kkt.stationarity_active:.3e})"
+            f"optimum of {scenario.name!r} fails its KKT "
+            f"certificate at tol {tol:g}: {worst} = {getattr(sol.kkt, worst):.3e}"
         )
-    return best
+    return sol
 
 
 def kkt_check(candidate, scenario, tol: float, activity_threshold: Optional[float] = None) -> KKTReport:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import fd_marginal_tolerance
+from helpers import (
+    fd_marginal_tolerance,
+    log_demand_lambertw,
+    random_utilities,
+    sig_demand_closed_form,
+)
+from carrieralloc import oracle
 from carrieralloc.oracle import (
+    KKTReport,
     OracleError,
     dual_objective,
     kkt_check,
@@ -110,6 +117,30 @@ def test_paper_scenario_totals_at_r1_300():
     assert sol.kkt.passed
 
 
+def test_single_price_totals_match_closed_form_demands():
+    # Where both carriers share one price, every total is the user's demand
+    # at the price that clears 100 + R1 units.  The helpers invert the
+    # marginals in closed form, independently of solve_rate_for_price.
+    def demand(u, p):
+        if isinstance(u, SigmoidalUtility):
+            return sig_demand_closed_form(u.a, u.b, p)
+        return log_demand_lambertw(u.k, p)
+
+    for r1 in (110.0, 180.0):
+        s = build_paper_scenario(r1)
+        sol = solve_central(s, tol=1e-9)
+        assert sol.prices[1] == sol.prices[2]
+        lo, hi = 1e-6, 10.0
+        for _ in range(200):
+            mid = np.sqrt(lo * hi)
+            if sum(demand(u.utility, mid) for u in s.ues) > s.total_capacity:
+                lo = mid
+            else:
+                hi = mid
+        for ue in s.ues:
+            assert sol.totals[ue.id] == pytest.approx(demand(ue.utility, lo), abs=1e-11)
+
+
 def test_oracle_capacity_exhausted_exactly():
     sol = solve_central(build_paper_scenario(110.0), tol=1e-9)
     loads = {1: 0.0, 2: 0.0}
@@ -120,20 +151,16 @@ def test_oracle_capacity_exhausted_exactly():
     assert abs(loads[2] - 100.0) <= 1e-9 * 100.0
 
 
-def test_totals_unique_across_starting_points():
+def test_totals_unique_across_listing_orders():
     s = build_paper_scenario(150.0)
     tol = 1e-9
     base = solve_central(s, tol=tol)
     rng = np.random.default_rng(31)
     for _ in range(2):
-        start = {}
-        for c in s.carriers:
-            members = [u.id for u in s.ues if c.id in u.carriers]
-            weights = rng.uniform(0.05, 1.0, size=len(members))
-            weights = weights / weights.sum() * c.capacity * rng.uniform(0.3, 1.0)
-            for uid, w in zip(members, weights):
-                start[(c.id, uid)] = float(w)
-        other = solve_central(s, tol=tol, start_rates=start)
+        carriers, ues = list(s.carriers), list(s.ues)
+        rng.shuffle(carriers)
+        rng.shuffle(ues)
+        other = solve_central(Scenario(tuple(carriers), tuple(ues), s.name), tol=tol)
         for uid, total in base.totals.items():
             assert other.totals[uid] == pytest.approx(total, abs=10.0 * tol + 1e-7)
 
@@ -176,6 +203,124 @@ def test_duality_gap_is_small():
     sol = solve_central(s, tol=1e-9)
     gap = dual_objective(s, sol.prices) - sol.objective
     assert -1e-9 <= gap <= 1e-5
+
+
+def test_failed_certificate_raises_naming_worst_residual(monkeypatch):
+    def failing_check(candidate, scenario, tol, activity_threshold=None):
+        return KKTReport(
+            stationarity_active=3e-6,
+            stationarity_inactive=0.0,
+            complementary_slackness=1e-7,
+            capacity_violation=0.0,
+            negativity_violation=0.0,
+            tol=tol,
+            passed=False,
+        )
+
+    monkeypatch.setattr(oracle, "kkt_check", failing_check)
+    with pytest.raises(OracleError, match=r"stationarity_active = 3\.000e-06"):
+        solve_central(two_ue_scenario(), tol=1e-9)
+
+
+def test_hall_split_prices_captive_users_apart():
+    # Six identical users, 110 units: a common price would give each 55/3,
+    # but the three captive on the 10-unit carrier can only share 10.
+    u = LogarithmicUtility(k=2.0, r_max=100.0)
+    s = Scenario(
+        carriers=(CarrierSpec(id=1, capacity=10.0), CarrierSpec(id=2, capacity=100.0)),
+        ues=tuple(UESpec(id=i, utility=u, carriers=(1,)) for i in (1, 2, 3))
+        + tuple(UESpec(id=i, utility=u, carriers=(1, 2)) for i in (4, 5, 6)),
+        name="captive",
+    )
+    sol = solve_central(s, tol=1e-9)
+    for uid in (1, 2, 3):
+        assert sol.totals[uid] == pytest.approx(10.0 / 3.0, abs=1e-9)
+    for uid in (4, 5, 6):
+        assert sol.totals[uid] == pytest.approx(100.0 / 3.0, abs=1e-9)
+        assert sol.rates[(1, uid)] == 0.0
+    assert sol.prices[1] == pytest.approx(marginal(u, 10.0 / 3.0), rel=1e-9)
+    assert sol.prices[2] == pytest.approx(marginal(u, 100.0 / 3.0), rel=1e-9)
+    assert sol.prices[1] > 2.0 * sol.prices[2]
+
+
+def test_hall_split_on_twelve_carrier_chain():
+    # Carriers 1..12 of 10 units; user l reaches carriers l and l+1, and three
+    # more users only carrier 12.  Those three share carrier 12; the chain
+    # users then fill carriers 1..11 with 10 each.
+    u = LogarithmicUtility(k=1.0, r_max=100.0)
+    s = Scenario(
+        carriers=tuple(CarrierSpec(id=l, capacity=10.0) for l in range(1, 13)),
+        ues=tuple(UESpec(id=l, utility=u, carriers=(l, l + 1)) for l in range(1, 12))
+        + tuple(UESpec(id=i, utility=u, carriers=(12,)) for i in (12, 13, 14)),
+        name="chain",
+    )
+    sol = solve_central(s, tol=1e-9)
+    for uid in range(1, 12):
+        assert sol.totals[uid] == pytest.approx(10.0, abs=1e-9)
+    for uid in (12, 13, 14):
+        assert sol.totals[uid] == pytest.approx(10.0 / 3.0, abs=1e-9)
+    assert sol.prices[12] == pytest.approx(marginal(u, 10.0 / 3.0), rel=1e-9)
+    for cid in range(1, 12):
+        assert sol.prices[cid] == pytest.approx(marginal(u, 10.0), rel=1e-9)
+
+
+def test_satiated_users_share_spare_capacity():
+    # Past b + 37/a the sigmoidal marginal is 0 in floating point, so no
+    # price makes these two users demand all 86 units; they split it evenly.
+    u = SigmoidalUtility(a=9.0, b=6.0)
+    s = Scenario(
+        carriers=(CarrierSpec(id=1, capacity=86.0),),
+        ues=(UESpec(id=1, utility=u, carriers=(1,)), UESpec(id=2, utility=u, carriers=(1,))),
+        name="satiated",
+    )
+    sol = solve_central(s, tol=1e-9)
+    assert sol.totals == {1: 43.0, 2: 43.0}
+    assert 0.0 < sol.prices[1] <= 1e-15
+
+
+def _random_multi_carrier_scenario(rng, name):
+    n_carriers = int(rng.integers(2, 17))
+    n_ues = int(rng.integers(2, 2 * n_carriers + 3))
+    utilities = random_utilities(rng, n_ues)
+    for j in range(1, n_ues):
+        if rng.random() < 0.2:
+            utilities[j] = utilities[j - 1]  # an identical-user pair
+    ues = []
+    for j, utility in enumerate(utilities):
+        size = int(rng.integers(1, min(3, n_carriers) + 1))
+        reach = rng.choice(n_carriers, size=size, replace=False) + 1
+        ues.append(UESpec(id=j + 1, utility=utility, carriers=tuple(sorted(int(c) for c in reach))))
+    carriers = tuple(
+        CarrierSpec(id=l, capacity=float(rng.uniform(5.0, 100.0)))
+        for l in range(1, n_carriers + 1)
+    )
+    return Scenario(carriers=carriers, ues=tuple(ues), name=name)
+
+
+def test_random_multi_carrier_scenarios_certify():
+    rng = np.random.default_rng(53)
+    failures = []
+    for i in range(200):
+        s = _random_multi_carrier_scenario(rng, f"random-{i}")
+        try:
+            sol = solve_central(s, tol=1e-9)
+        except OracleError as exc:
+            failures.append(str(exc))
+            continue
+        assert sol.kkt.passed and sol.kkt.tol == 1e-9
+        utilities = {u.id: u.utility for u in s.ues}
+        for _ in range(20):
+            totals = dict.fromkeys(utilities, 0.0)
+            for c in s.carriers:
+                members = [u.id for u in s.ues if c.id in u.carriers]
+                if not members:
+                    continue
+                weights = rng.uniform(0.0, 1.0, size=len(members))
+                for uid, w in zip(members, weights / weights.sum() * c.capacity):
+                    totals[uid] += float(w)
+            candidate = sum(log_utility(utilities[uid], t) for uid, t in totals.items())
+            assert candidate <= sol.objective + 1e-9, s.name
+    assert not failures, failures
 
 
 def test_oracle_rejects_bad_tol():
