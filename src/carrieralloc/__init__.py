@@ -17,20 +17,11 @@ from .utility import (
     marginal,
     solve_rate_for_price,
 )
-from .subproblem import (
-    BidVector,
-    PriceView,
-    ProtocolError,
-    UEAgent,
-    final_rate,
-    ue_step,
-)
+from .subproblem import ProtocolError, gap_term, ue_step
 from .protocol import (
     AllocationResult,
-    CarrierAgent,
     EngineConfig,
     NonConvergenceError,
-    PriceQuote,
     RoundTrace,
     carrier_step,
     objective,
@@ -76,17 +67,12 @@ __all__ = [
     "log_utility",
     "marginal",
     "solve_rate_for_price",
-    "BidVector",
-    "PriceView",
     "ProtocolError",
-    "UEAgent",
-    "final_rate",
+    "gap_term",
     "ue_step",
     "AllocationResult",
-    "CarrierAgent",
     "EngineConfig",
     "NonConvergenceError",
-    "PriceQuote",
     "RoundTrace",
     "carrier_step",
     "objective",

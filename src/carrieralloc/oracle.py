@@ -37,12 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .utility import (
-    LogarithmicUtility,
-    SigmoidalUtility,
-    UtilityFunction,
-    solve_rate_for_price,
-)
+from .utility import UtilityFunction, log_utility, solve_rate_for_price
 
 __all__ = [
     "OracleError",
@@ -130,42 +125,6 @@ class _Problem:
         self.mask = np.zeros((self.K, self.M), dtype=bool)
         for j, reach in enumerate(self.reach):
             self.mask[reach, j] = True
-
-        sig = [(j, u) for j, u in enumerate(self.utilities) if isinstance(u, SigmoidalUtility)]
-        log = [(j, u) for j, u in enumerate(self.utilities) if isinstance(u, LogarithmicUtility)]
-        self.sig_j = np.array([j for j, _ in sig], dtype=int)
-        self.sig_a = np.array([u.a for _, u in sig], dtype=float)
-        self.sig_b = np.array([u.b for _, u in sig], dtype=float)
-        self.log_j = np.array([j for j, _ in log], dtype=int)
-        self.log_k = np.array([u.k for _, u in log], dtype=float)
-        self.log_norm = np.array(
-            [math.log1p(u.k * u.r_max) for _, u in log], dtype=float
-        )
-
-    def log_utilities(self, totals: np.ndarray) -> np.ndarray:
-        out = np.full(self.M, -np.inf)
-        if self.sig_j.size:
-            t = totals[self.sig_j]
-            a, b = self.sig_a, self.sig_b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y = a * t
-                le = np.where(
-                    y > 33.0,
-                    y + np.log1p(-np.exp(-np.minimum(y, 700.0))),
-                    np.log(np.expm1(np.minimum(y, 33.0))),
-                )
-                sp = np.logaddexp(0.0, a * (t - b))
-                vals = -a * b + le - sp
-            out[self.sig_j] = np.where(t > 0.0, vals, -np.inf)
-        if self.log_j.size:
-            t = totals[self.log_j]
-            with np.errstate(divide="ignore"):
-                vals = np.log(np.log1p(self.log_k * t)) - np.log(self.log_norm)
-            out[self.log_j] = np.where(t > 0.0, vals, -np.inf)
-        return out
-
-    def objective(self, totals: np.ndarray) -> float:
-        return float(self.log_utilities(totals).sum())
 
     def demand(self, j: int, price: float) -> float:
         """Rate at which user j's marginal equals ``price``.
@@ -374,7 +333,7 @@ def solve_central(scenario, tol: float = 1e-9) -> OracleSolution:
         },
         totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
         prices={prob.cids[k]: float(prices[k]) for k in range(prob.K)},
-        objective=prob.objective(totals),
+        objective=sum(log_utility(u, float(t)) for u, t in zip(prob.utilities, totals)),
         kkt=None,  # filled below
         iterations=clearings,
         converged=True,

@@ -1,26 +1,31 @@
 """Round-based engine coupling user bidding with carrier pricing.
 
 Rounds are synchronous: every carrier turns the bids it currently holds into
-a shadow price p_l = sum_i w_li / R_l (floored away from zero) and a stop
-flag that is set once no bid moved by delta or more since the previous
-round; then every user answers the fresh prices with new bids.  Final rates
-are r_li = w_li / p_l, which by construction exhausts each carrier's
-capacity exactly whenever its price is above the floor.
+a shadow price p_l = sum_i w_li / R_l (floored away from zero), then every
+user answers the fresh prices with new bids.  Final rates are
+r_li = w_li / p_l, which by construction exhausts each carrier's capacity
+exactly whenever its price is above the floor.
+
+The round state is two flat lists over the (carrier, user) links, the bids
+w_li and the users' anchor rates q_li, ordered user-major with each user's
+carriers by ascending id: a user reads and writes one contiguous slice, and
+a carrier reads the links listed for it.
 
 Stop rule.  Bid stability alone says the bids are moving slowly, not that
 the allocation is near the optimum: where a sigmoidal marginal is nearly
 flat, a round may contract the remaining error by only ~1e-4 while every
 bid already moves by far less than delta.  A run therefore stops only in a
-round where every carrier raises its stop flag *and* the duality gap
+round after the first where no bid moved by delta or more since the
+previous round *and* the duality gap
 
     D(p) - sum_i ln U_i(T_i),   D(p) = sum_i max_T (ln U_i(T) - pi_i T) + sum_l p_l R_l
 
 (pi_i the cheapest price user i reaches) is at most GAP_TOL.  The gap is the
 sum of one non-negative term per user (subproblem.gap_term) and one per
-carrier, p_l R_l - sum_i w_li, so every agent prices its own share and the
-oracle stays independent of what it certifies.  It is only evaluated in
-rounds where the bids are already stable.  Otherwise the run ends at the
-round limit with NonConvergenceError.
+carrier, p_l R_l - sum_i w_li, so every user and carrier prices its own
+share and the oracle stays independent of what it certifies.  It is only
+evaluated in rounds where the bids are already stable.  Otherwise the run
+ends at the round limit with NonConvergenceError.
 
 Acceleration.  After ANDERSON_WARMUP plain rounds, the state a round hands
 to the next one -- every bid and every user's anchor rates -- is
@@ -33,9 +38,9 @@ whose stiffness grows as 1 / (anchor total).  The fixed points are those of
 the plain rounds, and runs that stop within the warm-up are the plain
 protocol exactly.
 
-Agents are stepped in ascending id order and all state, including the
-mixer's small least-squares solve, is plain floats, so two runs on identical
-inputs produce bit-identical results.
+Users and carriers are stepped in ascending id order and all state,
+including the mixer's small least-squares solve, is plain floats, so two
+runs on identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -48,11 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .subproblem import (
     DEFAULT_ANCHOR_GAIN,
     DEFAULT_DAMPING,
-    BidVector,
-    PriceView,
     ProtocolError,
-    UEAgent,
-    final_rate,
     gap_term,
     ue_step,
 )
@@ -60,8 +61,6 @@ from .utility import log_utility
 
 __all__ = [
     "EngineConfig",
-    "CarrierAgent",
-    "PriceQuote",
     "RoundTrace",
     "AllocationResult",
     "NonConvergenceError",
@@ -121,31 +120,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class PriceQuote:
-    carrier_id: int
-    price: float
-    stop: bool
-
-
-@dataclass
-class CarrierAgent:
-    """State of one carrier: capacity, current price, last round's bids."""
-
-    carrier_id: int
-    capacity: float
-    price: float = 0.0
-    prev_bids: Optional[Dict[int, float]] = None
-    stop: bool = False
-    last_delta: float = float("inf")
-
-    def __post_init__(self) -> None:
-        if not (self.capacity > 0.0 and math.isfinite(self.capacity)):
-            raise ProtocolError(
-                f"carrier {self.carrier_id} capacity must be > 0, got {self.capacity}"
-            )
-
-
-@dataclass(frozen=True)
 class RoundTrace:
     round: int
     prices: Dict[int, float]
@@ -172,7 +146,7 @@ class AllocationResult:
 
 
 class NonConvergenceError(RuntimeError):
-    """Round limit hit before all carriers went quiet; carries the partial result."""
+    """Round limit hit before the run certified; carries the partial result."""
 
     def __init__(self, result: AllocationResult):
         super().__init__(
@@ -183,43 +157,15 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def carrier_step(
-    agent: CarrierAgent,
-    bids: Sequence[Tuple[int, float]],
-    *,
-    delta: float,
-    price_floor: float = 1e-9,
-) -> PriceQuote:
-    """Price update p = max(floor, sum(w)/R) plus the bid-stability stop test.
+def carrier_step(bids: Sequence[float], capacity: float, price_floor: float) -> float:
+    """Shadow price p = max(floor, sum(w)/R) of the bids a carrier holds.
 
-    Missing UEs count as bidding 0 (and as having bid 0 last round).  A
-    carrier that has no previous round yet never stops, whatever the bids.
+    Raises ProtocolError on a negative or non-finite bid.
     """
-    current: Dict[int, float] = {}
-    for ue_id, w in bids:
+    for w in bids:
         if not (math.isfinite(w) and w >= 0.0):
-            raise ProtocolError(
-                f"carrier {agent.carrier_id} got bad bid {w} from UE {ue_id}"
-            )
-        current[ue_id] = w
-
-    total = sum(current.values())
-    price = max(price_floor, total / agent.capacity)
-
-    previous = agent.prev_bids if agent.prev_bids is not None else {}
-    seen = set(current) | set(previous)
-    max_delta = 0.0
-    for ue_id in seen:
-        change = abs(current.get(ue_id, 0.0) - previous.get(ue_id, 0.0))
-        if change > max_delta:
-            max_delta = change
-    stop = agent.prev_bids is not None and max_delta < delta
-
-    agent.price = price
-    agent.prev_bids = current
-    agent.stop = stop
-    agent.last_delta = max_delta
-    return PriceQuote(carrier_id=agent.carrier_id, price=price, stop=stop)
+            raise ProtocolError(f"carrier got bad bid {w}: bids must be finite and >= 0")
+    return max(price_floor, sum(bids) / capacity)
 
 
 class _AndersonMixer:
@@ -307,70 +253,54 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     """Run the bidding protocol on a scenario until it certifies its optimum.
 
-    A round converges when every carrier's bids moved by less than
-    ``config.delta`` and the duality gap of the current prices and rates is
-    at most GAP_TOL; from round ANDERSON_WARMUP + 1 on, the state passed to
-    the next round is Anderson-mixed (see the module docstring).  The
-    result carries the gap of its final round in ``duality_gap``.  Raises
-    NonConvergenceError (carrying the partial result) when the round limit
-    is reached first.
+    A round after the first converges when no bid moved by ``config.delta``
+    or more since the previous round and the duality gap of the current
+    prices and rates is at most GAP_TOL; from round ANDERSON_WARMUP + 1 on,
+    the state passed to the next round is Anderson-mixed (see the module
+    docstring).  The result carries the gap of its final round in
+    ``duality_gap``.  Raises NonConvergenceError (carrying the partial
+    result) when the round limit is reached first.
     """
     carriers = sorted(scenario.carriers, key=lambda c: c.id)
     ues = sorted(scenario.ues, key=lambda u: u.id)
-    capacity = {c.id: c.capacity for c in carriers}
-    in_range: Dict[int, List[int]] = {c.id: [] for c in carriers}
+    cids = [c.id for c in carriers]
+    caps = [c.capacity for c in carriers]
+    column = {cid: k for k, cid in enumerate(cids)}
+    # (carrier, user) links, user-major: user j owns links[spans[j]]
+    links: List[Tuple[int, int]] = []
+    spans: List[slice] = []
     for ue in ues:
-        for cid in ue.carriers:
-            in_range[cid].append(ue.id)
-
-    agents = {
-        ue.id: UEAgent(
-            ue_id=ue.id,
-            utility=ue.utility,
-            reachable=tuple(sorted(ue.carriers)),
-            # no UE can be allocated more than its reachable carriers hold
-            r_cap=sum(capacity[cid] for cid in ue.carriers),
-        )
-        for ue in ues
-    }
-    carrier_agents = {
-        c.id: CarrierAgent(carrier_id=c.id, capacity=c.capacity) for c in carriers
-    }
-    # (carrier, user) links in user order: the layout of the mixed state
-    links = [(cid, ue.id) for ue in ues for cid in agents[ue.id].reachable]
+        start = len(links)
+        links += [(cid, ue.id) for cid in sorted(ue.carriers)]
+        spans.append(slice(start, len(links)))
+    link_carrier = [column[cid] for cid, _ in links]
+    # each carrier's links, in user order
+    carrier_links: List[List[int]] = [[] for _ in carriers]
+    for i, k in enumerate(link_carrier):
+        carrier_links[k].append(i)
+    # no UE can be allocated more than its reachable carriers hold
+    r_caps = [sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
 
     # Initial bids w(1) = R_l / M_l: scale-free, strictly positive, and give
     # every carrier a first-round price of exactly 1.
-    bids: Dict[Tuple[int, int], float] = {}
-    for c in carriers:
-        members = in_range[c.id]
-        if not members:
-            continue
-        w0 = c.capacity / len(members)
-        for uid in members:
-            bids[(c.id, uid)] = w0
-    for ue in ues:
-        agents[ue.id].last_bids = BidVector(
-            entries=tuple((cid, bids[(cid, ue.id)]) for cid in agents[ue.id].reachable)
-        )
+    bids = [caps[k] / len(carrier_links[k]) for k in link_carrier]
+    # anchor rates exist once every user has stepped, from round 2 on
+    anchors: Optional[List[float]] = None
+    # the bids the carriers priced in the previous round
+    seen = [0.0] * len(links)
 
-    def duality_gap(prices: Dict[int, float]) -> float:
+    def duality_gap(prices: List[float]) -> float:
         gap = 0.0
-        for c in carriers:
+        for k, idx in enumerate(carrier_links):
             # a carrier no user reaches is no constraint of the problem
-            if in_range[c.id]:
-                load = sum(bids[(c.id, uid)] for uid in in_range[c.id])
-                gap += prices[c.id] * c.capacity - load
-        for ue in ues:
-            agent = agents[ue.id]
-            rates = {cid: bids[(cid, ue.id)] / prices[cid] for cid in agent.reachable}
-            gap += gap_term(agent, prices, rates)
+            if idx:
+                gap += prices[k] * caps[k] - sum(bids[i] for i in idx)
+        link_prices = [prices[k] for k in link_carrier]
+        for ue, span, r_cap in zip(ues, spans, r_caps):
+            p = link_prices[span]
+            rates = [w / q for w, q in zip(bids[span], p)]
+            gap += gap_term(ue.utility, p, rates, r_cap)
         return gap
-
-    def state() -> List[float]:
-        return [bids[link] for link in links] + [
-            agents[uid].anchor[cid] for cid, uid in links
-        ]
 
     mixer = _AndersonMixer(ANDERSON_DEPTH)
     trace: List[RoundTrace] = []
@@ -379,83 +309,62 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     rounds = 0
     for n in range(1, config.max_rounds + 1):
         rounds = n
-        quotes = {}
-        for c in carriers:
-            agent = carrier_agents[c.id]
-            carrier_bids = [(uid, bids[(c.id, uid)]) for uid in in_range[c.id]]
-            quote = carrier_step(
-                agent, carrier_bids, delta=config.delta, price_floor=config.price_floor
-            )
-            quotes[c.id] = quote
-        round_delta = max(carrier_agents[c.id].last_delta for c in carriers)
+        prices = [
+            carrier_step([bids[i] for i in idx], cap, config.price_floor)
+            for idx, cap in zip(carrier_links, caps)
+        ]
+        round_delta = max(abs(w - v) for w, v in zip(bids, seen))
+        seen = bids
         if config.keep_trace:
             trace.append(
                 RoundTrace(
                     round=n,
-                    prices={cid: q.price for cid, q in sorted(quotes.items())},
-                    bids=dict(sorted(bids.items())),
+                    prices=dict(zip(cids, prices)),
+                    bids=dict(sorted(zip(links, bids))),
                     max_bid_delta=round_delta,
                 )
             )
-        if all(q.stop for q in quotes.values()):
-            gap = duality_gap({cid: q.price for cid, q in quotes.items()})
+        if n > 1 and round_delta < config.delta:
+            gap = duality_gap(prices)
             if gap <= GAP_TOL:
                 converged = True
                 break
         if n < config.max_rounds:
-            mixing = n > ANDERSON_WARMUP
-            if mixing:
-                before = state()
-            for ue in ues:
-                agent = agents[ue.id]
-                view = PriceView(
-                    entries=tuple(
-                        (cid, quotes[cid].price, quotes[cid].stop)
-                        for cid in agent.reachable
-                    ),
-                    round=n,
+            link_prices = [prices[k] for k in link_carrier]
+            new_bids: List[float] = []
+            new_anchors: List[float] = []
+            for ue, span, r_cap in zip(ues, spans, r_caps):
+                w, q = ue_step(
+                    ue.utility,
+                    link_prices[span],
+                    bids[span],
+                    None if anchors is None else anchors[span],
+                    r_cap,
+                    config.damping,
+                    config.anchor_gain,
                 )
-                new_bids = ue_step(
-                    agent,
-                    view,
-                    damping=config.damping,
-                    anchor_gain=config.anchor_gain,
-                )
-                for cid, w in new_bids.entries:
-                    bids[(cid, ue.id)] = w
-            if mixing:
-                plain = state()
+                new_bids += w
+                new_anchors += q
+            if n > ANDERSON_WARMUP:
+                plain = new_bids + new_anchors
                 mixed = [
-                    max(MIX_FLOOR * p, m) for p, m in zip(plain, mixer.step(before, plain))
+                    max(MIX_FLOOR * p, m)
+                    for p, m in zip(plain, mixer.step(bids + anchors, plain))
                 ]
-                for (cid, uid), w, q in zip(links, mixed, mixed[len(links):]):
-                    bids[(cid, uid)] = w
-                    agents[uid].anchor[cid] = q
-                for ue in ues:
-                    agent = agents[ue.id]
-                    agent.last_bids = BidVector(
-                        entries=tuple((cid, bids[(cid, ue.id)]) for cid in agent.reachable)
-                    )
+                new_bids, new_anchors = mixed[: len(links)], mixed[len(links):]
+            bids, anchors = new_bids, new_anchors
 
-    prices = {c.id: carrier_agents[c.id].price for c in carriers}
     if not converged:
         gap = duality_gap(prices)
-    rates = {
-        (cid, uid): final_rate(bids[(cid, uid)], prices[cid], config.price_floor)
-        for cid in capacity
-        for uid in in_range[cid]
-    }
-    totals = {
-        ue.id: sum(rates.get((cid, ue.id), 0.0) for cid in agents[ue.id].reachable)
-        for ue in ues
-    }
-    obj = sum(log_utility(agents[uid].utility, totals[uid]) for uid in totals)
+    rate = [w / prices[k] for w, k in zip(bids, link_carrier)]
+    by_carrier = [i for idx in carrier_links for i in idx]
+    totals = {ue.id: sum(rate[span]) for ue, span in zip(ues, spans)}
     result = AllocationResult(
-        rates=rates,
-        bids=dict(bids),
-        prices=prices,
+        rates={links[i]: rate[i] for i in by_carrier},
+        bids={links[i]: bids[i] for i in by_carrier},
+        prices=dict(zip(cids, prices)),
         totals=totals,
-        objective=obj,
+        objective=sum(log_utility(ue.utility, totals[ue.id]) for ue in ues),
         rounds=rounds,
         converged=converged,
         trace=trace,

@@ -21,8 +21,6 @@ files reproduces the in-memory values exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -62,10 +60,7 @@ __all__ = [
     "run_sweep",
     "write_results",
     "write_trace",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "CARRIER_ALLOC_THREADS"
 
 # Tolerances used when a sweep verifies the protocol against the oracle:
 # objective agreement, per-UE total agreement (relative), and the KKT
@@ -401,17 +396,6 @@ def build_paper_scenario(r1: float = 300.0, r2: float = 100.0) -> Scenario:
 # sweep execution
 
 
-def _sweep_workers(n_jobs: int, max_workers: Optional[int]) -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        cap = int(env)
-        if cap < 1:
-            raise ScenarioError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env}")
-    else:
-        cap = max_workers if max_workers is not None else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
 def compare_to_oracle(
     result: AllocationResult,
     oracle_solution: OracleSolution,
@@ -476,27 +460,17 @@ def run_sweep(
     config: EngineConfig = EngineConfig(),
     verify: bool = False,
     oracle_tol: float = 1e-9,
-    max_workers: Optional[int] = None,
 ) -> List[RunRecord]:
-    """Protocol run per sweep value; output order follows sweep order.
+    """Protocol run per sweep value, in sweep order.
 
     Per-point failures (non-convergence, solver errors) are recorded in the
-    returned records rather than aborting the sweep.  Points execute in a
-    thread pool capped by the CARRIER_ALLOC_THREADS environment variable.
+    returned records rather than aborting the sweep.
     """
-    values = sweep.values()
     scenario.carrier(sweep.carrier_id)
-    workers = _sweep_workers(len(values), max_workers)
-    if workers == 1:
-        return [
-            _run_point(scenario, sweep, v, config, verify, oracle_tol) for v in values
-        ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_point, scenario, sweep, v, config, verify, oracle_tol)
-            for v in values
-        ]
-        return [f.result() for f in futures]
+    return [
+        _run_point(scenario, sweep, v, config, verify, oracle_tol)
+        for v in sweep.values()
+    ]
 
 
 # --------------------------------------------------------------------------

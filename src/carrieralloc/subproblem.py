@@ -1,18 +1,19 @@
 """Per-user bidding decision: map announced carrier prices to money bids.
 
-Each round a user agent receives the current shadow prices of its reachable
+Each round a user receives the current shadow prices of its reachable
 carriers, computes the rate it wants at those prices, and answers with one
 money bid w = p * r per carrier.  The raw decision routes demand to carriers
 in ascending price order: the total demand at the cheapest price is computed
 by inverting the marginal utility, and each successively dearer carrier only
 receives the (clamped, non-negative) increment beyond what cheaper carriers
-already supply.  Since demand is non-increasing in price, a fresh agent sends
-its whole demand to the single cheapest carrier (ties broken by carrier id).
+already supply.  Since demand is non-increasing in price, a user's first
+step sends its whole demand to the single cheapest carrier (ties broken by
+carrier id).
 
 That all-or-nothing routing is a fixed-point map with two failure modes when
 iterated: it flip-flops between carriers whose prices are nearly equal, and
 it jumps across the near-flat stretches of a sigmoidal marginal where demand
-is numerically set-valued.  After its first step an agent therefore anchors
+is numerically set-valued.  After its first step a user therefore anchors
 its decision to the rates it last held: it solves
 
     maximize  ln U(sum_l r_l) - sum_l p_l r_l - (rho/2) * sum_l (r_l - q_l)^2
@@ -26,24 +27,22 @@ them is damped.  Bids are additionally smoothed as theta*raw + (1-theta)*last.
 Each user can also price its own distance from the optimum: gap_term is its
 non-negative share of the duality gap at the current prices, which the round
 engine sums into its stop test.
+
+Both functions are pure and take one user's per-carrier values as lists,
+all in the same order: the user's reachable carriers by ascending id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .utility import UtilityFunction, log_utility, solve_rate_for_price
 
 __all__ = [
     "ProtocolError",
-    "PriceView",
-    "BidVector",
-    "UEAgent",
     "ue_step",
     "gap_term",
-    "final_rate",
 ]
 
 DEFAULT_DAMPING = 0.7
@@ -51,101 +50,33 @@ DEFAULT_ANCHOR_GAIN = 0.3
 
 
 class ProtocolError(ValueError):
-    """Raised on malformed protocol messages or inconsistent agent state."""
+    """Raised on malformed bids or engine parameters."""
 
 
-@dataclass(frozen=True)
-class PriceView:
-    """Prices a UE sees in one round: (carrier_id, price, stop_flag) entries."""
-
-    entries: Tuple[Tuple[int, float, bool], ...]
-    round: int
-
-    def __post_init__(self) -> None:
-        ids = [cid for cid, _, _ in self.entries]
-        if len(ids) != len(set(ids)):
-            raise ProtocolError(f"duplicate carrier in price view: {ids}")
-
-    def price_of(self, carrier_id: int) -> float:
-        for cid, price, _ in self.entries:
-            if cid == carrier_id:
-                return price
-        raise ProtocolError(f"price view is missing carrier {carrier_id}")
-
-    def all_stopped(self) -> bool:
-        return all(stop for _, _, stop in self.entries)
-
-
-@dataclass(frozen=True)
-class BidVector:
-    """Money bids (carrier_id, w >= 0), one entry per reachable carrier."""
-
-    entries: Tuple[Tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        for cid, w in self.entries:
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ProtocolError(f"bid to carrier {cid} must be finite and >= 0, got {w}")
-
-    def as_dict(self) -> Dict[int, float]:
-        return dict(self.entries)
-
-    def bid_for(self, carrier_id: int) -> float:
-        for cid, w in self.entries:
-            if cid == carrier_id:
-                return w
-        return 0.0
-
-
-@dataclass
-class UEAgent:
-    """State of one user agent across rounds.
-
-    Distinct agents are independent and may step concurrently within a
-    round; a single agent must only be stepped by one caller at a time.
-    """
-
-    ue_id: int
-    utility: UtilityFunction
-    reachable: Tuple[int, ...]
-    r_cap: float
-    last_bids: Optional[BidVector] = None
-    # Rate vector the agent held after its previous step; None until the
-    # agent has stepped once (fresh agents use the unanchored rule).
-    anchor: Optional[Dict[int, float]] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.reachable:
-            raise ProtocolError(f"UE {self.ue_id} has no reachable carriers")
-        if tuple(sorted(self.reachable)) != tuple(self.reachable):
-            raise ProtocolError(f"UE {self.ue_id} reachable carriers must be sorted")
-        if not (self.r_cap > 0.0):
-            raise ProtocolError(f"UE {self.ue_id} needs r_cap > 0, got {self.r_cap}")
-
-    def last_bid_for(self, carrier_id: int) -> float:
-        if self.last_bids is None:
-            return 0.0
-        return self.last_bids.bid_for(carrier_id)
-
-
-def _staged_demand(agent: UEAgent, prices: Dict[int, float]) -> Dict[int, float]:
+def _staged_demand(
+    utility: UtilityFunction, prices: Sequence[float], r_cap: float
+) -> List[float]:
     """Cheapest-first staged rates: stage m claims max(0, D_m - claimed)."""
-    order = sorted(agent.reachable, key=lambda cid: (prices[cid], cid))
-    rates: Dict[int, float] = {cid: 0.0 for cid in agent.reachable}
+    order = sorted(range(len(prices)), key=lambda c: (prices[c], c))
+    rates = [0.0] * len(prices)
     claimed = 0.0
-    for cid in order:
-        demand = solve_rate_for_price(agent.utility, prices[cid], agent.r_cap)
+    for c in order:
+        demand = solve_rate_for_price(utility, prices[c], r_cap)
         increment = demand - claimed
         if increment < 0.0:
             increment = 0.0
-        rates[cid] = increment
+        rates[c] = increment
         claimed += increment
     return rates
 
 
 def _anchored_demand(
-    agent: UEAgent, prices: Dict[int, float], anchor: Dict[int, float], rho: float
-) -> Dict[int, float]:
+    utility: UtilityFunction,
+    prices: Sequence[float],
+    anchor: Sequence[float],
+    rho: float,
+    r_cap: float,
+) -> List[float]:
     """Rates maximizing ln U(T) - sum p r - (rho/2)||r - q||^2 over r >= 0.
 
     KKT gives r_l(nu) = max(0, q_l + (nu - p_l)/rho) with nu = marginal(T);
@@ -153,35 +84,34 @@ def _anchored_demand(
     scalar root is unique and bracketed by bisection.  The total is capped
     at r_cap like the unanchored inversion.
     """
-    cids = list(agent.reachable)
+    links = list(zip(anchor, prices))
 
-    def split(nu: float) -> Dict[int, float]:
-        return {c: max(0.0, anchor[c] + (nu - prices[c]) / rho) for c in cids}
+    def split(nu: float) -> List[float]:
+        return [max(0.0, q + (nu - p) / rho) for q, p in links]
 
     def total(nu: float) -> float:
-        return sum(anchor[c] + (nu - prices[c]) / rho
-                   for c in cids if anchor[c] + (nu - prices[c]) / rho > 0.0)
+        return sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
 
     def excess(nu: float) -> float:
         t = total(nu)
         if t <= 0.0:
             return 1.0  # marginal(0+) = +inf exceeds any finite nu
-        return agent.utility.marginal(t) - nu
+        return utility.marginal(t) - nu
 
     def nu_at_ceiling(cap_lo: float, cap_hi: float) -> float:
         for _ in range(200):
             mid = 0.5 * (cap_lo + cap_hi)
-            if total(mid) < agent.r_cap:
+            if total(mid) < r_cap:
                 cap_lo = mid
             else:
                 cap_hi = mid
         return 0.5 * (cap_lo + cap_hi)
 
-    lo = min(prices[c] - rho * anchor[c] for c in cids)  # total(lo) == 0
-    hi = max(prices.values()) + rho * max(anchor.values()) + 1.0
-    while excess(hi) > 0.0 and total(hi) < agent.r_cap:
+    lo = min(p - rho * q for q, p in links)  # total(lo) == 0
+    hi = max(prices) + rho * max(anchor) + 1.0
+    while excess(hi) > 0.0 and total(hi) < r_cap:
         hi *= 2.0
-    if total(hi) >= agent.r_cap and excess(hi) > 0.0:
+    if total(hi) >= r_cap and excess(hi) > 0.0:
         # demand hits the ceiling: pick nu with total == r_cap instead
         return split(nu_at_ceiling(lo, hi))
     for _ in range(200):
@@ -193,58 +123,55 @@ def _anchored_demand(
         if hi - lo <= 1e-14 * max(1.0, abs(hi)):
             break
     nu = 0.5 * (lo + hi)
-    if total(nu) > agent.r_cap:
-        nu = nu_at_ceiling(min(prices[c] - rho * anchor[c] for c in cids), nu)
+    if total(nu) > r_cap:
+        nu = nu_at_ceiling(min(p - rho * q for q, p in links), nu)
     return split(nu)
 
 
 def ue_step(
-    agent: UEAgent,
-    prices: PriceView,
-    *,
-    damping: float = DEFAULT_DAMPING,
-    anchor_gain: float = DEFAULT_ANCHOR_GAIN,
-) -> BidVector:
-    """One bidding round: new damped bid vector for all reachable carriers.
+    utility: UtilityFunction,
+    prices: Sequence[float],
+    last_bids: Sequence[float],
+    anchor: Optional[Sequence[float]],
+    r_cap: float,
+    damping: float,
+    anchor_gain: float,
+) -> Tuple[List[float], List[float]]:
+    """One bidding round of one user: its new bids and anchor rates.
 
-    ``damping`` is theta in new = theta*raw + (1-theta)*last.  ``anchor_gain``
-    scales the proximal anchor (rho = anchor_gain * p_min / T_prev) for
-    agents that have stepped before; 0 disables anchoring entirely, giving
-    the pure cheapest-first update every round.
+    ``anchor`` is the rate vector the user held after its previous step, or
+    None before its first step (which uses the unanchored rule).  ``r_cap``
+    caps the user's total rate.  ``damping`` is theta in
+    new = theta*raw + (1-theta)*last.  ``anchor_gain`` scales the proximal
+    anchor (rho = anchor_gain * p_min / T_prev); 0 disables anchoring
+    entirely, giving the pure cheapest-first update every round.  The new
+    anchor is the rate each new bid buys at the current price.
     """
     if not (0.0 < damping <= 1.0):
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
     if anchor_gain < 0.0:
         raise ProtocolError(f"anchor_gain must be >= 0, got {anchor_gain}")
 
-    price_map = {cid: prices.price_of(cid) for cid in agent.reachable}
-    for cid, price, _ in prices.entries:
-        if cid not in price_map:
-            raise ProtocolError(
-                f"price view for UE {agent.ue_id} has unreachable carrier {cid}"
-            )
-    p_min = min(price_map.values())
-
-    if agent.anchor is None or anchor_gain == 0.0:
-        rates = _staged_demand(agent, price_map)
+    if anchor is None or anchor_gain == 0.0:
+        rates = _staged_demand(utility, prices, r_cap)
     else:
-        t_prev = sum(agent.anchor.values())
-        rho = anchor_gain * p_min / max(t_prev, 1e-12 * agent.r_cap)
-        rates = _anchored_demand(agent, price_map, agent.anchor, rho)
+        t_prev = sum(anchor)
+        rho = anchor_gain * min(prices) / max(t_prev, 1e-12 * r_cap)
+        rates = _anchored_demand(utility, prices, anchor, rho, r_cap)
 
-    new_entries = []
-    for cid in agent.reachable:
-        raw = price_map[cid] * rates[cid]
-        damped = damping * raw + (1.0 - damping) * agent.last_bid_for(cid)
-        new_entries.append((cid, damped))
-    bids = BidVector(entries=tuple(new_entries))
-
-    agent.last_bids = bids
-    agent.anchor = {cid: w / price_map[cid] for cid, w in bids.entries}
-    return bids
+    bids = [
+        damping * (p * r) + (1.0 - damping) * w
+        for p, r, w in zip(prices, rates, last_bids)
+    ]
+    return bids, [w / p for w, p in zip(bids, prices)]
 
 
-def gap_term(agent: UEAgent, prices: Dict[int, float], rates: Dict[int, float]) -> float:
+def gap_term(
+    utility: UtilityFunction,
+    prices: Sequence[float],
+    rates: Sequence[float],
+    r_cap: float,
+) -> float:
     """This user's share of the duality gap D(p) - sum_i ln U_i(T_i).
 
     With pi the cheapest reachable price and T = sum_l r_l the user's total,
@@ -257,22 +184,13 @@ def gap_term(agent: UEAgent, prices: Dict[int, float], rates: Dict[int, float]) 
     gap between the dual function and the primal objective.  It is +inf
     while the user holds no rate.
     """
-    pi = min(prices[cid] for cid in agent.reachable)
-    total = sum(rates[cid] for cid in agent.reachable)
+    pi = min(prices)
+    total = sum(rates)
     if not (total > 0.0):
         return math.inf
-    best = solve_rate_for_price(agent.utility, pi, agent.r_cap)
-    shortfall = (log_utility(agent.utility, best) - pi * best) - (
-        log_utility(agent.utility, total) - pi * total
+    best = solve_rate_for_price(utility, pi, r_cap)
+    shortfall = (log_utility(utility, best) - pi * best) - (
+        log_utility(utility, total) - pi * total
     )
-    overpay = sum((prices[cid] - pi) * rates[cid] for cid in agent.reachable)
+    overpay = sum((p - pi) * r for p, r in zip(prices, rates))
     return shortfall + overpay
-
-
-def final_rate(bid: float, price: float, price_floor: float = 1e-9) -> float:
-    """Allocated rate w/p for a settled bid; guards against vanishing prices."""
-    if price < price_floor:
-        raise ProtocolError(
-            f"price {price} below floor {price_floor}; cannot allocate rate"
-        )
-    return bid / price

@@ -7,9 +7,9 @@ import pytest
 from carrieralloc.protocol import (
     GAP_TOL,
     AllocationResult,
-    CarrierAgent,
     EngineConfig,
     NonConvergenceError,
+    _AndersonMixer,
     carrier_step,
     objective,
     run,
@@ -34,52 +34,96 @@ def small_scenario(*ues, carriers=((1, 100.0),)):
     )
 
 
+def capped_user(capacity):
+    # at rates up to 0.1 the marginal is at least 100 / (11 ln 11) ~ 3.8, above
+    # the first-round price of 1, so the user's demand stays at its ceiling,
+    # the whole capacity
+    u = LogarithmicUtility(k=100.0, r_max=100.0)
+    return small_scenario(UESpec(id=1, utility=u, carriers=(1,)), carriers=((1, capacity),))
+
+
 # ---------------------------------------------------------------------------
-# carrier_step
+# carrier_step and the stop test
 
 
 def test_carrier_price_is_bid_sum_over_capacity():
-    agent = CarrierAgent(carrier_id=1, capacity=100.0)
-    quote = carrier_step(agent, [(1, 30.0), (2, 20.0), (3, 50.0)], delta=DELTA)
-    assert quote.price == 1.0
-    assert quote.stop is False  # no previous round yet
+    assert carrier_step([30.0, 20.0, 50.0], 100.0, 1e-9) == 1.0
 
 
 def test_carrier_all_zero_bids_hits_price_floor_without_stopping():
-    agent = CarrierAgent(carrier_id=1, capacity=100.0)
-    quote = carrier_step(agent, [(1, 0.0), (2, 0.0)], delta=DELTA, price_floor=1e-9)
-    assert quote.price == 1e-9
-    assert quote.stop is False
+    assert carrier_step([0.0, 0.0], 100.0, 1e-9) == 1e-9
+    assert carrier_step([], 100.0, 1e-9) == 1e-9
+    # Every initial bid (R / M = 5e-4) moves by less than delta in round 1,
+    # against a previous round of zeros, and the allocation is already
+    # optimal; still only round 2, with a previous round, may stop.
+    res = run(capped_user(capacity=5e-4), EngineConfig(damping=1.0, keep_trace=True))
+    assert res.trace[0].max_bid_delta < DELTA
+    assert res.rounds == 2
 
 
 def test_carrier_stops_on_two_identical_rounds():
-    agent = CarrierAgent(carrier_id=1, capacity=100.0)
-    bids = [(1, 30.0), (2, 20.0)]
-    assert carrier_step(agent, bids, delta=DELTA).stop is False
-    assert carrier_step(agent, bids, delta=DELTA).stop is True
+    res = run(capped_user(capacity=0.1), EngineConfig(damping=1.0, keep_trace=True))
+    assert res.converged
+    assert res.rounds == 2
+    assert res.trace[1].max_bid_delta == 0.0
+    assert res.trace[1].bids == res.trace[0].bids
 
 
 def test_carrier_stop_respects_delta():
-    agent = CarrierAgent(carrier_id=1, capacity=100.0)
-    carrier_step(agent, [(1, 30.0)], delta=DELTA)
-    assert carrier_step(agent, [(1, 30.0 + 2e-3)], delta=DELTA).stop is False
-    assert carrier_step(agent, [(1, 30.0 + 2e-3 + 5e-4)], delta=DELTA).stop is True
-
-
-def test_carrier_treats_missing_ue_as_zero_bid():
-    agent = CarrierAgent(carrier_id=1, capacity=100.0)
-    carrier_step(agent, [(1, 30.0), (2, 5.0)], delta=DELTA)
-    quote = carrier_step(agent, [(1, 30.0)], delta=DELTA)  # UE 2 went silent
-    assert quote.price == pytest.approx(0.30)
-    assert quote.stop is False  # |0 - 5| >= delta
+    u = LogarithmicUtility(k=3.0, r_max=100.0)
+    s = small_scenario(
+        UESpec(id=1, utility=u, carriers=(1,)),
+        UESpec(id=2, utility=LogarithmicUtility(k=0.5, r_max=100.0), carriers=(1,)),
+    )
+    loose = run(s, EngineConfig(delta=DELTA, keep_trace=True))
+    last = loose.trace[-1].max_bid_delta
+    assert 0.0 < last < DELTA
+    # a move equal to delta is not below it: the run must go on
+    strict = run(s, EngineConfig(delta=last, keep_trace=True))
+    assert strict.rounds > loose.rounds
+    assert strict.trace[-1].max_bid_delta < last
 
 
 def test_carrier_rejects_bad_bids():
-    agent = CarrierAgent(carrier_id=1, capacity=100.0)
-    with pytest.raises(ProtocolError):
-        carrier_step(agent, [(1, -1.0)], delta=DELTA)
-    with pytest.raises(ProtocolError):
-        carrier_step(agent, [(1, math.inf)], delta=DELTA)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ProtocolError):
+            carrier_step([1.0, bad], 100.0, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Anderson mixing
+
+
+def test_anderson_mixer_solves_affine_contraction():
+    a = [[0.5, 0.2, 0.0], [0.1, 0.6, 0.2], [0.0, 0.3, 0.4]]
+    c = [1.0, -2.0, 0.5]
+
+    def g(x):
+        return [sum(a_ij * x_j for a_ij, x_j in zip(row, x)) + c_i for row, c_i in zip(a, c)]
+
+    # the fixed point solves (I - A) x = c; iterate the plain map to it
+    fixed = [0.0, 0.0, 0.0]
+    for _ in range(2000):
+        fixed = g(fixed)
+
+    for depth in (3, 5):
+        mixer = _AndersonMixer(depth)
+        x = [0.0, 0.0, 0.0]
+        first = g(x)
+        x = mixer.step(x, first)
+        assert x == first
+        for _ in range(depth + 1):
+            x = mixer.step(x, g(x))
+        assert max(abs(u - v) for u, v in zip(x, fixed)) < 1e-10
+
+
+def test_anderson_mixer_degenerate_gram_returns_g():
+    mixer = _AndersonMixer(3)
+    x = [1.0, 2.0, 3.0]
+    assert mixer.step(x, list(x)) == x
+    # the residual and its difference from the last one are zero: the Gram
+    # matrix is [[0]], which has no Cholesky factor
+    assert mixer.step(x, list(x)) == x
 
 
 # ---------------------------------------------------------------------------

@@ -205,16 +205,6 @@ def test_run_sweep_records_per_point_failures():
     assert all(rec.result is not None and not rec.result.converged for rec in records)
 
 
-def test_run_sweep_honors_thread_cap(monkeypatch):
-    monkeypatch.setenv("CARRIER_ALLOC_THREADS", "1")
-    s = tiny_scenario()
-    records = run_sweep(s, SweepSpec(carrier_id=1, start=20.0, stop=40.0, step=20.0), EngineConfig())
-    assert len(records) == 2
-    monkeypatch.setenv("CARRIER_ALLOC_THREADS", "0")
-    with pytest.raises(ScenarioError):
-        run_sweep(s, SweepSpec(carrier_id=1, start=20.0, stop=40.0, step=20.0), EngineConfig())
-
-
 def test_run_sweep_unknown_carrier():
     with pytest.raises(ScenarioError):
         run_sweep(tiny_scenario(), SweepSpec(carrier_id=9, start=1.0, stop=2.0, step=1.0), EngineConfig())

@@ -5,15 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from carrieralloc.subproblem import (
-    BidVector,
-    PriceView,
-    ProtocolError,
-    UEAgent,
-    final_rate,
-    gap_term,
-    ue_step,
-)
+from carrieralloc.subproblem import gap_term, ue_step
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -24,49 +16,45 @@ from carrieralloc.utility import (
 LOG_HALF = LogarithmicUtility(k=0.5, r_max=100.0)
 
 
-def fresh_agent(utility, reachable, r_cap=100.0):
-    return UEAgent(ue_id=1, utility=utility, reachable=tuple(reachable), r_cap=r_cap)
-
-
-def view(prices, round_=1):
-    return PriceView(
-        entries=tuple((cid, p, False) for cid, p in prices.items()), round=round_
+def first_step(utility, prices, r_cap=100.0, damping=1.0):
+    """Bids of a user's first step (no anchor yet) from zero last bids."""
+    bids, _ = ue_step(
+        utility, prices, [0.0] * len(prices), None, r_cap, damping, 0.3
     )
+    return bids
 
 
 def test_single_carrier_bid_matches_demand():
-    agent = fresh_agent(LOG_HALF, (1,))
-    bids = ue_step(agent, view({1: 0.05}), damping=1.0)
-    (cid, w), = bids.entries
-    assert cid == 1
+    (w,) = first_step(LOG_HALF, [0.05])
     assert w == pytest.approx(0.473, abs=1e-3)
     # bid = price * demand at that price
     assert w == pytest.approx(0.05 * solve_rate_for_price(LOG_HALF, 0.05, 100.0), rel=1e-12)
 
 
 def test_two_carriers_whole_demand_to_cheaper():
-    agent = fresh_agent(LOG_HALF, (1, 2))
-    bids = ue_step(agent, view({1: 0.05, 2: 0.10}), damping=1.0).as_dict()
+    bids = first_step(LOG_HALF, [0.05, 0.10])
     # demand at 0.10 (~5.54) is below demand at 0.05 (~9.46): the increment
     # for the dearer carrier clamps to zero
+    assert bids[0] == pytest.approx(0.473, abs=1e-3)
+    assert bids[1] == 0.0
+    # the same routing when the cheaper carrier is listed second
+    bids = first_step(LOG_HALF, [0.10, 0.05])
+    assert bids[0] == 0.0
     assert bids[1] == pytest.approx(0.473, abs=1e-3)
-    assert bids[2] == 0.0
 
 
 def test_equal_prices_tie_break_to_lower_id():
-    agent = fresh_agent(LOG_HALF, (1, 2))
-    bids = ue_step(agent, view({1: 0.05, 2: 0.05}), damping=1.0).as_dict()
-    assert bids[1] > 0.4
-    assert bids[2] == 0.0
+    bids = first_step(LOG_HALF, [0.05, 0.05])
+    assert bids[0] > 0.4
+    assert bids[1] == 0.0
 
 
 def test_damping_mixes_raw_with_last_bids():
-    agent = fresh_agent(LOG_HALF, (1,))
-    agent.last_bids = BidVector(entries=((1, 1.0),))
     raw = 0.05 * solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    bids = ue_step(agent, view({1: 0.05}), damping=0.7, anchor_gain=0.0)
-    assert bids.bid_for(1) == pytest.approx(0.7 * raw + 0.3 * 1.0, rel=1e-12)
-    assert agent.last_bids.bid_for(1) == bids.bid_for(1)
+    bids, anchor = ue_step(LOG_HALF, [0.05], [1.0], [4.0], 100.0, 0.7, 0.0)
+    assert bids[0] == pytest.approx(0.7 * raw + 0.3 * 1.0, rel=1e-12)
+    # the new anchor is the rate the damped bid buys
+    assert anchor == [bids[0] / 0.05]
 
 
 def test_fixed_point_is_preserved_for_any_damping():
@@ -74,32 +62,25 @@ def test_fixed_point_is_preserved_for_any_damping():
     p = 0.05
     demand = solve_rate_for_price(LOG_HALF, p, 100.0)
     for damping in (0.1, 0.5, 1.0):
-        agent = fresh_agent(LOG_HALF, (1,))
-        agent.last_bids = BidVector(entries=((1, p * demand),))
-        agent.anchor = {1: demand}
-        bids = ue_step(agent, view({1: p}), damping=damping)
-        assert bids.bid_for(1) == pytest.approx(p * demand, rel=1e-9)
+        bids, anchor = ue_step(LOG_HALF, [p], [p * demand], [demand], 100.0, damping, 0.3)
+        assert bids[0] == pytest.approx(p * demand, rel=1e-9)
+        assert anchor[0] == pytest.approx(demand, rel=1e-9)
 
 
 def test_anchored_step_keeps_stationary_split_across_carriers():
     # a stationary two-carrier split (equal prices) must reproduce itself
     p = 0.03
     total = solve_rate_for_price(LOG_HALF, p, 200.0)
-    split = {1: 0.25 * total, 2: 0.75 * total}
-    agent = fresh_agent(LOG_HALF, (1, 2), r_cap=200.0)
-    agent.last_bids = BidVector(entries=((1, p * split[1]), (2, p * split[2])))
-    agent.anchor = dict(split)
-    bids = ue_step(agent, view({1: p, 2: p}), damping=1.0)
-    assert bids.bid_for(1) == pytest.approx(p * split[1], rel=1e-6)
-    assert bids.bid_for(2) == pytest.approx(p * split[2], rel=1e-6)
+    split = [0.25 * total, 0.75 * total]
+    bids, _ = ue_step(LOG_HALF, [p, p], [p * r for r in split], split, 200.0, 1.0, 0.3)
+    assert bids[0] == pytest.approx(p * split[0], rel=1e-6)
+    assert bids[1] == pytest.approx(p * split[1], rel=1e-6)
 
 
 def test_anchored_step_respects_rate_ceiling():
-    agent = fresh_agent(LOG_HALF, (1,), r_cap=10.0)
-    agent.last_bids = BidVector(entries=((1, 9.0),))
-    agent.anchor = {1: 9.0}
-    bids = ue_step(agent, view({1: 1e-9}), damping=1.0)
-    assert bids.bid_for(1) <= 1e-9 * 10.0 * (1 + 1e-9)
+    bids, anchor = ue_step(LOG_HALF, [1e-9], [9.0], [9.0], 10.0, 1.0, 0.3)
+    assert bids[0] <= 1e-9 * 10.0 * (1 + 1e-9)
+    assert anchor[0] <= 10.0 * (1 + 1e-9)
 
 
 def test_demand_monotonicity_in_prices():
@@ -110,13 +91,12 @@ def test_demand_monotonicity_in_prices():
             if rng.random() < 0.5
             else LogarithmicUtility(k=rng.uniform(0.1, 10.0), r_max=100.0)
         )
-        base = {1: 10.0 ** rng.uniform(-2, 0.5), 2: 10.0 ** rng.uniform(-2, 0.5)}
-        raised = {cid: p * rng.uniform(1.0, 3.0) for cid, p in base.items()}
+        base = [10.0 ** rng.uniform(-2, 0.5), 10.0 ** rng.uniform(-2, 0.5)]
+        raised = [p * rng.uniform(1.0, 3.0) for p in base]
 
         def total_demand(prices):
-            agent = fresh_agent(utility, (1, 2), r_cap=400.0)
-            bids = ue_step(agent, view(prices), damping=1.0)
-            return sum(w / prices[cid] for cid, w in bids.entries)
+            bids = first_step(utility, prices, r_cap=400.0)
+            return sum(w / p for w, p in zip(bids, prices))
 
         assert total_demand(raised) <= total_demand(base) * (1.0 + 1e-9)
 
@@ -125,71 +105,35 @@ def test_positive_increments_form_cheapest_prefix():
     rng = np.random.default_rng(5)
     for _ in range(50):
         utility = LogarithmicUtility(k=rng.uniform(0.1, 10.0), r_max=100.0)
-        prices = {cid: 10.0 ** rng.uniform(-2, 0.5) for cid in (1, 2, 3)}
-        agent = fresh_agent(utility, (1, 2, 3), r_cap=300.0)
-        bids = ue_step(agent, view(prices), damping=1.0).as_dict()
-        order = sorted(prices, key=lambda cid: (prices[cid], cid))
+        prices = [10.0 ** rng.uniform(-2, 0.5) for _ in range(3)]
+        bids = first_step(utility, prices, r_cap=300.0)
+        order = sorted(range(3), key=lambda c: (prices[c], c))
         seen_zero = False
-        for cid in order:
-            if bids[cid] == 0.0:
+        for c in order:
+            if bids[c] == 0.0:
                 seen_zero = True
             else:
                 assert not seen_zero, "positive bid after a zero increment"
 
 
 def test_total_demand_strictly_positive():
-    for prices in ({1: 1e6, 2: 1e6}, {1: 0.5, 2: 80.0}):
-        agent = fresh_agent(SigmoidalUtility(a=5.0, b=10.0), (1, 2), r_cap=200.0)
-        bids = ue_step(agent, view(prices), damping=1.0)
-        assert sum(w for _, w in bids.entries) > 0.0
-
-
-def test_missing_carrier_in_price_view_raises():
-    agent = fresh_agent(LOG_HALF, (1, 2))
-    with pytest.raises(ProtocolError):
-        ue_step(agent, view({1: 0.05}))
-
-
-def test_unreachable_carrier_in_price_view_raises():
-    agent = fresh_agent(LOG_HALF, (1,))
-    with pytest.raises(ProtocolError):
-        ue_step(agent, view({1: 0.05, 7: 0.01}))
-
-
-def test_bid_vector_rejects_negative_or_non_finite():
-    with pytest.raises(ProtocolError):
-        BidVector(entries=((1, -0.1),))
-    with pytest.raises(ProtocolError):
-        BidVector(entries=((1, math.nan),))
-
-
-def test_agent_requires_sorted_reachable():
-    with pytest.raises(ProtocolError):
-        UEAgent(ue_id=1, utility=LOG_HALF, reachable=(2, 1), r_cap=10.0)
-
-
-def test_final_rate():
-    assert final_rate(0.473, 0.05) == pytest.approx(9.46, rel=1e-12)
-    assert final_rate(0.0, 3.0) == 0.0
-    assert final_rate(7.25, 1.0) == 7.25
-    with pytest.raises(ProtocolError):
-        final_rate(1.0, 0.0)
+    for prices in ([1e6, 1e6], [0.5, 80.0]):
+        bids = first_step(SigmoidalUtility(a=5.0, b=10.0), prices, r_cap=200.0)
+        assert sum(bids) > 0.0
 
 
 def test_gap_term_vanishes_at_demand_and_grows_off_it():
-    agent = fresh_agent(LOG_HALF, (1, 2))
-    prices = {1: 0.05, 2: 0.05}
+    prices = [0.05, 0.05]
     demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    split = {1: 0.25 * demand, 2: 0.75 * demand}
-    assert gap_term(agent, prices, split) == pytest.approx(0.0, abs=1e-12)
-    short = {1: 0.25 * demand, 2: 0.5 * demand}
+    split = [0.25 * demand, 0.75 * demand]
+    assert gap_term(LOG_HALF, prices, split, 100.0) == pytest.approx(0.0, abs=1e-12)
+    short = [0.25 * demand, 0.5 * demand]
     lost = log_utility(LOG_HALF, demand) - log_utility(LOG_HALF, 0.75 * demand)
-    assert gap_term(agent, prices, short) == pytest.approx(lost - 0.05 * 0.25 * demand)
+    assert gap_term(LOG_HALF, prices, short, 100.0) == pytest.approx(lost - 0.05 * 0.25 * demand)
 
 
 def test_gap_term_charges_rate_bought_above_the_cheapest_price():
-    agent = fresh_agent(LOG_HALF, (1, 2))
     demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    gap = gap_term(agent, {1: 0.05, 2: 0.08}, {1: demand - 1.0, 2: 1.0})
+    gap = gap_term(LOG_HALF, [0.05, 0.08], [demand - 1.0, 1.0], 100.0)
     assert gap == pytest.approx(0.03 * 1.0, rel=1e-9)
-    assert gap_term(agent, {1: 0.05, 2: 0.08}, {1: 0.0, 2: 0.0}) == math.inf
+    assert gap_term(LOG_HALF, [0.05, 0.08], [0.0, 0.0], 100.0) == math.inf
