@@ -70,6 +70,22 @@ def _staged_demand(
     return rates
 
 
+def _total(links: List[Tuple[float, float]], rho: float, nu: float) -> float:
+    return sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
+
+
+def _nu_at_ceiling(
+    links: List[Tuple[float, float]], rho: float, r_cap: float, lo: float, hi: float
+) -> float:
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _total(links, rho, mid) < r_cap:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _anchored_demand(
     utility: UtilityFunction,
     prices: Sequence[float],
@@ -82,50 +98,46 @@ def _anchored_demand(
     KKT gives r_l(nu) = max(0, q_l + (nu - p_l)/rho) with nu = marginal(T);
     T(nu) is nondecreasing and the marginal is strictly decreasing, so the
     scalar root is unique and bracketed by bisection.  The total is capped
-    at r_cap like the unanchored inversion.
+    at r_cap like the unanchored inversion.  The bisection evaluates T(nu)
+    inline: it runs about 50 times per user per round.
     """
+    marginal = utility.marginal
     links = list(zip(anchor, prices))
-
-    def split(nu: float) -> List[float]:
-        return [max(0.0, q + (nu - p) / rho) for q, p in links]
-
-    def total(nu: float) -> float:
-        return sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
-
-    def excess(nu: float) -> float:
-        t = total(nu)
-        if t <= 0.0:
-            return 1.0  # marginal(0+) = +inf exceeds any finite nu
-        return utility.marginal(t) - nu
-
-    def nu_at_ceiling(cap_lo: float, cap_hi: float) -> float:
-        for _ in range(200):
-            mid = 0.5 * (cap_lo + cap_hi)
-            if total(mid) < r_cap:
-                cap_lo = mid
-            else:
-                cap_hi = mid
-        return 0.5 * (cap_lo + cap_hi)
-
-    lo = min(p - rho * q for q, p in links)  # total(lo) == 0
+    nu_min = min(p - rho * q for q, p in links)  # total(nu_min) == 0
+    lo = nu_min
     hi = max(prices) + rho * max(anchor) + 1.0
-    while excess(hi) > 0.0 and total(hi) < r_cap:
+    t = _total(links, rho, hi)
+    # marginal(0+) = +inf exceeds any finite nu, so t <= 0 counts as excess
+    while t < r_cap and (t <= 0.0 or marginal(t) - hi > 0.0):
         hi *= 2.0
-    if total(hi) >= r_cap and excess(hi) > 0.0:
+        t = _total(links, rho, hi)
+    if t >= r_cap and marginal(t) - hi > 0.0:
         # demand hits the ceiling: pick nu with total == r_cap instead
-        return split(nu_at_ceiling(lo, hi))
+        nu = _nu_at_ceiling(links, rho, r_cap, lo, hi)
+        return [max(0.0, q + (nu - p) / rho) for q, p in links]
+    single = len(links) == 1
+    q1, p1 = links[0]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
+        if single:
+            t = q1 + (mid - p1) / rho
+        else:
+            t = 0.0
+            for q, p in links:
+                r = q + (mid - p) / rho
+                if r > 0.0:
+                    t += r
+        if not t > 0.0 or marginal(t) - mid > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+        # hi - lo <= 1e-14 * max(1.0, abs(hi))
+        if hi - lo <= 1e-14 * (hi if hi > 1.0 else -hi if hi < -1.0 else 1.0):
             break
     nu = 0.5 * (lo + hi)
-    if total(nu) > r_cap:
-        nu = nu_at_ceiling(min(p - rho * q for q, p in links), nu)
-    return split(nu)
+    if _total(links, rho, nu) > r_cap:
+        nu = _nu_at_ceiling(links, rho, r_cap, nu_min, nu)
+    return [max(0.0, q + (nu - p) / rho) for q, p in links]
 
 
 def ue_step(

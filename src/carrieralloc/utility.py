@@ -46,14 +46,6 @@ class RootFindingError(RuntimeError):
     """Raised when the bisection inverter fails to meet its tolerance."""
 
 
-def _sigmoid(x: float) -> float:
-    """Numerically stable 1 / (1 + exp(-x)) via the sign-split form."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    ex = math.exp(x)
-    return ex / (1.0 + ex)
-
-
 def _softplus(x: float) -> float:
     """Numerically stable ln(1 + exp(x))."""
     if x > 0.0:
@@ -88,10 +80,11 @@ class SigmoidalUtility:
             raise UtilityDomainError(f"sigmoidal steepness a must be > 0, got {self.a}")
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise UtilityDomainError(f"sigmoidal inflection b must be > 0, got {self.b}")
-        # c = (1 + e^{ab}) / e^{ab} = 1 + e^{-ab}, d = 1 / (1 + e^{ab}); the
-        # right-hand forms stay finite for arbitrarily large a*b.
-        object.__setattr__(self, "c", 1.0 + math.exp(-self.a * self.b))
-        object.__setattr__(self, "d", _sigmoid(-self.a * self.b))
+        # c = (1 + e^{ab}) / e^{ab} = 1 + e^{-ab}, d = 1 / (1 + e^{ab}) =
+        # e^{-ab} / (1 + e^{-ab}); these stay finite for arbitrarily large a*b.
+        ex = math.exp(-self.a * self.b)
+        object.__setattr__(self, "c", 1.0 + ex)
+        object.__setattr__(self, "d", ex / (1.0 + ex))
 
     def log_utility(self, r: float) -> float:
         _check_rate(r)
@@ -110,9 +103,19 @@ class SigmoidalUtility:
     def marginal(self, r: float) -> float:
         if not (r > 0.0):
             raise UtilityDomainError(f"marginal requires r > 0, got {r}")
-        a, b = self.a, self.b
-        # d/dr ln U = a * (1 / (1 - e^{-a r}) - sigmoid(a (r - b)))
-        return a * (1.0 / (-math.expm1(-a * r)) - _sigmoid(a * (r - b)))
+        a = self.a
+        # d/dr ln U = a * (1 / (1 - e^{-a r}) - sigmoid(a (r - b))), with the
+        # sigmoid in its overflow-free sign-split form.
+        x = a * (r - self.b)
+        if x >= 0.0:
+            s = 1.0 / (1.0 + math.exp(-x))
+        else:
+            ex = math.exp(x)
+            s = ex / (1.0 + ex)
+        try:
+            return a * (1.0 / (-math.expm1(-a * r)) - s)
+        except ZeroDivisionError:  # a*r underflowed to 0: the r -> 0+ limit
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,10 @@ class LogarithmicUtility:
             raise UtilityDomainError(f"marginal requires r > 0, got {r}")
         kr = self.k * r
         # d/dr ln U = k / ((1 + k r) ln(1 + k r)); the r_max normalization cancels.
-        return self.k / ((1.0 + kr) * math.log1p(kr))
+        try:
+            return self.k / ((1.0 + kr) * math.log1p(kr))
+        except ZeroDivisionError:  # k*r underflowed to 0: the r -> 0+ limit
+            return math.inf
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]
@@ -189,13 +195,14 @@ def solve_rate_for_price(u: UtilityFunction, p: float, r_cap: float) -> float:
     if not (r_cap > 0.0 and math.isfinite(r_cap)):
         raise UtilityDomainError(f"r_cap must be > 0 and finite, got {r_cap}")
 
-    if u.marginal(r_cap) > p:
+    marginal = u.marginal
+    if marginal(r_cap) > p:
         return r_cap
 
     # Shrink until the marginal exceeds p; this brackets the root.
     hi = r_cap
     lo = 0.5 * r_cap
-    while u.marginal(lo) <= p:
+    while marginal(lo) <= p:
         hi = lo
         lo *= 0.5
         if lo < 5e-324:
@@ -203,20 +210,23 @@ def solve_rate_for_price(u: UtilityFunction, p: float, r_cap: float) -> float:
                 f"bracketing collapsed inverting marginal at price {p}"
             )
 
+    rate_tol = 1e-12 * r_cap
+    price_tol = 1e-10 * p
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if u.marginal(mid) > p:
+        m = marginal(mid)
+        if m > p:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * r_cap and abs(u.marginal(mid) - p) <= 1e-10 * p:
+        if hi - lo <= rate_tol and abs(m - p) <= price_tol:
             return mid
         if hi == lo or (hi - lo) < abs(mid) * 1e-17:
             return mid
     # Interval tolerance met but residual not: the marginal is too steep for
     # the requested residual at double precision.
-    if hi - lo <= 1e-12 * r_cap:
+    if hi - lo <= rate_tol:
         return mid
     raise RootFindingError(
         f"bisection failed to meet tolerance inverting marginal at price {p}"

@@ -5,7 +5,12 @@ import math
 import numpy as np
 from scipy.special import lambertw
 
-from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility
+from carrieralloc.utility import (
+    LogarithmicUtility,
+    RootFindingError,
+    SigmoidalUtility,
+    UtilityDomainError,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -61,3 +66,143 @@ def fd_marginal_tolerance(u, r: float, h: float) -> float:
 def second_diff_tolerance(u, r: float, h: float) -> float:
     """Noise floor of the (undivided) second central difference of ln U."""
     return 16.0 * ln_u_roundoff(u, r, h)
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the scalar inverters as they stood before their inner
+# loops were flattened.  The library forms must match these bit for bit:
+# protocol round counts are chaotic in the last bit of a user's demand.
+
+
+def sigmoid_reference(x: float) -> float:
+    """The sign-split sigmoid the utility module once kept as a helper."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    ex = math.exp(x)
+    return ex / (1.0 + ex)
+
+
+def sigmoidal_marginal_reference(u, r: float) -> float:
+    """SigmoidalUtility.marginal with the sigmoid as a separate call."""
+    if not (r > 0.0):
+        raise UtilityDomainError(f"marginal requires r > 0, got {r}")
+    a, b = u.a, u.b
+    # d/dr ln U = a * (1 / (1 - e^{-a r}) - sigmoid(a (r - b)))
+    return a * (1.0 / (-math.expm1(-a * r)) - sigmoid_reference(a * (r - b)))
+
+
+def solve_rate_for_price_reference(u, p: float, r_cap: float) -> float:
+    """solve_rate_for_price evaluating the marginal twice per iteration."""
+    if not (p > 0.0 and math.isfinite(p)):
+        raise UtilityDomainError(f"price must be > 0 and finite, got {p}")
+    if not (r_cap > 0.0 and math.isfinite(r_cap)):
+        raise UtilityDomainError(f"r_cap must be > 0 and finite, got {r_cap}")
+
+    if u.marginal(r_cap) > p:
+        return r_cap
+
+    # Shrink until the marginal exceeds p; this brackets the root.
+    hi = r_cap
+    lo = 0.5 * r_cap
+    while u.marginal(lo) <= p:
+        hi = lo
+        lo *= 0.5
+        if lo < 5e-324:
+            raise RootFindingError(
+                f"bracketing collapsed inverting marginal at price {p}"
+            )
+
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if u.marginal(mid) > p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * r_cap and abs(u.marginal(mid) - p) <= 1e-10 * p:
+            return mid
+        if hi == lo or (hi - lo) < abs(mid) * 1e-17:
+            return mid
+    # Interval tolerance met but residual not: the marginal is too steep for
+    # the requested residual at double precision.
+    if hi - lo <= 1e-12 * r_cap:
+        return mid
+    raise RootFindingError(
+        f"bisection failed to meet tolerance inverting marginal at price {p}"
+    )
+
+
+def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
+    """subproblem._anchored_demand built from closures over the links."""
+    links = list(zip(anchor, prices))
+
+    def split(nu: float):
+        return [max(0.0, q + (nu - p) / rho) for q, p in links]
+
+    def total(nu: float) -> float:
+        return sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
+
+    def excess(nu: float) -> float:
+        t = total(nu)
+        if t <= 0.0:
+            return 1.0  # marginal(0+) = +inf exceeds any finite nu
+        return utility.marginal(t) - nu
+
+    def nu_at_ceiling(cap_lo: float, cap_hi: float) -> float:
+        for _ in range(200):
+            mid = 0.5 * (cap_lo + cap_hi)
+            if total(mid) < r_cap:
+                cap_lo = mid
+            else:
+                cap_hi = mid
+        return 0.5 * (cap_lo + cap_hi)
+
+    lo = min(p - rho * q for q, p in links)  # total(lo) == 0
+    hi = max(prices) + rho * max(anchor) + 1.0
+    while excess(hi) > 0.0 and total(hi) < r_cap:
+        hi *= 2.0
+    if total(hi) >= r_cap and excess(hi) > 0.0:
+        # demand hits the ceiling: pick nu with total == r_cap instead
+        return split(nu_at_ceiling(lo, hi))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+            break
+    nu = 0.5 * (lo + hi)
+    if total(nu) > r_cap:
+        nu = nu_at_ceiling(min(p - rho * q for q, p in links), nu)
+    return split(nu)
+
+
+def outcome(fn, *args):
+    """Bitwise-comparable result of a call: hex floats, or the error raised."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(value, list):
+        return [float(v).hex() for v in value]
+    return float(value).hex()
+
+
+class RecordingUtility:
+    """Delegates ``marginal`` to a utility and logs each argument's bits.
+
+    Repeats of the previous argument are not logged, so two callers that
+    evaluate the same points in the same order log the same sequence even
+    if one of them re-evaluates a point.
+    """
+
+    def __init__(self, utility):
+        self.utility = utility
+        self.args = []
+
+    def marginal(self, r: float) -> float:
+        bits = float(r).hex()
+        if not self.args or self.args[-1] != bits:
+            self.args.append(bits)
+        return self.utility.marginal(r)

@@ -1,11 +1,18 @@
 """UE bidding step: reference bids, tie-breaks, damping, invariants."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from carrieralloc.subproblem import gap_term, ue_step
+from helpers import (
+    RecordingUtility,
+    anchored_demand_reference,
+    outcome,
+    random_utilities,
+)
+from carrieralloc.subproblem import _anchored_demand, gap_term, ue_step
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -137,3 +144,32 @@ def test_gap_term_charges_rate_bought_above_the_cheapest_price():
     gap = gap_term(LOG_HALF, [0.05, 0.08], [demand - 1.0, 1.0], 100.0)
     assert gap == pytest.approx(0.03 * 1.0, rel=1e-9)
     assert gap_term(LOG_HALF, [0.05, 0.08], [0.0, 0.0], 100.0) == math.inf
+
+
+def test_anchored_demand_bitwise_matches_reference():
+    """The flattened bisection does the closure form's float work exactly."""
+    rng = random.Random(20141)
+    ceilings = zero_anchor_cases = 0
+    for case in range(2400):
+        n = (1, 2, 3, 5)[case % 4]
+        (utility,) = random_utilities(rng, 1)
+        prices = [10.0 ** rng.uniform(-3.0, 1.0) for _ in range(n)]
+        style = case // 4 % 3
+        if style == 0:
+            anchor = [0.0] * n
+            zero_anchor_cases += 1
+        elif style == 1:
+            anchor = [rng.choice((0.0, rng.uniform(0.0, 60.0))) for _ in range(n)]
+        else:
+            anchor = [rng.uniform(0.0, 60.0) for _ in range(n)]
+        rho = 10.0 ** rng.uniform(-9.0, 6.0)
+        r_cap = 10.0 ** rng.uniform(-1.0, 1.5) if case % 5 == 0 else 100.0 * n
+        seen, expected = RecordingUtility(utility), RecordingUtility(utility)
+        got = outcome(_anchored_demand, seen, prices, anchor, rho, r_cap)
+        want = outcome(anchored_demand_reference, expected, prices, anchor, rho, r_cap)
+        # same rates, and the same totals T(nu) handed to the marginal
+        assert (got, seen.args) == (want, expected.args), (utility, prices, anchor, rho, r_cap)
+        if isinstance(got, list) and sum(map(float.fromhex, got)) >= r_cap * (1 - 1e-9):
+            ceilings += 1
+    assert zero_anchor_cases >= 500
+    assert ceilings >= 50

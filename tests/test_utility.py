@@ -8,9 +8,13 @@ import pytest
 from helpers import (
     fd_marginal_tolerance,
     log_demand_lambertw,
+    outcome,
     random_utilities,
     second_diff_tolerance,
     sig_demand_closed_form,
+    sigmoid_reference,
+    sigmoidal_marginal_reference,
+    solve_rate_for_price_reference,
 )
 from carrieralloc.utility import (
     LogarithmicUtility,
@@ -141,6 +145,49 @@ def test_sigmoidal_marginal_matches_finite_difference():
 def test_marginal_is_decreasing():
     u = LogarithmicUtility(k=3.0, r_max=100.0)
     assert marginal(u, 10.1) > marginal(u, 20.0)
+
+
+@pytest.mark.parametrize(
+    "u", [SigmoidalUtility(a=0.3, b=10.0), LogarithmicUtility(k=0.1, r_max=100.0)]
+)
+def test_marginal_at_smallest_subnormal_rate_is_inf(u):
+    # a*r (k*r) underflows to 0 here; the r -> 0+ limit is +inf
+    assert marginal(u, 5e-324) == math.inf
+
+
+def test_sigmoidal_marginal_bitwise_matches_reference():
+    """The inlined sigmoid and the constants c, d keep their old bits."""
+    rng = np.random.default_rng(11)
+    # x = a (r - b) on both sides of 0, where the sigmoid's sign split
+    # switches form, plus rates near 0
+    tail = np.geomspace(1e-7, 40.0, 30)
+    xs = np.concatenate([-tail, [0.0], tail])
+    below = above = 0
+    for u in random_utilities(rng, 400):
+        if not isinstance(u, SigmoidalUtility):
+            continue
+        assert u.c == 1.0 + math.exp(-u.a * u.b)
+        assert u.d == sigmoid_reference(-u.a * u.b)
+        rates = [u.b + float(x) / u.a for x in xs]
+        rates += [u.b * float(f) for f in np.geomspace(1e-9, 0.5, 10)]
+        for r in rates:
+            if r <= 0.0:
+                continue
+            assert outcome(u.marginal, r) == outcome(sigmoidal_marginal_reference, u, r)
+            if r < u.b:
+                below += 1
+            else:
+                above += 1
+    assert below >= 4000 and above >= 4000
+
+
+def test_solve_rate_bitwise_matches_reference():
+    rng = np.random.default_rng(12)
+    for u in random_utilities(rng, 300):
+        r_cap = float(10.0 ** rng.uniform(0.0, 3.0))
+        for p in np.geomspace(1e-6, 1e3, 12):
+            got = outcome(solve_rate_for_price, u, float(p), r_cap)
+            assert got == outcome(solve_rate_for_price_reference, u, float(p), r_cap)
 
 
 def test_marginal_rejects_zero_rate():
