@@ -13,7 +13,9 @@ concave function over a polymatroid is maximized by decomposition (Fujishige
 1980; Groenevelt, EJOR 1991).  For a group of users and the carriers they
 reach:
 
-1. bisect the common price at which the group's demand equals its capacity;
+1. clear the common price at which the group's demand equals its capacity,
+   by safeguarded Newton steps over the vectorized marginals of
+   utility.marginals (see _clear_price);
 2. route every user's demand at that price by max flow, source -> user
    (demand) -> reachable carrier -> sink (capacity).  A flow that routes all
    demand is Hall's condition: the group shares that price, and the flow is
@@ -24,7 +26,7 @@ reach:
    on the other carriers form a second group, priced lower.
 
 Each split leaves two strictly smaller groups, so a solve makes at most 2M-1
-price clearings and needs no starting point and no iteration budget.  A
+price clearings and needs no starting point.  A
 carrier that no user reaches gets price 0.  The result is returned only when
 kkt_check certifies it at the requested tolerance.
 """
@@ -37,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .utility import UtilityFunction, log_utility, solve_rate_for_price
+from .utility import UtilityFunction, demands, log_utility, marginals, parameter_arrays
 
 __all__ = [
     "OracleError",
@@ -52,6 +54,11 @@ __all__ = [
 
 class OracleError(RuntimeError):
     """Raised when the centralized solver cannot produce a certified solution."""
+
+
+_CLEARING_STEPS = 200
+_BISECT_EVERY = 3
+_LN_TINY = math.log(np.finfo(float).tiny)
 
 
 def project_carrier_block(x: np.ndarray, R: float) -> np.ndarray:
@@ -117,6 +124,7 @@ class _Problem:
         self.caps = np.array([c.capacity for c in self.carriers], dtype=float)
         self.uids = [u.id for u in self.ues]
         self.utilities: List[UtilityFunction] = [u.utility for u in self.ues]
+        self.params = parameter_arrays(self.utilities)
         self.K = len(self.carriers)
         self.M = len(self.ues)
         self.r_cap = float(self.caps.sum())
@@ -126,72 +134,64 @@ class _Problem:
         for j, reach in enumerate(self.reach):
             self.mask[reach, j] = True
 
-    def demand(self, j: int, price: float) -> float:
-        """Rate at which user j's marginal equals ``price``.
-
-        The inverter stops once |marginal - price| <= 1e-10 * price, which
-        at prices near 10 would use up the whole KKT tolerance.  Where the
-        marginal is steep, one secant step inside the inverter's final
-        bracket (width 1e-12 * r_cap) removes most of that residual.
-        """
-        u = self.utilities[j]
-        rate = solve_rate_for_price(u, price, self.r_cap)
-        h = 1e-12 * self.r_cap
-        if not h < rate < self.r_cap - h:
-            return rate
-        m = u.marginal(rate)
-        slope = (u.marginal(rate + h) - m) / h
-        if slope < 0.0 and abs(m - price) <= -slope * h:
-            polished = rate - (m - price) / slope
-            if abs(u.marginal(polished) - price) < abs(m - price):
-                return polished
-        return rate
-
 
 def _clear_price(
-    prob: _Problem, users: Sequence[int], capacity: float, start: float
+    prob: _Problem, users: Sequence[int], capacity: float, rates: np.ndarray
 ) -> Tuple[float, np.ndarray]:
-    """Common price at which the users' total demand equals ``capacity``.
+    """Common price p at which the users' total demand equals ``capacity``.
 
-    Brackets the price by decades from ``start``, then bisects it in log
-    space to a relative width of 1e-15.  Returns that price and each user's
-    total.  Where a marginal is flat to machine precision, demand can jump
-    inside the final bracket; every user's demand is then interpolated
-    linearly in price between the bracket ends, so the totals sum to
-    ``capacity`` and each stays between its demands at the two ends.
+    At rates summing to capacity (``rates``, scaled) p lies between the
+    smallest and largest marginal, so each kernel evaluation narrows a
+    bracket on y = ln p.  Newton steps in x = ln r and y solve m_i(r_i) = p
+    with sum r_i = capacity (each user's step capped at a factor e, a y out
+    of the bracket replaced by its midpoint).  A bracket that has not halved
+    in _BISECT_EVERY steps is halved by moving every user to its demand at
+    the midpoint.  y stays above the smallest normal double.  A final
+    linearised step y + dy, r + (dr/dy) dy sums the totals to capacity.
     """
-
-    def demands(price: float) -> np.ndarray:
-        return np.array([prob.demand(j, price) for j in users])
-
-    lo = hi = start
-    d_lo = d_hi = demands(start)
-    while d_hi.sum() > capacity:
-        if hi > 1e250:
-            raise OracleError("could not bracket clearing price from above")
-        lo, d_lo = hi, d_hi
-        hi *= 10.0
-        d_hi = demands(hi)
-    while d_lo.sum() < capacity:
-        if lo < 1e-250:
-            raise OracleError("could not bracket clearing price from below")
-        hi, d_hi = lo, d_lo
-        lo *= 0.1
-        d_lo = demands(lo)
-        if np.array_equal(d_lo, d_hi):
-            # No demand grows any more: every marginal is 0 in floating
-            # point past it, so spare capacity costs nothing and is shared.
-            return lo, d_lo + (capacity - d_lo.sum()) / len(users)
-    while hi - lo > 1e-15 * hi:
-        mid = math.sqrt(lo * hi)
-        d_mid = demands(mid)
-        if d_mid.sum() > capacity:
-            lo, d_lo = mid, d_mid
-        else:
-            hi, d_hi = mid, d_mid
-    jump = np.maximum(d_lo - d_hi, 0.0)
-    theta = min(1.0, (capacity - d_hi.sum()) / jump.sum()) if jump.sum() > 0.0 else 0.0
-    return hi - theta * (hi - lo), d_hi + theta * jump
+    params = tuple(v[users] for v in prob.params)
+    r = np.maximum(rates, 1e-12 * capacity)
+    r *= capacity / r.sum()
+    y_lo, y_hi = _LN_TINY, math.inf
+    widths = [math.inf] * _BISECT_EVERY
+    for _ in range(_CLEARING_STEPS):
+        m, dm = marginals(params, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lm = np.log(m)
+            slope = np.where(dm < 0.0, m / dm, 0.0)  # dr/dy along each demand curve
+            spread = lm.max() - lm.min()
+        y_lo, y_hi = max(y_lo, lm.min()), max(min(y_hi, lm.max()), _LN_TINY)
+        widths.append(y_hi - y_lo)
+        eps = 1e-15 * max(1.0, abs(y_hi))
+        if spread <= 100.0 * eps:
+            break
+        if widths[-1] <= eps or widths[-1] > 0.5 * widths[-1 - _BISECT_EVERY]:
+            y = 0.5 * (y_lo + y_hi) if y_hi - y_lo > eps else y_hi
+            r, slope = demands(params, math.exp(y), prob.r_cap, r)
+            lm = np.full(r.shape, y)
+            excess = r.sum() - capacity
+            if y_hi - y_lo <= eps or abs(excess) <= 1e-12 * capacity:
+                break
+            y_lo, y_hi = (y, y_hi) if excess > 0.0 else (y_lo, y)
+            r *= capacity / r.sum()
+            continue
+        ref = lm[np.argmin(slope)]  # the flattest user: deviations from it are exact
+        with np.errstate(invalid="ignore"):
+            dev = np.where(slope < 0.0, lm - ref, 0.0)
+        dy = float((slope * dev).sum() / slope.sum())
+        if not y_lo - eps <= ref + dy <= y_hi + eps:
+            dy = 0.5 * (y_lo + y_hi) - ref
+        with np.errstate(invalid="ignore"):
+            # a user whose marginal underflows holds too much at any price
+            r = r * np.exp(np.clip(np.where(slope < 0.0, (dy - dev) * slope / r, -1.0), -1.0, 1.0))
+        r *= capacity / r.sum()
+    else:
+        raise OracleError(f"price clearing did not converge in {_CLEARING_STEPS} steps")
+    ref = lm[np.argmin(slope)]
+    with np.errstate(invalid="ignore"):
+        dev = np.where(slope < 0.0, lm - ref, 0.0)
+    dy = float((capacity - r.sum() + (slope * dev).sum()) / slope.sum())
+    return math.exp(ref + dy), r + slope * (dy - dev)
 
 
 def _hall_split(
@@ -281,11 +281,11 @@ def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
     """Prices, rates and the number of price clearings of the optimum.
 
     A group is a list of users and the set of carriers they may use; its
-    last entry is a price from which to bracket its clearing price.
+    last entry holds each user's rate to start its price clearing from.
     """
     prices = np.zeros(prob.K)
     rates = np.zeros((prob.K, prob.M))
-    groups = [(list(range(prob.M)), set(range(prob.K)), 1.0)]
+    groups = [(list(range(prob.M)), set(range(prob.K)), np.ones(prob.M))]
     clearings = 0
     while groups:
         users, carriers, start = groups.pop()
@@ -298,12 +298,10 @@ def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
             totals, prob.caps[reached], [[local[l] for l in r] for r in reach]
         )
         if 0 < len(cut_users) < len(users):
-            inside = {users[i] for i in cut_users}
+            inside = np.isin(np.arange(len(users)), cut_users)
             inside_carriers = {reached[l] for l in cut_carriers}
-            groups.append((sorted(inside), inside_carriers, pi))
-            groups.append(
-                ([j for j in users if j not in inside], set(reached) - inside_carriers, pi)
-            )
+            for side, side_carriers in ((inside, inside_carriers), (~inside, set(reached) - inside_carriers)):
+                groups.append((np.array(users)[side].tolist(), side_carriers, totals[side]))
             continue
         prices[reached] = pi
         for i, j in enumerate(users):
@@ -420,13 +418,9 @@ def dual_objective(scenario, prices: Dict[int, float]) -> float:
     directly computable.
     """
     prob = _Problem(scenario)
-    total = 0.0
-    for j in range(prob.M):
-        reach = np.nonzero(prob.mask[:, j])[0]
-        pi = min(prices[prob.cids[int(k)]] for k in reach)
-        pi = max(pi, 1e-300)
-        t = prob.demand(j, pi)
-        total += prob.utilities[j].log_utility(t) - pi * t
+    pi = np.array([max(min(prices[prob.cids[k]] for k in reach), 1e-300) for reach in prob.reach])
+    best, _ = demands(prob.params, pi, prob.r_cap)
+    total = sum(u.log_utility(float(t)) for u, t in zip(prob.utilities, best)) - float(pi @ best)
     for c in prob.carriers:
         total += prices[c.id] * c.capacity
     return total

@@ -79,10 +79,10 @@ def _nu_at_ceiling(
 ) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _total(links, rho, mid) < r_cap:
-            lo = mid
-        else:
-            hi = mid
+        halved = (mid, hi) if _total(links, rho, mid) < r_cap else (lo, mid)
+        if halved == (lo, hi):
+            break  # a fixed point: no later halving moves either end
+        lo, hi = halved
     return 0.5 * (lo + hi)
 
 

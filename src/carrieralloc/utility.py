@@ -14,6 +14,9 @@ The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
 price is well defined and invertible by bisection.
 
+``marginals`` and ``demands`` evaluate and invert many users' marginals at
+once; the protocol keeps the scalar ``marginal``.
+
 All values are immutable after construction; every function here is pure.
 """
 
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "UtilityDomainError",
@@ -32,6 +37,9 @@ __all__ = [
     "evaluate",
     "log_utility",
     "marginal",
+    "parameter_arrays",
+    "marginals",
+    "demands",
     "solve_rate_for_price",
 ]
 
@@ -231,3 +239,59 @@ def solve_rate_for_price(u: UtilityFunction, p: float, r_cap: float) -> float:
     raise RootFindingError(
         f"bisection failed to meet tolerance inverting marginal at price {p}"
     )
+
+
+def parameter_arrays(utilities: Sequence[UtilityFunction]) -> Tuple[np.ndarray, ...]:
+    """(sigmoidal, a, b, k): each user's family and parameters (1 where unused)."""
+    sig = np.array([isinstance(u, SigmoidalUtility) for u in utilities], dtype=bool)
+    return (sig, *(np.array([getattr(u, name, 1.0) for u in utilities]) for name in "abk"))
+
+
+def marginals(params: Tuple[np.ndarray, ...], r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """d/dr ln U and its derivative for every user of ``params`` at its rate r.
+
+    Sigmoidal: a (E + S) and -a^2 (E (1 + E) + S (1 - S)), E = 1/expm1(a r),
+    S = sigmoid(a (b - r)): no cancellation (the scalar form is 0 past
+    b + 37/a), underflow to 0 only past b + 745/a.  Logarithmic:
+    m = k/((1 + k r) ln(1 + k r)) and -m^2 (1 + ln(1 + k r)).  +inf at r = 0.
+    """
+    sig, a, b, k = params
+    with np.errstate(over="ignore", divide="ignore"):
+        e = 1.0 / np.expm1(a * r)
+        z = np.exp(-np.abs(a * (r - b)))  # S is 1/(1 + z) below b, z/(1 + z) above
+        ln1p = np.log1p(k * r)
+        m_log = k / ((1.0 + k * r) * ln1p)
+        m = np.where(sig, a * (e + np.where(r < b, 1.0, z) / (1.0 + z)), m_log)
+        dm = np.where(sig, -a * a * (e * (1 + e) + z / (1 + z) ** 2), -m_log * m_log * (1 + ln1p))
+    return m, dm
+
+
+def demands(
+    params: Tuple[np.ndarray, ...], price, r_cap: float, start: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every user's rate in (0, r_cap] where its marginal equals its price.
+
+    Newton on ln m(e^x) = ln p in x = ln r from ``start`` (default 1/p: both
+    marginals behave like 1/r near 0), bisecting the bracket that every
+    evaluation narrows when a step leaves it.  Returns the rates and
+    dr/d(ln p) = m/m' from the last evaluation.
+    """
+    y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
+    cap = math.log(r_cap)
+    x_lo, x_hi = np.full(y.shape, -np.inf), np.full(y.shape, cap + 1e-12)  # cap is tried once
+    x = np.minimum(-y if start is None else np.log(start), cap)
+    for _ in range(200):
+        r = np.exp(x)
+        m, dm = marginals(params, r)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lm = np.log(m)
+            slope = m / dm
+            new = np.minimum(x + (y - lm) * slope / r, cap)
+        x_lo, x_hi = np.where(lm > y, x, x_lo), np.where(lm > y, x_hi, x)
+        done = (new == x) & (np.abs(lm - y) <= 1e-12)
+        bisect = np.where(np.isfinite(x_lo), 0.5 * (x_lo + x_hi), x_hi - 2.0)
+        new = np.where((new > x_lo) & (new < x_hi) | done, new, bisect)
+        if np.all(np.abs(new - x) <= 1e-10) or np.all(x_hi - x_lo <= 1e-15):
+            return np.minimum(np.exp(new), r_cap), np.where(new < cap, slope, 0.0)
+        x = new
+    raise RootFindingError("Newton inverter failed to converge")

@@ -141,6 +141,19 @@ def test_single_price_totals_match_closed_form_demands():
             assert sol.totals[ue.id] == pytest.approx(demand(ue.utility, lo), abs=1e-11)
 
 
+@pytest.mark.filterwarnings("error")
+def test_paper_sweep_points_certify():
+    # The 29 reference points of the sweep, R1 = 20..300: each certifies at
+    # 1e-9 and fills both carriers, without a numpy warning.
+    for r1 in range(20, 301, 10):
+        s = build_paper_scenario(float(r1))
+        sol = solve_central(s, tol=1e-9)
+        assert sol.kkt.passed and sol.kkt.tol == 1e-9
+        for c in s.carriers:
+            load = sum(r for (cid, _), r in sol.rates.items() if cid == c.id)
+            assert load == pytest.approx(c.capacity, rel=1e-12)
+
+
 def test_oracle_capacity_exhausted_exactly():
     sol = solve_central(build_paper_scenario(110.0), tol=1e-9)
     loads = {1: 0.0, 2: 0.0}
@@ -265,8 +278,9 @@ def test_hall_split_on_twelve_carrier_chain():
 
 
 def test_satiated_users_share_spare_capacity():
-    # Past b + 37/a the sigmoidal marginal is 0 in floating point, so no
-    # price makes these two users demand all 86 units; they split it evenly.
+    # Past b + 37/a the scalar sigmoidal marginal cancels to 0, but the
+    # kernel's form does not: at 43 units each the pair's marginal is about
+    # 2e-144, a real clearing price, and the identical users split evenly.
     u = SigmoidalUtility(a=9.0, b=6.0)
     s = Scenario(
         carriers=(CarrierSpec(id=1, capacity=86.0),),
@@ -297,6 +311,7 @@ def _random_multi_carrier_scenario(rng, name):
     return Scenario(carriers=carriers, ues=tuple(ues), name=name)
 
 
+@pytest.mark.filterwarnings("error")
 def test_random_multi_carrier_scenarios_certify():
     rng = np.random.default_rng(53)
     failures = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    EPS,
     fd_marginal_tolerance,
     log_demand_lambertw,
     outcome,
@@ -20,9 +21,12 @@ from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
     UtilityDomainError,
+    demands,
     evaluate,
     log_utility,
     marginal,
+    marginals,
+    parameter_arrays,
     solve_rate_for_price,
 )
 
@@ -233,6 +237,91 @@ def test_solve_rate_rejects_bad_inputs():
         solve_rate_for_price(u, 0.0, 100.0)
     with pytest.raises(UtilityDomainError):
         solve_rate_for_price(u, 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernel: marginals and demands
+
+
+def _rates_per_user(utilities, fracs):
+    """One row of rates per fraction of b (sigmoidal) or r_max (logarithmic)."""
+    scale = np.array([u.b if isinstance(u, SigmoidalUtility) else u.r_max for u in utilities])
+    return [f * scale for f in fracs]
+
+
+@pytest.mark.filterwarnings("error")
+def test_marginals_match_scalar_where_it_does_not_cancel():
+    rng = np.random.default_rng(61)
+    utilities = random_utilities(rng, 300)
+    params = parameter_arrays(utilities)
+    checked = 0
+    for r in _rates_per_user(utilities, np.geomspace(1e-6, 2.0, 40)):
+        m, dm = marginals(params, r)
+        assert (m > 0.0).all() and (dm < 0.0).all()
+        for u, x, got in zip(utilities, r, m):
+            want = marginal(u, float(x))
+            # the scalar sigmoidal form subtracts two terms near 1, losing
+            # about eps * a absolutely; compare where that is below 1e-14 m
+            if isinstance(u, LogarithmicUtility) or want >= 0.01 * u.a:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                checked += 1
+    assert checked >= 8000
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoidal_marginals_follow_the_tail_past_cancellation():
+    # Past b + 37/a the scalar marginal is exactly 0; with a*b >= 40 the
+    # marginal there is a*e^(-a(r - b)) to well below 1e-16 (relative).
+    utilities = [SigmoidalUtility(a=a, b=b) for a, b in ((0.8, 50.0), (3.0, 20.0), (9.0, 6.0))]
+    params = parameter_arrays(utilities)
+    for t in (37.0, 100.0, 300.0, 700.0):
+        r = np.array([u.b + t / u.a for u in utilities])
+        m, _ = marginals(params, r)
+        for u, x, got in zip(utilities, r, m):
+            assert marginal(u, float(x)) == 0.0
+            assert got == pytest.approx(u.a * math.exp(-u.a * (x - u.b)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_marginals_derivative_matches_finite_differences():
+    rng = np.random.default_rng(62)
+    utilities = random_utilities(rng, 100)
+    params = parameter_arrays(utilities)
+    for r in _rates_per_user(utilities, (0.1, 0.35, 0.6, 0.9, 1.3)):
+        h = 1e-6 * np.maximum(1.0, r)
+        m, dm = marginals(params, r)
+        fd_m = (marginals(params, r + h)[0] - marginals(params, r - h)[0]) / (2.0 * h)
+        for u, x, step, got_m, got_dm, fd in zip(utilities, r, h, m, dm, fd_m):
+            ln_u_fd = central_diff(lambda v: log_utility(u, v), float(x), float(step))
+            assert abs(got_m - ln_u_fd) <= 1e-5 * abs(ln_u_fd) + fd_marginal_tolerance(u, x, step)
+            # the kernel's marginal is accurate to a few ulp, so its own
+            # central difference carries noise of about 4 eps |m| / h
+            assert abs(got_dm - fd) <= 1e-5 * abs(fd) + 4.0 * EPS * got_m / step
+
+
+@pytest.mark.filterwarnings("error")
+def test_demands_match_closed_form_inverters():
+    rng = np.random.default_rng(63)
+    utilities = random_utilities(rng, 200)
+    params = parameter_arrays(utilities)
+    for frac in (0.05, 0.3, 0.6, 0.9):
+        # sigmoidal users at frac * a: the closed form is stable below p = a
+        prices = np.array([frac * u.a if isinstance(u, SigmoidalUtility) else frac for u in utilities])
+        rates, slopes = demands(params, prices, 1e6)
+        assert (slopes < 0.0).all()
+        for u, p, r in zip(utilities, prices, rates):
+            if isinstance(u, SigmoidalUtility):
+                want = sig_demand_closed_form(u.a, u.b, float(p))
+            else:
+                want = log_demand_lambertw(u.k, float(p))
+            assert r == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_demands_stop_at_the_rate_ceiling():
+    params = parameter_arrays([LogarithmicUtility(k=0.5, r_max=100.0), SigmoidalUtility(a=2.0, b=5.0)])
+    rates, slopes = demands(params, np.array([1e-9, 1.0]), 50.0)
+    assert rates[0] == 50.0 and slopes[0] == 0.0
+    assert rates[1] == pytest.approx(sig_demand_closed_form(2.0, 5.0, 1.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
