@@ -161,24 +161,22 @@ def _clear_price(
             slope = np.where(dm < 0.0, m / dm, 0.0)  # dr/dy along each demand curve
             spread = lm.max() - lm.min()
         y_lo, y_hi = max(y_lo, lm.min()), max(min(y_hi, lm.max()), _LN_TINY)
-        widths.append(y_hi - y_lo)
+        width = y_hi - y_lo
+        widths.append(width)
         eps = 1e-15 * max(1.0, abs(y_hi))
         if spread <= 100.0 * eps:
             break
-        if widths[-1] <= eps or widths[-1] > 0.5 * widths[-1 - _BISECT_EVERY]:
-            y = 0.5 * (y_lo + y_hi) if y_hi - y_lo > eps else y_hi
+        if width <= eps or width > 0.5 * widths[-1 - _BISECT_EVERY]:
+            y = 0.5 * (y_lo + y_hi) if width > eps else y_hi
             r, slope = demands(params, math.exp(y), prob.r_cap, r)
             lm = np.full(r.shape, y)
             excess = r.sum() - capacity
-            if y_hi - y_lo <= eps or abs(excess) <= 1e-12 * capacity:
+            if width <= eps or abs(excess) <= 1e-12 * capacity:
                 break
             y_lo, y_hi = (y, y_hi) if excess > 0.0 else (y_lo, y)
             r *= capacity / r.sum()
             continue
-        ref = lm[np.argmin(slope)]  # the flattest user: deviations from it are exact
-        with np.errstate(invalid="ignore"):
-            dev = np.where(slope < 0.0, lm - ref, 0.0)
-        dy = float((slope * dev).sum() / slope.sum())
+        ref, dev, dy = _price_step(r, lm, slope, capacity)
         if not y_lo - eps <= ref + dy <= y_hi + eps:
             dy = 0.5 * (y_lo + y_hi) - ref
         with np.errstate(invalid="ignore"):
@@ -187,11 +185,17 @@ def _clear_price(
         r *= capacity / r.sum()
     else:
         raise OracleError(f"price clearing did not converge in {_CLEARING_STEPS} steps")
+    ref, dev, dy = _price_step(r, lm, slope, capacity)
+    return math.exp(ref + dy), r + slope * (dy - dev)
+
+
+def _price_step(r: np.ndarray, lm: np.ndarray, slope: np.ndarray, capacity: float) -> tuple:
+    """(ref, lm - ref, dy): r + slope * (ref + dy - lm) sums to capacity, with ref
+    the flattest user's log-marginal, so that its tiny deviation stays exact."""
     ref = lm[np.argmin(slope)]
     with np.errstate(invalid="ignore"):
         dev = np.where(slope < 0.0, lm - ref, 0.0)
-    dy = float((capacity - r.sum() + (slope * dev).sum()) / slope.sum())
-    return math.exp(ref + dy), r + slope * (dy - dev)
+    return ref, dev, float((capacity - r.sum() + (slope * dev).sum()) / slope.sum())
 
 
 def _hall_split(
@@ -300,7 +304,8 @@ def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
         if 0 < len(cut_users) < len(users):
             inside = np.isin(np.arange(len(users)), cut_users)
             inside_carriers = {reached[l] for l in cut_carriers}
-            for side, side_carriers in ((inside, inside_carriers), (~inside, set(reached) - inside_carriers)):
+            others = set(reached) - inside_carriers
+            for side, side_carriers in ((inside, inside_carriers), (~inside, others)):
                 groups.append((np.array(users)[side].tolist(), side_carriers, totals[side]))
             continue
         prices[reached] = pi
