@@ -201,6 +201,9 @@ class RecordingUtility:
         self.utility = utility
         self.args = []
 
+    def __getattr__(self, name):
+        return getattr(self.utility, name)  # the family's parameters
+
     def marginal(self, r: float) -> float:
         bits = float(r).hex()
         if not self.args or self.args[-1] != bits:

@@ -12,6 +12,7 @@ from helpers import (
     outcome,
     random_utilities,
 )
+from carrieralloc import subproblem
 from carrieralloc.subproblem import _anchored_demand, gap_term, ue_step
 from carrieralloc.utility import (
     LogarithmicUtility,
@@ -146,10 +147,8 @@ def test_gap_term_charges_rate_bought_above_the_cheapest_price():
     assert gap_term(LOG_HALF, [0.05, 0.08], [0.0, 0.0], 100.0) == math.inf
 
 
-def test_anchored_demand_bitwise_matches_reference():
-    """The flattened bisection does the closure form's float work exactly."""
-    rng = random.Random(20141)
-    ceilings = zero_anchor_cases = 0
+def anchored_cases(rng):
+    """Inputs of the user step: random draws, then the edges of its ranges."""
     for case in range(2400):
         n = (1, 2, 3, 5)[case % 4]
         (utility,) = random_utilities(rng, 1)
@@ -157,19 +156,75 @@ def test_anchored_demand_bitwise_matches_reference():
         style = case // 4 % 3
         if style == 0:
             anchor = [0.0] * n
-            zero_anchor_cases += 1
         elif style == 1:
             anchor = [rng.choice((0.0, rng.uniform(0.0, 60.0))) for _ in range(n)]
         else:
             anchor = [rng.uniform(0.0, 60.0) for _ in range(n)]
         rho = 10.0 ** rng.uniform(-9.0, 6.0)
         r_cap = 10.0 ** rng.uniform(-1.0, 1.5) if case % 5 == 0 else 100.0 * n
-        seen, expected = RecordingUtility(utility), RecordingUtility(utility)
+        yield utility, prices, anchor, rho, r_cap
+    # steep sigmoids, tied prices, extreme anchor weights, negative nu_min
+    utilities = (
+        SigmoidalUtility(a=50.0, b=5.0),
+        SigmoidalUtility(a=23.0, b=40.0),
+        SigmoidalUtility(a=1.0, b=30.0),
+        LogarithmicUtility(k=15.0, r_max=100.0),
+    )
+    for utility in utilities:
+        for rho in (1e-12, 1e-3, 1e9):
+            for prices, anchor in (
+                ([0.3, 0.3, 0.3], [1.0, 2.0, 0.0]),
+                ([0.04, 0.04], [20.0, 25.0]),
+                ([2.0], [6.0]),
+                ([0.5, 0.5, 0.5, 0.5, 0.5], [0.0] * 5),
+            ):
+                yield utility, prices, anchor, rho, 100.0 * len(prices)
+    for _ in range(400):
+        n = rng.choice((1, 2, 3))
+        utility = SigmoidalUtility(a=rng.uniform(10.0, 50.0), b=rng.uniform(1.0, 50.0))
+        price = 10.0 ** rng.uniform(-3.0, 1.5)
+        prices = [price if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 1.5) for _ in range(n)]
+        anchor = [rng.uniform(0.0, 80.0) for _ in range(n)]
+        yield utility, prices, anchor, 10.0 ** rng.uniform(-12.0, 9.0), 100.0 * n
+
+
+def test_anchored_demand_bitwise_matches_reference(monkeypatch):
+    """The replayed bisection returns the closure form's rates bit for bit.
+
+    The replay evaluates only the midpoints its search has not settled, so
+    the marginal sees other totals than the reference's.  Every total it
+    sees must still be summed exactly as the reference sums: checked for
+    each total of several links, which all go through ``_total``.
+    """
+    real_total = subproblem._total
+    sums = []
+
+    def checked_total(links, rho, nu):
+        t = real_total(links, rho, nu)
+        want = sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
+        assert float(t).hex() == float(want).hex(), (links, rho, nu)
+        sums.append(float(t).hex())
+        return t
+
+    monkeypatch.setattr(subproblem, "_total", checked_total)
+    rng = random.Random(20141)
+    cases = ceilings = zero_anchor_cases = negative_nu_min = 0
+    for utility, prices, anchor, rho, r_cap in anchored_cases(rng):
+        cases += 1
+        zero_anchor_cases += not any(anchor)
+        negative_nu_min += min(p - rho * q for q, p in zip(anchor, prices)) < 0.0
+        del sums[:]
+        seen = RecordingUtility(utility)
         got = outcome(_anchored_demand, seen, prices, anchor, rho, r_cap)
-        want = outcome(anchored_demand_reference, expected, prices, anchor, rho, r_cap)
-        # same rates, and the same totals T(nu) handed to the marginal
-        assert (got, seen.args) == (want, expected.args), (utility, prices, anchor, rho, r_cap)
+        want = outcome(
+            anchored_demand_reference, utility, prices, anchor, rho, r_cap
+        )
+        assert got == want, (utility, prices, anchor, rho, r_cap)
+        if len(prices) > 1:
+            assert set(seen.args) <= set(sums), (utility, prices, anchor, rho, r_cap)
         if isinstance(got, list) and sum(map(float.fromhex, got)) >= r_cap * (1 - 1e-9):
             ceilings += 1
+    assert cases == 2848
     assert zero_anchor_cases >= 500
     assert ceilings >= 50
+    assert negative_nu_min >= 300

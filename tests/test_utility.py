@@ -17,6 +17,7 @@ from helpers import (
     sigmoidal_marginal_reference,
     solve_rate_for_price_reference,
 )
+from carrieralloc.subproblem import _MARGIN
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -247,6 +248,39 @@ def _rates_per_user(utilities, fracs):
     """One row of rates per fraction of b (sigmoidal) or r_max (logarithmic)."""
     scale = np.array([u.b if isinstance(u, SigmoidalUtility) else u.r_max for u in utilities])
     return [f * scale for f in fracs]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+)
+def test_scalar_marginal_rounding_within_half_the_replay_margin():
+    """The user step skips bisection midpoints on the premise that the scalar
+    marginal is within _MARGIN / 2 * (m + 2a) of the exact one (a = 0 for the
+    logarithmic family); check it against a long-double evaluation, from rates
+    near 0 to past b + 37/a, where the scalar sigmoidal form cancels to 0."""
+    ld = np.longdouble
+    worst = 0.0
+    for a, b in ((0.5, 40.0), (1.0, 30.0), (3.0, 20.0), (5.0, 10.0), (9.0, 6.0), (50.0, 5.0), (50.0, 45.0)):
+        u = SigmoidalUtility(a=a, b=b)
+        near_zero = np.geomspace(1e-300, 0.5 / a, 120)
+        to_tail = np.linspace(0.0, b + 60.0 / a, 2000)[1:]
+        for r in np.concatenate([near_zero, to_tail, b + np.geomspace(1e-6, 60.0, 200) / a]):
+            r = float(r)
+            x = ld(a) * ld(r)
+            s = 1 / (1 + np.exp(ld(a) * (ld(r) - ld(b)))) if r < b else None
+            if s is None:
+                z = np.exp(-ld(a) * (ld(r) - ld(b)))
+                s = z / (1 + z)
+            exact = ld(a) * (1 / np.expm1(x) + s)
+            err = abs(ld(u.marginal(r)) - exact) / (_MARGIN * (exact + 2 * ld(a)))
+            worst = max(worst, float(err))
+    for k in (0.05, 0.5, 3.0, 15.0, 200.0):
+        u = LogarithmicUtility(k=k, r_max=100.0)
+        for r in np.geomspace(1e-300, 1e5, 3000):
+            kr = ld(k) * ld(float(r))
+            exact = ld(k) / ((1 + kr) * np.log1p(kr))
+            worst = max(worst, float(abs(ld(u.marginal(float(r))) - exact) / (_MARGIN * exact)))
+    assert 0.05 < worst <= 0.5, worst
 
 
 @pytest.mark.filterwarnings("error")
