@@ -5,12 +5,17 @@ to carrier 2, and one elastic user in range of both. The shared user shops
 for the cheaper carrier each round; the engine settles once no bid moves by
 more than delta and the duality gap has closed, and the final allocation is
 certified against the centralized solver.
+
+The engine keeps no per-round history. Runs are deterministic, so the table
+replays the run with a round limit of n for each round n it shows: that
+partial result holds round n's prices and bids and its largest bid move.
 """
 
 from carrieralloc import (
     CarrierSpec,
     EngineConfig,
     LogarithmicUtility,
+    NonConvergenceError,
     Scenario,
     SigmoidalUtility,
     UESpec,
@@ -30,16 +35,25 @@ SCENARIO = Scenario(
 )
 
 
+def round_state(n: int):
+    """The run stopped after round n: that round's prices, bids and bid move."""
+    try:
+        return run(SCENARIO, EngineConfig(max_rounds=n))
+    except NonConvergenceError as exc:
+        return exc.result
+
+
 def main() -> None:
-    result = run(SCENARIO, EngineConfig(keep_trace=True))
+    result = run(SCENARIO, EngineConfig())
 
     print("round   p1        p2        shared-user bids (w1, w2)   max bid move")
-    for t in result.trace:
-        if t.round <= 8 or t.round % 10 == 0 or t.round == result.rounds:
+    for n in range(1, result.rounds + 1):
+        if n <= 8 or n % 10 == 0 or n == result.rounds:
+            t = round_state(n)
             w1 = t.bids.get((1, 3), 0.0)
             w2 = t.bids.get((2, 3), 0.0)
             print(
-                f"{t.round:5d}  {t.prices[1]:9.5f} {t.prices[2]:9.5f}"
+                f"{n:5d}  {t.prices[1]:9.5f} {t.prices[2]:9.5f}"
                 f"   ({w1:9.5f}, {w2:9.5f})        {t.max_bid_delta:9.2e}"
             )
 

@@ -22,16 +22,13 @@ from .protocol import (
     AllocationResult,
     EngineConfig,
     NonConvergenceError,
-    RoundTrace,
     carrier_step,
-    objective,
     run,
 )
 from .oracle import (
     KKTReport,
     OracleError,
     OracleSolution,
-    dual_objective,
     kkt_check,
     project_carrier_block,
     solve_central,
@@ -52,7 +49,6 @@ from .scenario import (
     run_sweep,
     save_scenario,
     write_results,
-    write_trace,
 )
 
 __version__ = "0.1.0"
@@ -73,14 +69,11 @@ __all__ = [
     "AllocationResult",
     "EngineConfig",
     "NonConvergenceError",
-    "RoundTrace",
     "carrier_step",
-    "objective",
     "run",
     "KKTReport",
     "OracleError",
     "OracleSolution",
-    "dual_objective",
     "kkt_check",
     "project_carrier_block",
     "solve_central",
@@ -99,6 +92,5 @@ __all__ = [
     "run_sweep",
     "save_scenario",
     "write_results",
-    "write_trace",
     "__version__",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -111,14 +112,12 @@ def _build_parser() -> _Parser:
 
 
 def _engine_config(args, file_engine: Optional[EngineConfig]) -> EngineConfig:
-    base = file_engine if file_engine is not None else EngineConfig()
-    return EngineConfig(
-        delta=args.delta if args.delta is not None else base.delta,
-        max_rounds=args.max_rounds if args.max_rounds is not None else base.max_rounds,
-        damping=args.damping if args.damping is not None else base.damping,
-        price_floor=base.price_floor,
-        anchor_gain=args.anchor_gain if args.anchor_gain is not None else base.anchor_gain,
-    )
+    given = {
+        name: getattr(args, name)
+        for name in ("delta", "max_rounds", "damping", "anchor_gain")
+        if getattr(args, name) is not None
+    }
+    return replace(file_engine or EngineConfig(), **given)
 
 
 def _summary_line(result) -> str:

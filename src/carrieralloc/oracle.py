@@ -48,7 +48,6 @@ __all__ = [
     "project_carrier_block",
     "solve_central",
     "kkt_check",
-    "dual_objective",
 ]
 
 
@@ -351,16 +350,14 @@ def solve_central(scenario, tol: float = 1e-9) -> OracleSolution:
     return sol
 
 
-def kkt_check(candidate, scenario, tol: float, activity_threshold: Optional[float] = None) -> KKTReport:
+def kkt_check(candidate, scenario, tol: float) -> KKTReport:
     """First-order certificate for any allocation carrying rates and prices.
 
     ``candidate`` needs ``rates[(carrier_id, ue_id)]`` and
     ``prices[carrier_id]`` mappings (both the protocol and oracle results
-    qualify).  Rates at or below ``activity_threshold`` (default: ``tol``)
-    are treated as zero for the stationarity split.
+    qualify).  Rates at or below ``tol`` are treated as zero for the
+    stationarity split.
     """
-    if activity_threshold is None:
-        activity_threshold = tol
     utilities = {ue.id: ue.utility for ue in scenario.ues}
     reach = {ue.id: tuple(ue.carriers) for ue in scenario.ues}
     caps = {c.id: c.capacity for c in scenario.carriers}
@@ -384,7 +381,7 @@ def kkt_check(candidate, scenario, tol: float, activity_threshold: Optional[floa
         for cid in reach[uid]:
             price = candidate.prices[cid]
             r = candidate.rates.get((cid, uid), 0.0)
-            if r > activity_threshold:
+            if r > tol:
                 stat_active = max(stat_active, abs(m - price))
             else:
                 stat_inactive = max(stat_inactive, m - price)
@@ -414,18 +411,3 @@ def kkt_check(candidate, scenario, tol: float, activity_threshold: Optional[floa
         passed=passed,
     )
 
-
-def dual_objective(scenario, prices: Dict[int, float]) -> float:
-    """D(p) = sum_i max_T (ln U_i(T) - pi_i T) + sum_l p_l R_l.
-
-    pi_i is the cheapest reachable price for user i; the inner maximum is
-    attained at the demand T_i(pi_i), making the duality gap of a candidate
-    directly computable.
-    """
-    prob = _Problem(scenario)
-    pi = np.array([max(min(prices[prob.cids[k]] for k in reach), 1e-300) for reach in prob.reach])
-    best, _ = demands(prob.params, pi, prob.r_cap)
-    total = sum(u.log_utility(float(t)) for u, t in zip(prob.utilities, best)) - float(pi @ best)
-    for c in prob.carriers:
-        total += prices[c.id] * c.capacity
-    return total

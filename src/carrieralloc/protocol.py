@@ -46,8 +46,9 @@ runs on identical inputs produce bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .subproblem import (
@@ -61,12 +62,10 @@ from .utility import log_utility
 
 __all__ = [
     "EngineConfig",
-    "RoundTrace",
     "AllocationResult",
     "NonConvergenceError",
     "carrier_step",
     "run",
-    "objective",
     "GAP_TOL",
 ]
 
@@ -104,11 +103,12 @@ class EngineConfig:
     damping: float = DEFAULT_DAMPING
     price_floor: float = 1e-9
     anchor_gain: float = DEFAULT_ANCHOR_GAIN
-    keep_trace: bool = False
 
     def __post_init__(self) -> None:
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not isinstance(self.max_rounds, numbers.Integral):
+            raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not (0.0 < self.damping <= 1.0):
@@ -119,17 +119,14 @@ class EngineConfig:
             raise ValueError(f"anchor_gain must be >= 0, got {self.anchor_gain}")
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    round: int
-    prices: Dict[int, float]
-    bids: Dict[Tuple[int, int], float]
-    max_bid_delta: float
-
-
 @dataclass
 class AllocationResult:
-    """Converged (or partial) allocation: rates, bids, prices, diagnostics."""
+    """Converged (or partial) allocation: rates, bids, prices, diagnostics.
+
+    ``max_bid_delta`` and ``duality_gap`` are the stop rule's two measures in
+    the final round: the largest bid move since the round before it, and the
+    gap of its prices and rates.
+    """
 
     rates: Dict[Tuple[int, int], float]
     bids: Dict[Tuple[int, int], float]
@@ -138,7 +135,7 @@ class AllocationResult:
     objective: float
     rounds: int
     converged: bool
-    trace: List[RoundTrace] = field(default_factory=list)
+    max_bid_delta: float = math.nan
     duality_gap: float = math.nan
 
     def rate(self, carrier_id: int, ue_id: int) -> float:
@@ -150,9 +147,9 @@ class NonConvergenceError(RuntimeError):
 
     def __init__(self, result: AllocationResult):
         super().__init__(
-            f"no convergence after {result.rounds} rounds "
-            f"(bids still moving by delta or more, or duality gap "
-            f"{result.duality_gap:.3e} above {GAP_TOL:g})"
+            f"no convergence after {result.rounds} rounds: final max bid delta "
+            f"{result.max_bid_delta:.3e}, duality gap {result.duality_gap:.3e} "
+            f"(a stop needs a bid delta below delta and a gap of at most {GAP_TOL:g})"
         )
         self.result = result
 
@@ -257,9 +254,10 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     or more since the previous round and the duality gap of the current
     prices and rates is at most GAP_TOL; from round ANDERSON_WARMUP + 1 on,
     the state passed to the next round is Anderson-mixed (see the module
-    docstring).  The result carries the gap of its final round in
-    ``duality_gap``.  Raises NonConvergenceError (carrying the partial
-    result) when the round limit is reached first.
+    docstring).  The result carries its final round's largest bid move in
+    ``max_bid_delta`` and its gap in ``duality_gap``.  Raises
+    NonConvergenceError (carrying the partial result) when the round limit
+    is reached first.
     """
     carriers = sorted(scenario.carriers, key=lambda c: c.id)
     ues = sorted(scenario.ues, key=lambda u: u.id)
@@ -303,7 +301,6 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         return gap
 
     mixer = _AndersonMixer(ANDERSON_DEPTH)
-    trace: List[RoundTrace] = []
     converged = False
     gap = math.nan
     rounds = 0
@@ -315,15 +312,6 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         ]
         round_delta = max(abs(w - v) for w, v in zip(bids, seen))
         seen = bids
-        if config.keep_trace:
-            trace.append(
-                RoundTrace(
-                    round=n,
-                    prices=dict(zip(cids, prices)),
-                    bids=dict(sorted(zip(links, bids))),
-                    max_bid_delta=round_delta,
-                )
-            )
         if n > 1 and round_delta < config.delta:
             gap = duality_gap(prices)
             if gap <= GAP_TOL:
@@ -367,15 +355,10 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         objective=sum(log_utility(ue.utility, totals[ue.id]) for ue in ues),
         rounds=rounds,
         converged=converged,
-        trace=trace,
+        max_bid_delta=round_delta,
         duality_gap=gap,
     )
     if not converged:
         raise NonConvergenceError(result)
     return result
 
-
-def objective(result: AllocationResult, scenario) -> float:
-    """Sum of ln U_i over per-UE totals; -inf if any total is zero."""
-    utilities = {ue.id: ue.utility for ue in scenario.ues}
-    return sum(log_utility(utilities[uid], total) for uid, total in result.totals.items())

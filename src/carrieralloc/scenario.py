@@ -20,21 +20,16 @@ files reproduces the in-memory values exactly.
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import yaml
 
 from .oracle import KKTReport, OracleError, OracleSolution, kkt_check, solve_central
-from .protocol import (
-    AllocationResult,
-    EngineConfig,
-    NonConvergenceError,
-    RoundTrace,
-    run,
-)
+from .protocol import AllocationResult, EngineConfig, NonConvergenceError, run
 from .utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -59,7 +54,6 @@ __all__ = [
     "compare_to_oracle",
     "run_sweep",
     "write_results",
-    "write_trace",
 ]
 
 # Tolerances used when a sweep verifies the protocol against the oracle:
@@ -283,8 +277,10 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     engine = None
     engine_raw = section("engine", required=False)
     if engine_raw is not None:
+        if not isinstance(engine_raw, dict):
+            raise ScenarioError(f"{path}: engine must be a mapping")
         try:
-            engine = EngineConfig(**{str(k): v for k, v in engine_raw.items()})
+            engine = EngineConfig(**engine_raw)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: engine: {exc}") from exc
 
@@ -343,13 +339,7 @@ def scenario_to_yaml(
         ],
     }
     if engine is not None:
-        doc["engine"] = {
-            "delta": engine.delta,
-            "max_rounds": engine.max_rounds,
-            "damping": engine.damping,
-            "price_floor": engine.price_floor,
-            "anchor_gain": engine.anchor_gain,
-        }
+        doc["engine"] = asdict(engine)
     if sweep is not None:
         doc["sweep"] = {
             "carrier": sweep.carrier_id,
@@ -504,37 +494,30 @@ def write_results(records: Sequence[RunRecord], out_dir: Union[str, Path]) -> Di
         "summary": out / "summary.csv",
     }
 
-    lines = [RATES_HEADER]
+    rows = []
     for rec in records:
         if rec.result is None:
             continue
         for (cid, uid), rate in sorted(rec.result.rates.items()):
             bid = rec.result.bids.get((cid, uid), 0.0)
-            lines.append(
-                f"{_fmt(rec.sweep_value)},{cid},{uid},{_fmt(rate)},{_fmt(bid)}"
-            )
-    _write_lines(paths["rates"], lines)
+            rows.append([_fmt(rec.sweep_value), cid, uid, _fmt(rate), _fmt(bid)])
+    _write_rows(paths["rates"], RATES_HEADER, rows)
 
-    lines = [PRICES_HEADER]
+    rows = []
     for rec in records:
         if rec.result is None:
             continue
         for cid, price in sorted(rec.result.prices.items()):
-            lines.append(
-                f"{_fmt(rec.sweep_value)},{cid},{_fmt(price)},"
-                f"{rec.result.rounds},{rec.result.converged}"
+            rows.append(
+                [_fmt(rec.sweep_value), cid, _fmt(price), rec.result.rounds, rec.result.converged]
             )
-    _write_lines(paths["prices"], lines)
+    _write_rows(paths["prices"], PRICES_HEADER, rows)
 
-    lines = [SUMMARY_HEADER]
+    rows = []
     for rec in records:
         row = [_fmt(rec.sweep_value)]
         if rec.result is not None:
-            row += [
-                _fmt(rec.result.objective),
-                str(rec.result.rounds),
-                str(rec.result.converged),
-            ]
+            row += [_fmt(rec.result.objective), rec.result.rounds, rec.result.converged]
         else:
             row += ["", "", ""]
         row.append(rec.error or "")
@@ -546,32 +529,22 @@ def write_results(records: Sequence[RunRecord], out_dir: Union[str, Path]) -> Di
                 _fmt(rec.comparison.kkt.stationarity_active),
                 _fmt(rec.comparison.kkt.stationarity_inactive),
                 _fmt(rec.comparison.kkt.complementary_slackness),
-                str(rec.comparison.kkt.passed),
+                rec.comparison.kkt.passed,
             ]
         else:
             row += [""] * 7
-        lines.append(",".join(row))
-    _write_lines(paths["summary"], lines)
+        rows.append(row)
+    _write_rows(paths["summary"], SUMMARY_HEADER, rows)
 
     return paths
 
 
-def write_trace(trace: Sequence[RoundTrace], path: Union[str, Path]) -> Path:
-    """Per-round engine trace: round, prices, bids, max bid delta."""
-    path = Path(path)
-    lines = ["round,carrier_id,ue_id,price,bid,max_bid_delta"]
-    for t in trace:
-        for (cid, uid), w in sorted(t.bids.items()):
-            lines.append(
-                f"{t.round},{cid},{uid},{_fmt(t.prices[cid])},{_fmt(w)},"
-                f"{_fmt(t.max_bid_delta)}"
-            )
-    _write_lines(path, lines)
-    return path
-
-
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
+def _write_rows(path: Path, header: str, rows: Sequence[Sequence[object]]) -> None:
+    """CSV with quoting where a field needs it; plain rows match a comma join."""
     try:
-        path.write_text("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header.split(","))
+            out.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

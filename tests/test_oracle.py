@@ -13,13 +13,13 @@ from carrieralloc import oracle
 from carrieralloc.oracle import (
     KKTReport,
     OracleError,
-    dual_objective,
     kkt_check,
     project_carrier_block,
     solve_central,
 )
 from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_scenario
+from carrieralloc.subproblem import gap_term
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -212,14 +212,24 @@ def test_gradient_matches_finite_differences():
 
 
 def test_duality_gap_is_small():
+    # the protocol's dual function: one gap_term per user plus
+    # p_l (R_l - load_l) per carrier
     s = build_paper_scenario(150.0)
     sol = solve_central(s, tol=1e-9)
-    gap = dual_objective(s, sol.prices) - sol.objective
+    gap = 0.0
+    for ue in s.ues:
+        prices = [sol.prices[cid] for cid in ue.carriers]
+        rates = [sol.rates.get((cid, ue.id), 0.0) for cid in ue.carriers]
+        r_cap = sum(s.carrier(cid).capacity for cid in ue.carriers)
+        gap += gap_term(ue.utility, prices, rates, r_cap)
+    for c in s.carriers:
+        load = sum(r for (cid, _), r in sol.rates.items() if cid == c.id)
+        gap += sol.prices[c.id] * (c.capacity - load)
     assert -1e-9 <= gap <= 1e-5
 
 
 def test_failed_certificate_raises_naming_worst_residual(monkeypatch):
-    def failing_check(candidate, scenario, tol, activity_threshold=None):
+    def failing_check(candidate, scenario, tol):
         return KKTReport(
             stationarity_active=3e-6,
             stationarity_inactive=0.0,

@@ -6,12 +6,10 @@ import pytest
 
 from carrieralloc.protocol import (
     GAP_TOL,
-    AllocationResult,
     EngineConfig,
     NonConvergenceError,
     _AndersonMixer,
     carrier_step,
-    objective,
     run,
 )
 from carrieralloc.scenario import (
@@ -56,17 +54,20 @@ def test_carrier_all_zero_bids_hits_price_floor_without_stopping():
     # Every initial bid (R / M = 5e-4) moves by less than delta in round 1,
     # against a previous round of zeros, and the allocation is already
     # optimal; still only round 2, with a previous round, may stop.
-    res = run(capped_user(capacity=5e-4), EngineConfig(damping=1.0, keep_trace=True))
-    assert res.trace[0].max_bid_delta < DELTA
+    with pytest.raises(NonConvergenceError) as info:
+        run(capped_user(capacity=5e-4), EngineConfig(damping=1.0, max_rounds=1))
+    assert info.value.result.max_bid_delta < DELTA
+    res = run(capped_user(capacity=5e-4), EngineConfig(damping=1.0))
     assert res.rounds == 2
 
 
 def test_carrier_stops_on_two_identical_rounds():
-    res = run(capped_user(capacity=0.1), EngineConfig(damping=1.0, keep_trace=True))
+    res = run(capped_user(capacity=0.1), EngineConfig(damping=1.0))
     assert res.converged
     assert res.rounds == 2
-    assert res.trace[1].max_bid_delta == 0.0
-    assert res.trace[1].bids == res.trace[0].bids
+    assert res.max_bid_delta == 0.0
+    # the user bids its whole ceiling, 0.1 at price 1, in both rounds
+    assert res.bids == {(1, 1): 0.1}
 
 
 def test_carrier_stop_respects_delta():
@@ -75,13 +76,13 @@ def test_carrier_stop_respects_delta():
         UESpec(id=1, utility=u, carriers=(1,)),
         UESpec(id=2, utility=LogarithmicUtility(k=0.5, r_max=100.0), carriers=(1,)),
     )
-    loose = run(s, EngineConfig(delta=DELTA, keep_trace=True))
-    last = loose.trace[-1].max_bid_delta
+    loose = run(s, EngineConfig(delta=DELTA))
+    last = loose.max_bid_delta
     assert 0.0 < last < DELTA
     # a move equal to delta is not below it: the run must go on
-    strict = run(s, EngineConfig(delta=last, keep_trace=True))
+    strict = run(s, EngineConfig(delta=last))
     assert strict.rounds > loose.rounds
-    assert strict.trace[-1].max_bid_delta < last
+    assert strict.max_bid_delta < last
 
 
 def test_carrier_rejects_bad_bids():
@@ -222,18 +223,14 @@ def test_non_convergence_carries_partial_result():
     assert partial.converged is False
     assert partial.rounds == 1
     assert partial.rates
-
-
-def test_trace_collection():
-    cfg = EngineConfig(keep_trace=True)
-    res = run(build_paper_scenario(300.0), cfg)
-    assert len(res.trace) == res.rounds
-    first = res.trace[0]
-    assert first.round == 1
-    assert set(first.prices) == {1, 2}
+    assert set(partial.prices) == {1, 2}
     # round-1 prices are exactly 1 by construction of the initial bids
-    assert first.prices[1] == pytest.approx(1.0, rel=1e-12)
-    assert first.max_bid_delta > DELTA
+    assert partial.prices[1] == pytest.approx(1.0, rel=1e-12)
+    assert partial.prices[2] == pytest.approx(1.0, rel=1e-12)
+    assert partial.max_bid_delta > DELTA
+    # the message names both stop measures of the final round
+    assert f"{partial.max_bid_delta:.3e}" in str(info.value)
+    assert f"{partial.duality_gap:.3e}" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +240,6 @@ def test_trace_collection():
 def test_objective_zero_at_r_max_for_single_log_ue():
     s = small_scenario(UESpec(id=1, utility=LogarithmicUtility(k=2.0, r_max=100.0), carriers=(1,)))
     res = run(s, EngineConfig())
-    assert objective(res, s) == pytest.approx(0.0, abs=1e-9)
     assert res.objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -261,25 +257,13 @@ def test_objective_at_sigmoid_inflection():
     assert res.objective == pytest.approx(expected, abs=1e-6)
 
 
-def test_objective_neg_inf_when_a_total_is_zero():
-    s = small_scenario(UESpec(id=1, utility=LogarithmicUtility(k=2.0, r_max=100.0), carriers=(1,)))
-    fake = AllocationResult(
-        rates={(1, 1): 0.0},
-        bids={(1, 1): 0.0},
-        prices={1: 1.0},
-        totals={1: 0.0},
-        objective=float("-inf"),
-        rounds=1,
-        converged=True,
-    )
-    assert objective(fake, s) == float("-inf")
-
-
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(delta=0.0)
     with pytest.raises(ValueError):
         EngineConfig(max_rounds=0)
+    with pytest.raises(ValueError, match="integer"):
+        EngineConfig(max_rounds=1.5)
     with pytest.raises(ValueError):
         EngineConfig(damping=0.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Scenario validation, persistence round-trips, sweeps and CSV output."""
 
+import csv
 import hashlib
 import struct
 import sys
@@ -13,6 +14,7 @@ from carrieralloc.scenario import (
     PRICES_HEADER,
     SUMMARY_HEADER,
     CarrierSpec,
+    RunRecord,
     Scenario,
     ScenarioError,
     SweepSpec,
@@ -23,9 +25,7 @@ from carrieralloc.scenario import (
     run_sweep,
     save_scenario,
     write_results,
-    write_trace,
 )
-from carrieralloc.protocol import run
 from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility
 
 
@@ -170,6 +170,11 @@ def test_load_errors_carry_context(tmp_path):
     )
     with pytest.raises(ScenarioError, match="ues\\[0\\]"):
         load_scenario(bad)
+    bad.write_text(
+        "carriers:\n  - id: 1\n    capacity: 10.0\nues:\n  - id: 1\n    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\nengine: [1, 2]\n"
+    )
+    with pytest.raises(ScenarioError, match="engine"):
+        load_scenario(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +234,21 @@ def test_paper_sweep_rounds_and_rates_are_pinned():
     assert digest.hexdigest() == PAPER_SWEEP_RATES_SHA256
 
 
-def test_run_sweep_records_per_point_failures():
+def test_run_sweep_records_per_point_failures(tmp_path):
     s = tiny_scenario()
     sweep = SweepSpec(carrier_id=1, start=20.0, stop=40.0, step=20.0)
     records = run_sweep(s, sweep, EngineConfig(max_rounds=1))
     assert all(rec.error is not None for rec in records)
     assert all(rec.result is not None and not rec.result.converged for rec in records)
+    # error texts survive summary.csv whole, whatever characters they hold
+    records.append(RunRecord(sweep_value=60.0, error='ValueError: "x", then y'))
+    paths = write_results(records, tmp_path)
+    with open(paths["summary"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert None not in row and len(row) == 12
+        assert row["error"] == rec.error
 
 
 def test_run_sweep_unknown_carrier():
@@ -295,13 +309,3 @@ def test_write_results_bad_directory_reports_path(tmp_path):
     blocker.write_text("а file, not a directory")
     with pytest.raises(OSError, match="blocker"):
         write_results([], blocker / "sub")
-
-
-def test_write_trace(tmp_path):
-    s = tiny_scenario()
-    res = run(s, EngineConfig(keep_trace=True))
-    path = write_trace(res.trace, tmp_path / "trace.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "round,carrier_id,ue_id,price,bid,max_bid_delta"
-    in_range_pairs = sum(len(u.carriers) for u in s.ues)
-    assert len(lines) == 1 + res.rounds * in_range_pairs
