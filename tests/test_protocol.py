@@ -223,14 +223,36 @@ def test_non_convergence_carries_partial_result():
     assert partial.converged is False
     assert partial.rounds == 1
     assert partial.rates
-    assert set(partial.prices) == {1, 2}
-    # round-1 prices are exactly 1 by construction of the initial bids
-    assert partial.prices[1] == pytest.approx(1.0, rel=1e-12)
-    assert partial.prices[2] == pytest.approx(1.0, rel=1e-12)
-    assert partial.max_bid_delta > DELTA
     # the message names both stop measures of the final round
     assert f"{partial.max_bid_delta:.3e}" in str(info.value)
     assert f"{partial.duality_gap:.3e}" in str(info.value)
+
+
+def test_trace_collection():
+    # a run stopped after round n reports that round's prices, bids and bid
+    # move, so replaying with max_rounds = 1 .. rounds collects the trace
+    s = build_paper_scenario(300.0)
+    res = run(s, EngineConfig())
+    trace = []
+    for n in range(1, res.rounds + 1):
+        try:
+            trace.append(run(s, EngineConfig(max_rounds=n)))
+        except NonConvergenceError as exc:
+            trace.append(exc.result)
+    assert [t.rounds for t in trace] == list(range(1, res.rounds + 1))
+    assert not any(t.converged for t in trace[:-1])
+    first = trace[0]
+    assert set(first.prices) == {1, 2}
+    # round-1 prices are exactly 1 by construction of the initial bids
+    assert first.prices[1] == pytest.approx(1.0, rel=1e-12)
+    assert first.prices[2] == pytest.approx(1.0, rel=1e-12)
+    assert first.max_bid_delta > DELTA
+    # the replay of the last round is the full run, bit for bit
+    last = trace[-1]
+    assert last.converged
+    assert last.bids == res.bids
+    assert last.prices == res.prices
+    assert last.max_bid_delta == res.max_bid_delta
 
 
 # ---------------------------------------------------------------------------
