@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 usage/input error, 2 numeric failure
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -67,8 +68,6 @@ def _build_parser() -> _Parser:
                        help="round limit before giving up (default 10000)")
         p.add_argument("--damping", type=float, default=None,
                        help="bid damping factor theta in (0, 1] (default 0.7)")
-        p.add_argument("--anchor-gain", type=float, default=None,
-                       help="proximal anchor gain, 0 disables (default 0.3)")
 
     p_run = sub.add_parser("run", help="run the protocol on a scenario")
     p_run.add_argument("--scenario", required=True, help="scenario file (YAML)")
@@ -77,19 +76,18 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one carrier's capacity")
     p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--carrier", type=int, default=None, help="carrier id to sweep")
-    p_sweep.add_argument("--from", dest="sweep_from", type=float, default=None)
-    p_sweep.add_argument("--to", dest="sweep_to", type=float, default=None)
+    p_sweep.add_argument("--carrier", dest="carrier_id", type=int, default=None,
+                         help="carrier id to sweep")
+    p_sweep.add_argument("--from", dest="start", type=float, default=None)
+    p_sweep.add_argument("--to", dest="stop", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
     p_sweep.add_argument("--verify", action="store_true",
                          help="also solve each point centrally and compare")
-    p_sweep.add_argument("--oracle-tol", type=float, default=1e-9)
     add_engine_flags(p_sweep)
     p_sweep.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="check protocol against the oracle")
     p_verify.add_argument("--scenario", required=True)
-    p_verify.add_argument("--oracle-tol", type=float, default=1e-9)
     add_engine_flags(p_verify)
 
     p_curve = sub.add_parser("utility-curve", help="sample a utility as CSV")
@@ -111,13 +109,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The sweep flags, by the SweepSpec field each one sets.
+_SWEEP_FLAGS = {"carrier_id": "--carrier", "start": "--from", "stop": "--to", "step": "--step"}
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` given on the command line, by dest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _engine_config(args, file_engine: Optional[EngineConfig]) -> EngineConfig:
-    given = {
-        name: getattr(args, name)
-        for name in ("delta", "max_rounds", "damping", "anchor_gain")
-        if getattr(args, name) is not None
-    }
+    given = _given(args, [f.name for f in fields(EngineConfig)])
     return replace(file_engine or EngineConfig(), **given)
+
+
+def _sweep_spec(args, file_sweep: Optional[SweepSpec]) -> SweepSpec:
+    given = _given(args, _SWEEP_FLAGS)
+    if file_sweep is not None:
+        return replace(file_sweep, **given)
+    missing = [flag for name, flag in _SWEEP_FLAGS.items() if name not in given]
+    if missing:
+        raise _UsageError(f"sweep needs {' '.join(missing)} (no sweep section in scenario file)")
+    return SweepSpec(**given)
 
 
 def _summary_line(result) -> str:
@@ -151,24 +164,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = load_scenario_document(args.scenario)
     config = _engine_config(args, doc.engine)
-    base = doc.sweep
-    missing = []
-    carrier = args.carrier if args.carrier is not None else (base.carrier_id if base else None)
-    start = args.sweep_from if args.sweep_from is not None else (base.start if base else None)
-    stop = args.sweep_to if args.sweep_to is not None else (base.stop if base else None)
-    step = args.step if args.step is not None else (base.step if base else None)
-    for name, value in (("--carrier", carrier), ("--from", start),
-                        ("--to", stop), ("--step", step)):
-        if value is None:
-            missing.append(name)
-    if missing:
-        raise _UsageError(
-            f"sweep needs {' '.join(missing)} (no sweep section in scenario file)"
-        )
-    sweep = SweepSpec(carrier_id=carrier, start=start, stop=stop, step=step)
-    records = run_sweep(
-        doc.scenario, sweep, config, verify=args.verify, oracle_tol=args.oracle_tol
-    )
+    sweep = _sweep_spec(args, doc.sweep)
+    records = run_sweep(doc.scenario, sweep, config, verify=args.verify)
     if args.out is not None:
         write_results(records, args.out)
     failed: List[str] = []
@@ -210,7 +207,7 @@ def _cmd_verify(args) -> int:
         print(_summary_line(exc.result))
         print("protocol did not converge", file=sys.stderr)
         return EXIT_NUMERIC
-    oracle_solution = solve_central(doc.scenario, tol=args.oracle_tol)
+    oracle_solution = solve_central(doc.scenario)
     report = compare_to_oracle(result, oracle_solution, doc.scenario, config.delta)
     print(_summary_line(result))
     print(
@@ -234,8 +231,8 @@ def _cmd_verify(args) -> int:
 def _cmd_utility_curve(args) -> int:
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
-    if not args.r_max_axis > 0:
-        raise _UsageError("--max must be > 0")
+    if not (args.r_max_axis > 0 and math.isfinite(args.r_max_axis)):
+        raise _UsageError("--max must be finite and > 0")
     try:
         if args.type == "sig":
             if args.a is None or args.b is None:

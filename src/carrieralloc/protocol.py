@@ -51,13 +51,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .subproblem import (
-    DEFAULT_ANCHOR_GAIN,
-    DEFAULT_DAMPING,
-    ProtocolError,
-    gap_term,
-    ue_step,
-)
+from .subproblem import DEFAULT_DAMPING, ProtocolError, gap_term, ue_step
 from .utility import log_utility
 
 __all__ = [
@@ -67,6 +61,7 @@ __all__ = [
     "carrier_step",
     "run",
     "GAP_TOL",
+    "PRICE_FLOOR",
 ]
 
 # Duality-gap stop tolerance, in units of ln U.  ln U is dimensionless, so
@@ -82,6 +77,8 @@ __all__ = [
 # each user's term is a difference of two ln U values of size up to a*b,
 # rounded to ~1e-16 * a*b, so 10^3 steep users (a*b = 500) add up to ~5e-11.
 GAP_TOL = 1e-9
+# Lowest shadow price: keeps every rate w / p finite while a carrier holds no bids.
+PRICE_FLOOR = 1e-9
 # Anderson mixing: past rounds used, plain rounds before mixing starts, the
 # Tikhonov weight (relative to the largest Gram diagonal entry) that keeps
 # its normal equations solvable when recent steps are collinear, and the
@@ -101,10 +98,11 @@ class EngineConfig:
     delta: float = 1e-3
     max_rounds: int = 10000
     damping: float = DEFAULT_DAMPING
-    price_floor: float = 1e-9
-    anchor_gain: float = DEFAULT_ANCHOR_GAIN
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if not isinstance(self.max_rounds, numbers.Integral):
@@ -113,10 +111,6 @@ class EngineConfig:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError(f"damping must be in (0, 1], got {self.damping}")
-        if not (self.price_floor > 0.0):
-            raise ValueError(f"price_floor must be > 0, got {self.price_floor}")
-        if self.anchor_gain < 0.0:
-            raise ValueError(f"anchor_gain must be >= 0, got {self.anchor_gain}")
 
 
 @dataclass
@@ -154,15 +148,15 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def carrier_step(bids: Sequence[float], capacity: float, price_floor: float) -> float:
-    """Shadow price p = max(floor, sum(w)/R) of the bids a carrier holds.
+def carrier_step(bids: Sequence[float], capacity: float) -> float:
+    """Shadow price p = max(PRICE_FLOOR, sum(w)/R) of the bids a carrier holds.
 
     Raises ProtocolError on a negative or non-finite bid.
     """
     for w in bids:
         if not (math.isfinite(w) and w >= 0.0):
             raise ProtocolError(f"carrier got bad bid {w}: bids must be finite and >= 0")
-    return max(price_floor, sum(bids) / capacity)
+    return max(PRICE_FLOOR, sum(bids) / capacity)
 
 
 class _AndersonMixer:
@@ -307,7 +301,7 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     for n in range(1, config.max_rounds + 1):
         rounds = n
         prices = [
-            carrier_step([bids[i] for i in idx], cap, config.price_floor)
+            carrier_step([bids[i] for i in idx], cap)
             for idx, cap in zip(carrier_links, caps)
         ]
         round_delta = max(abs(w - v) for w, v in zip(bids, seen))
@@ -329,7 +323,6 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
                     None if anchors is None else anchors[span],
                     r_cap,
                     config.damping,
-                    config.anchor_gain,
                 )
                 new_bids += w
                 new_anchors += q

@@ -421,7 +421,6 @@ def _run_point(
     value: float,
     config: EngineConfig,
     verify: bool,
-    oracle_tol: float,
 ) -> RunRecord:
     record = RunRecord(sweep_value=value)
     point = scenario.with_capacity(sweep.carrier_id, value)
@@ -435,7 +434,7 @@ def _run_point(
         return record
     if verify:
         try:
-            record.oracle = solve_central(point, tol=oracle_tol)
+            record.oracle = solve_central(point)
             record.comparison = compare_to_oracle(
                 record.result, record.oracle, point, config.delta
             )
@@ -449,7 +448,6 @@ def run_sweep(
     sweep: SweepSpec,
     config: EngineConfig = EngineConfig(),
     verify: bool = False,
-    oracle_tol: float = 1e-9,
 ) -> List[RunRecord]:
     """Protocol run per sweep value, in sweep order.
 
@@ -457,10 +455,7 @@ def run_sweep(
     returned records rather than aborting the sweep.
     """
     scenario.carrier(sweep.carrier_id)
-    return [
-        _run_point(scenario, sweep, v, config, verify, oracle_tol)
-        for v in sweep.values()
-    ]
+    return [_run_point(scenario, sweep, v, config, verify) for v in sweep.values()]
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_DAMPING = 0.7
-DEFAULT_ANCHOR_GAIN = 0.3
+# Scale of the proximal anchor weight rho, relative to p_min / T_prev.
+ANCHOR_GAIN = 0.3
 # Twice a bound on the scalar marginal's rounding error per unit of m + 2a
 # (a = 0 for the logarithmic family), as tests/test_utility.py checks.
 _MARGIN = 10.0 * 2.0**-52
@@ -207,28 +208,24 @@ def ue_step(
     anchor: Optional[Sequence[float]],
     r_cap: float,
     damping: float,
-    anchor_gain: float,
 ) -> Tuple[List[float], List[float]]:
     """One bidding round of one user: its new bids and anchor rates.
 
     ``anchor`` is the rate vector the user held after its previous step, or
     None before its first step (which uses the unanchored rule).  ``r_cap``
     caps the user's total rate.  ``damping`` is theta in
-    new = theta*raw + (1-theta)*last.  ``anchor_gain`` scales the proximal
-    anchor (rho = anchor_gain * p_min / T_prev); 0 disables anchoring
-    entirely, giving the pure cheapest-first update every round.  The new
-    anchor is the rate each new bid buys at the current price.
+    new = theta*raw + (1-theta)*last.  The proximal weight is
+    rho = ANCHOR_GAIN * p_min / T_prev.  The new anchor is the rate each new
+    bid buys at the current price.
     """
     if not (0.0 < damping <= 1.0):
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
-    if anchor_gain < 0.0:
-        raise ProtocolError(f"anchor_gain must be >= 0, got {anchor_gain}")
 
-    if anchor is None or anchor_gain == 0.0:
+    if anchor is None:
         rates = _staged_demand(utility, prices, r_cap)
     else:
         t_prev = sum(anchor)
-        rho = anchor_gain * min(prices) / max(t_prev, 1e-12 * r_cap)
+        rho = ANCHOR_GAIN * min(prices) / max(t_prev, 1e-12 * r_cap)
         rates = _anchored_demand(utility, prices, anchor, rho, r_cap)
 
     bids = [

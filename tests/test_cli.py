@@ -89,7 +89,19 @@ def test_sweep_exit_2_lists_failing_points(paper_file, capsys):
     assert "240" in err and "250" in err
 
 
-def test_sweep_uses_file_sweep_section(tmp_path):
+def test_sweep_uses_file_sweep_section(tmp_path, monkeypatch, capsys):
+    swept = []
+    monkeypatch.setattr(
+        "carrieralloc.cli.run_sweep", lambda scenario, sweep, *a, **k: swept.append(sweep) or []
+    )
+    paper = tmp_path / "paper18.yaml"
+    assert main(["paper-scenario", "--out", str(paper)]) == 0
+    # the file's section alone, then with one flag overriding one field
+    assert main(["sweep", "--scenario", str(paper)]) == 0
+    assert main(["sweep", "--scenario", str(paper), "--to", "40"]) == 0
+    assert [s.carrier_id for s in swept] == [1, 1]
+    assert swept[0].values() == [20.0 + 10.0 * i for i in range(29)]
+    assert swept[1].values() == [20.0, 30.0, 40.0]
     path = tmp_path / "with_sweep.yaml"
     save_scenario(
         build_paper_scenario(300.0),
@@ -98,6 +110,11 @@ def test_sweep_uses_file_sweep_section(tmp_path):
     )
     # no sweep section and no flags: usage error
     assert main(["sweep", "--scenario", str(path)]) == 1
+    # the error names exactly the flags still missing
+    capsys.readouterr()
+    assert main(["sweep", "--scenario", str(path), "--carrier", "1", "--step", "10"]) == 1
+    assert "sweep needs --from --to (" in capsys.readouterr().err
+    assert len(swept) == 2
 
 
 def test_verify_command(paper_file, capsys):
@@ -128,11 +145,15 @@ def test_utility_curve_log_reaches_one(capsys):
     assert float(last_u) == 1.0
 
 
-def test_utility_curve_validation():
+def test_utility_curve_validation(capsys):
     assert main(["utility-curve", "--type", "sig", "--a", "1", "--b", "30", "--samples", "0"]) == 1
     assert main(["utility-curve", "--type", "sig", "--b", "30"]) == 1
     assert main(["utility-curve", "--type", "log", "--k", "3"]) == 1
     assert main(["utility-curve", "--type", "log", "--k", "-3", "--rmax", "100"]) == 1
+    # an infinite axis fails before any row is written
+    capsys.readouterr()
+    assert main(["utility-curve", "--type", "sig", "--a", "1", "--b", "30", "--max", "inf"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_utility_curve_is_deterministic(capsys):
@@ -163,3 +184,8 @@ def test_paper_scenario_stdout(capsys):
 def test_unknown_flags_exit_usage(paper_file):
     assert main(["run", "--scenario", str(paper_file), "--bogus"]) == 1
     assert main(["frobnicate"]) == 1
+    # settings that are module constants, not flags
+    assert main(["run", "--scenario", str(paper_file), "--anchor-gain", "0.3"]) == 1
+    for command in ("sweep", "verify"):
+        for flag, value in (("--anchor-gain", "0.3"), ("--oracle-tol", "1e-9")):
+            assert main([command, "--scenario", str(paper_file), flag, value]) == 1

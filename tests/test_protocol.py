@@ -45,12 +45,12 @@ def capped_user(capacity):
 
 
 def test_carrier_price_is_bid_sum_over_capacity():
-    assert carrier_step([30.0, 20.0, 50.0], 100.0, 1e-9) == 1.0
+    assert carrier_step([30.0, 20.0, 50.0], 100.0) == 1.0
 
 
 def test_carrier_all_zero_bids_hits_price_floor_without_stopping():
-    assert carrier_step([0.0, 0.0], 100.0, 1e-9) == 1e-9
-    assert carrier_step([], 100.0, 1e-9) == 1e-9
+    assert carrier_step([0.0, 0.0], 100.0) == 1e-9
+    assert carrier_step([], 100.0) == 1e-9
     # Every initial bid (R / M = 5e-4) moves by less than delta in round 1,
     # against a previous round of zeros, and the allocation is already
     # optimal; still only round 2, with a previous round, may stop.
@@ -88,7 +88,7 @@ def test_carrier_stop_respects_delta():
 def test_carrier_rejects_bad_bids():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ProtocolError):
-            carrier_step([1.0, bad], 100.0, 1e-9)
+            carrier_step([1.0, bad], 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +290,7 @@ def test_engine_config_validation():
         EngineConfig(damping=0.0)
     with pytest.raises(ValueError):
         EngineConfig(damping=1.5)
+    # booleans are not numbers here: True would run one round or mean 1.0
+    for name in ("delta", "max_rounds", "damping"):
+        with pytest.raises(ValueError, match=name):
+            EngineConfig(**{name: True})

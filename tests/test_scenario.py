@@ -175,6 +175,14 @@ def test_load_errors_carry_context(tmp_path):
     )
     with pytest.raises(ScenarioError, match="engine"):
         load_scenario(bad)
+    # a boolean round limit, and a module constant named as an engine field
+    for engine in ("{max_rounds: true}", "{anchor_gain: 0.3}"):
+        bad.write_text(
+            "carriers:\n  - id: 1\n    capacity: 10.0\nues:\n  - id: 1\n    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n"
+            f"engine: {engine}\n"
+        )
+        with pytest.raises(ScenarioError, match="engine"):
+            load_scenario(bad)
 
 
 # ---------------------------------------------------------------------------

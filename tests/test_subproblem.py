@@ -26,9 +26,7 @@ LOG_HALF = LogarithmicUtility(k=0.5, r_max=100.0)
 
 def first_step(utility, prices, r_cap=100.0, damping=1.0):
     """Bids of a user's first step (no anchor yet) from zero last bids."""
-    bids, _ = ue_step(
-        utility, prices, [0.0] * len(prices), None, r_cap, damping, 0.3
-    )
+    bids, _ = ue_step(utility, prices, [0.0] * len(prices), None, r_cap, damping)
     return bids
 
 
@@ -59,7 +57,8 @@ def test_equal_prices_tie_break_to_lower_id():
 
 def test_damping_mixes_raw_with_last_bids():
     raw = 0.05 * solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    bids, anchor = ue_step(LOG_HALF, [0.05], [1.0], [4.0], 100.0, 0.7, 0.0)
+    # a first step (no anchor yet) bids the unanchored demand
+    bids, anchor = ue_step(LOG_HALF, [0.05], [1.0], None, 100.0, 0.7)
     assert bids[0] == pytest.approx(0.7 * raw + 0.3 * 1.0, rel=1e-12)
     # the new anchor is the rate the damped bid buys
     assert anchor == [bids[0] / 0.05]
@@ -70,7 +69,7 @@ def test_fixed_point_is_preserved_for_any_damping():
     p = 0.05
     demand = solve_rate_for_price(LOG_HALF, p, 100.0)
     for damping in (0.1, 0.5, 1.0):
-        bids, anchor = ue_step(LOG_HALF, [p], [p * demand], [demand], 100.0, damping, 0.3)
+        bids, anchor = ue_step(LOG_HALF, [p], [p * demand], [demand], 100.0, damping)
         assert bids[0] == pytest.approx(p * demand, rel=1e-9)
         assert anchor[0] == pytest.approx(demand, rel=1e-9)
 
@@ -80,13 +79,13 @@ def test_anchored_step_keeps_stationary_split_across_carriers():
     p = 0.03
     total = solve_rate_for_price(LOG_HALF, p, 200.0)
     split = [0.25 * total, 0.75 * total]
-    bids, _ = ue_step(LOG_HALF, [p, p], [p * r for r in split], split, 200.0, 1.0, 0.3)
+    bids, _ = ue_step(LOG_HALF, [p, p], [p * r for r in split], split, 200.0, 1.0)
     assert bids[0] == pytest.approx(p * split[0], rel=1e-6)
     assert bids[1] == pytest.approx(p * split[1], rel=1e-6)
 
 
 def test_anchored_step_respects_rate_ceiling():
-    bids, anchor = ue_step(LOG_HALF, [1e-9], [9.0], [9.0], 10.0, 1.0, 0.3)
+    bids, anchor = ue_step(LOG_HALF, [1e-9], [9.0], [9.0], 10.0, 1.0)
     assert bids[0] <= 1e-9 * 10.0 * (1 + 1e-9)
     assert anchor[0] <= 10.0 * (1 + 1e-9)
 
