@@ -127,8 +127,8 @@ class _Problem:
         self.K = len(self.carriers)
         self.M = len(self.ues)
         self.r_cap = float(self.caps.sum())
-        cindex = {cid: k for k, cid in enumerate(self.cids)}
-        self.reach = [sorted(cindex[cid] for cid in ue.carriers) for ue in self.ues]
+        self.cindex = {cid: k for k, cid in enumerate(self.cids)}
+        self.reach = [sorted(self.cindex[cid] for cid in ue.carriers) for ue in self.ues]
         self.mask = np.zeros((self.K, self.M), dtype=bool)
         for j, reach in enumerate(self.reach):
             self.mask[reach, j] = True
@@ -356,58 +356,29 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
     ``candidate`` needs ``rates[(carrier_id, ue_id)]`` and
     ``prices[carrier_id]`` mappings (both the protocol and oracle results
     qualify).  Rates at or below ``tol`` are treated as zero for the
-    stationarity split.
+    stationarity split.  A user without a positive total makes the active
+    stationarity residual infinite; rates on links a user does not reach
+    count in its total and its carrier's load only.
     """
-    utilities = {ue.id: ue.utility for ue in scenario.ues}
-    reach = {ue.id: tuple(ue.carriers) for ue in scenario.ues}
-    caps = {c.id: c.capacity for c in scenario.carriers}
-
-    totals: Dict[int, float] = {uid: 0.0 for uid in utilities}
-    loads: Dict[int, float] = {cid: 0.0 for cid in caps}
-    neg = 0.0
+    prob = _Problem(scenario)
+    uindex = {uid: j for j, uid in enumerate(prob.uids)}
+    rates = np.zeros((prob.K, prob.M))
     for (cid, uid), r in candidate.rates.items():
-        totals[uid] += r
-        loads[cid] += r
-        neg = max(neg, -r)
+        rates[prob.cindex[cid], uindex[uid]] = r
+    prices = np.array([candidate.prices[cid] for cid in prob.cids], dtype=float)
 
-    stat_active = 0.0
-    stat_inactive = 0.0
-    for uid, utility in utilities.items():
-        total = totals[uid]
-        if total <= 0.0:
-            stat_active = float("inf")
-            continue
-        m = utility.marginal(total)
-        for cid in reach[uid]:
-            price = candidate.prices[cid]
-            r = candidate.rates.get((cid, uid), 0.0)
-            if r > tol:
-                stat_active = max(stat_active, abs(m - price))
-            else:
-                stat_inactive = max(stat_inactive, m - price)
-    stat_inactive = max(stat_inactive, 0.0)
+    totals = rates.sum(axis=0)
+    alive = totals > 0.0
+    m, _ = marginals(prob.params, np.where(alive, totals, 1.0))
+    surplus = m - prices[:, None]  # marginal minus price on every link
+    links = prob.mask & alive
+    active = links & (rates > tol)
+    stat_active = float(np.abs(surplus[active]).max(initial=0.0)) if alive.all() else math.inf
+    stat_inactive = float(surplus[links & ~active].max(initial=0.0))
+    slack = prob.caps - rates.sum(axis=1)
+    cap_violation = max(0.0, float((-slack / prob.caps).max()))
+    comp_slack = float(np.abs(prices * slack).max())
+    neg = max(0.0, float(-rates.min()))
 
-    cap_violation = 0.0
-    comp_slack = 0.0
-    for cid, cap in caps.items():
-        slack = cap - loads[cid]
-        cap_violation = max(cap_violation, -slack / cap)
-        comp_slack = max(comp_slack, abs(candidate.prices[cid] * slack))
-
-    passed = (
-        stat_active <= tol
-        and stat_inactive <= tol
-        and comp_slack <= tol
-        and cap_violation <= tol
-        and neg <= tol
-    )
-    return KKTReport(
-        stationarity_active=stat_active,
-        stationarity_inactive=stat_inactive,
-        complementary_slackness=comp_slack,
-        capacity_violation=cap_violation,
-        negativity_violation=neg,
-        tol=tol,
-        passed=passed,
-    )
-
+    residuals = dict(zip(_RESIDUALS, (stat_active, stat_inactive, comp_slack, cap_violation, neg)))
+    return KKTReport(**residuals, tol=tol, passed=all(r <= tol for r in residuals.values()))

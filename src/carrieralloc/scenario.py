@@ -146,6 +146,9 @@ class SweepSpec:
     step: float
 
     def __post_init__(self) -> None:
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"sweep {name} must be finite, got {getattr(self, name)}")
         if self.step <= 0.0:
             raise ScenarioError(f"sweep step must be > 0, got {self.step}")
         if self.start > self.stop:
@@ -188,10 +191,18 @@ class RunRecord:
 # --------------------------------------------------------------------------
 # persistence
 
+def _number(value: object, field: str, kind: type = float):
+    """``kind(value)``, refusing YAML's true/false, and a fraction as an int."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fraction:
+        raise TypeError(f"{field} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 _UTILITY_BUILDERS = {
-    "sigmoidal": lambda d: SigmoidalUtility(a=float(d["a"]), b=float(d["b"])),
+    "sigmoidal": lambda d: SigmoidalUtility(a=_number(d["a"], "a"), b=_number(d["b"], "b")),
     "logarithmic": lambda d: LogarithmicUtility(
-        k=float(d["k"]), r_max=float(d["r_max"])
+        k=_number(d["k"], "k"), r_max=_number(d["r_max"], "r_max")
     ),
 }
 
@@ -249,7 +260,8 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
         where = f"{path}: carriers[{idx}]"
         try:
             carriers.append(
-                CarrierSpec(id=int(item["id"]), capacity=float(item["capacity"]))
+                CarrierSpec(id=_number(item["id"], "id", int),
+                            capacity=_number(item["capacity"], "capacity"))
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
@@ -258,10 +270,10 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     for idx, item in enumerate(ues_raw):
         where = f"{path}: ues[{idx}]"
         try:
-            reach = tuple(sorted(int(c) for c in item["carriers"]))
+            reach = tuple(sorted(_number(c, "carriers", int) for c in item["carriers"]))
             ues.append(
                 UESpec(
-                    id=int(item["id"]),
+                    id=_number(item["id"], "id", int),
                     utility=_utility_from_dict(item.get("utility"), where),
                     carriers=reach,
                 )
@@ -289,13 +301,11 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     if sweep_raw is not None:
         try:
             sweep = SweepSpec(
-                carrier_id=int(sweep_raw["carrier"]),
-                start=float(sweep_raw["from"]),
-                stop=float(sweep_raw["to"]),
-                step=float(sweep_raw["step"]),
+                carrier_id=_number(sweep_raw["carrier"], "carrier", int),
+                start=_number(sweep_raw["from"], "from"),
+                stop=_number(sweep_raw["to"], "to"),
+                step=_number(sweep_raw["step"], "step"),
             )
-        except ScenarioError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: sweep: {exc}") from exc
         scenario.carrier(sweep.carrier_id)

@@ -2,13 +2,10 @@
 
 Each round a user receives the current shadow prices of its reachable
 carriers, computes the rate it wants at those prices, and answers with one
-money bid w = p * r per carrier.  The raw decision routes demand to carriers
-in ascending price order: the total demand at the cheapest price is computed
-by inverting the marginal utility, and each successively dearer carrier only
-receives the (clamped, non-negative) increment beyond what cheaper carriers
-already supply.  Since demand is non-increasing in price, a user's first
-step sends its whole demand to the single cheapest carrier (ties broken by
-carrier id).
+money bid w = p * r per carrier.  A user's first step sends its whole
+demand at the cheapest price, found by inverting the marginal utility, to
+the cheapest carrier (ties broken by carrier id).  Demand does not grow
+with price, so no dearer carrier could add to it.
 
 That all-or-nothing routing is a fixed-point map with two failure modes when
 iterated: it flip-flops between carriers whose prices are nearly equal, and
@@ -55,23 +52,6 @@ _MARGIN = 10.0 * 2.0**-52
 
 class ProtocolError(ValueError):
     """Raised on malformed bids or engine parameters."""
-
-
-def _staged_demand(
-    utility: UtilityFunction, prices: Sequence[float], r_cap: float
-) -> List[float]:
-    """Cheapest-first staged rates: stage m claims max(0, D_m - claimed)."""
-    order = sorted(range(len(prices)), key=lambda c: (prices[c], c))
-    rates = [0.0] * len(prices)
-    claimed = 0.0
-    for c in order:
-        demand = solve_rate_for_price(utility, prices[c], r_cap)
-        increment = demand - claimed
-        if increment < 0.0:
-            increment = 0.0
-        rates[c] = increment
-        claimed += increment
-    return rates
 
 
 def _total(links: List[Tuple[float, float]], rho: float, nu: float) -> float:
@@ -222,7 +202,9 @@ def ue_step(
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
 
     if anchor is None:
-        rates = _staged_demand(utility, prices, r_cap)
+        rates = [0.0] * len(prices)
+        cheapest = min(range(len(prices)), key=prices.__getitem__)  # lowest index on ties
+        rates[cheapest] = solve_rate_for_price(utility, prices[cheapest], r_cap)
     else:
         t_prev = sum(anchor)
         rho = ANCHOR_GAIN * min(prices) / max(t_prev, 1e-12 * r_cap)

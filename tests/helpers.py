@@ -10,6 +10,7 @@ from carrieralloc.utility import (
     RootFindingError,
     SigmoidalUtility,
     UtilityDomainError,
+    solve_rate_for_price,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -176,6 +177,24 @@ def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
     if total(nu) > r_cap:
         nu = nu_at_ceiling(min(p - rho * q for q, p in links), nu)
     return split(nu)
+
+
+def staged_demand_reference(utility, prices, r_cap):
+    """A user's first step as subproblem._staged_demand once computed it.
+
+    Cheapest-first staged rates: stage m claims max(0, D_m - claimed).
+    """
+    order = sorted(range(len(prices)), key=lambda c: (prices[c], c))
+    rates = [0.0] * len(prices)
+    claimed = 0.0
+    for c in order:
+        demand = solve_rate_for_price(utility, prices[c], r_cap)
+        increment = demand - claimed
+        if increment < 0.0:
+            increment = 0.0
+        rates[c] = increment
+        claimed += increment
+    return rates
 
 
 def outcome(fn, *args):

@@ -59,11 +59,17 @@ def test_cli_run_equals_library_run(paper_file, tmp_path):
     assert (out_dir / "prices.csv").read_bytes() == (lib_dir / "prices.csv").read_bytes()
 
 
-def test_sweep_flag_validation(paper_file):
+def test_sweep_flag_validation(paper_file, capsys):
     base = ["sweep", "--scenario", str(paper_file), "--carrier", "1"]
     assert main(base + ["--from", "20", "--to", "40", "--step", "0"]) == 1
     assert main(base + ["--from", "300", "--to", "20", "--step", "10"]) == 1
     assert main(base + ["--from", "20", "--to", "40"]) == 1  # missing --step
+    # non-finite bounds are refused naming the field, before any point runs
+    for flags, field in ((["--to", "inf"], "stop"), (["--step", "nan"], "step"),
+                         (["--from", "nan"], "start")):
+        capsys.readouterr()
+        assert main(base + ["--from", "20", "--to", "40", "--step", "10"] + flags) == 1
+        assert f"sweep {field} must be finite" in capsys.readouterr().err
 
 
 def test_sweep_small_range_passes(paper_file, tmp_path):

@@ -1,5 +1,7 @@
 """Centralized solver: projection, optima, KKT certification, duality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,53 @@ def test_perturbation_grows_stationarity_residual():
     worse = kkt_check(Candidate(), s, tol=1e-9)
     assert worse.stationarity_active > base.stationarity_active
     assert not worse.passed
+
+
+def test_kkt_residuals_match_hand_computation():
+    # carrier 1 is priced below capacity, carrier 2 overloaded; user 1 holds
+    # an active link and a negative (so inactive) one whose marginal exceeds
+    # its price; user 2's rate below tol leaves its link inactive; user 3's
+    # rate on carrier 2, which it does not reach, counts in its total and that
+    # carrier's load only; user 4 holds no rate.
+    def m_log(k, t):
+        return k / ((1.0 + k * t) * math.log1p(k * t))
+
+    def m_sig(a, b, t):
+        return a * (1.0 / -math.expm1(-a * t) - 1.0 / (1.0 + math.exp(-a * (t - b))))
+
+    ues = (
+        UESpec(id=1, utility=LogarithmicUtility(k=1.0, r_max=10.0), carriers=(1, 2)),
+        UESpec(id=2, utility=SigmoidalUtility(a=2.0, b=5.0), carriers=(1, 2)),
+        UESpec(id=3, utility=LogarithmicUtility(k=0.5, r_max=10.0), carriers=(1,)),
+        UESpec(id=4, utility=LogarithmicUtility(k=2.0, r_max=10.0), carriers=(1, 2)),
+    )
+    carriers = (CarrierSpec(id=1, capacity=10.0), CarrierSpec(id=2, capacity=5.0))
+
+    class Candidate:
+        rates = {(1, 1): 3.0, (2, 1): -0.25, (1, 2): 1e-10, (2, 2): 7.0, (1, 3): 3.0, (2, 3): 0.5}
+        prices = {1: 0.2, 2: 0.05}
+
+    m1, m2, m3 = m_log(1.0, 2.75), m_sig(2.0, 5.0, 7.0 + 1e-10), m_log(0.5, 3.5)
+    expected = {
+        "stationarity_active": max(abs(m1 - 0.2), abs(m2 - 0.05), abs(m3 - 0.2)),
+        "stationarity_inactive": m1 - 0.05,
+        "complementary_slackness": max(0.2 * (10.0 - 6.0 - 1e-10), 0.05 * (7.25 - 5.0)),
+        "capacity_violation": (7.25 - 5.0) / 5.0,
+        "negativity_violation": 0.25,
+    }
+    without_4 = kkt_check(Candidate(), Scenario(carriers=carriers, ues=ues[:3]), tol=1e-9)
+    with_4 = kkt_check(Candidate(), Scenario(carriers=carriers, ues=ues), tol=1e-9)
+    for name, value in expected.items():
+        assert getattr(without_4, name) == pytest.approx(value, rel=1e-12), name
+        if name != "stationarity_active":
+            assert getattr(with_4, name) == pytest.approx(value, rel=1e-12), name
+    assert with_4.stationarity_active == math.inf
+    assert not without_4.passed and not with_4.passed
+    # a rate on an unknown carrier or user is an error, not a zero
+    for key in ((9, 1), (1, 9)):
+        Candidate.rates = {(1, 1): 3.0, key: 1.0}
+        with pytest.raises(KeyError):
+            kkt_check(Candidate(), Scenario(carriers=carriers, ues=ues), tol=1e-9)
 
 
 def test_converged_protocol_passes_kkt_at_10_delta():

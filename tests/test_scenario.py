@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import struct
 import sys
 
@@ -183,6 +184,31 @@ def test_load_errors_carry_context(tmp_path):
         )
         with pytest.raises(ScenarioError, match="engine"):
             load_scenario(bad)
+    # a boolean, a fractional id or reach entry, or an infinite sweep bound
+    good = (
+        "carriers:\n  - id: 1\n    capacity: 10.0\nues:\n  - id: 1\n"
+        "    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n"
+        "sweep: {carrier: 1, from: 5, to: 10, step: 5}\n"
+    )
+    bad.write_text(good)
+    load_scenario_document(bad)
+    for old, new, where in (
+        ("capacity: 10.0", "capacity: true", r"carriers\[0\]: capacity"),
+        ("id: 1\n    capacity", "id: 2.7\n    capacity", r"carriers\[0\]: id"),
+        ("id: 1\n    utility", "id: 2.7\n    utility", r"ues\[0\]: id"),
+        ("id: 1\n    utility", "id: true\n    utility", r"ues\[0\]: id"),
+        ("carriers: [1]", "carriers: [true]", r"ues\[0\]: carriers"),
+        ("carriers: [1]", "carriers: [1.5]", r"ues\[0\]: carriers"),
+        ("k: 1.0", "k: true", r"ues\[0\]: k"),
+        ("r_max: 10.0", "r_max: false", r"ues\[0\]: r_max"),
+        ("carrier: 1,", "carrier: true,", "sweep: carrier"),
+        ("from: 5", "from: false", "sweep: from"),
+        ("step: 5", "step: true", "sweep: step"),
+        ("to: 10", "to: .inf", "sweep: sweep stop must be finite"),
+    ):
+        bad.write_text(good.replace(old, new))
+        with pytest.raises(ScenarioError, match=where):
+            load_scenario_document(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +227,11 @@ def test_sweep_spec_validation():
         SweepSpec(carrier_id=1, start=10.0, stop=5.0, step=1.0)
     with pytest.raises(ScenarioError):
         SweepSpec(carrier_id=1, start=10.0, stop=20.0, step=0.0)
+    for field, value in (("start", math.nan), ("stop", math.inf), ("step", math.nan),
+                         ("step", math.inf), ("start", -math.inf)):
+        bounds = {"start": 10.0, "stop": 20.0, "step": 1.0, field: value}
+        with pytest.raises(ScenarioError, match=f"sweep {field} must be finite"):
+            SweepSpec(carrier_id=1, **bounds)
 
 
 def test_run_sweep_order_and_verification():

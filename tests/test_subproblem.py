@@ -11,6 +11,7 @@ from helpers import (
     anchored_demand_reference,
     outcome,
     random_utilities,
+    staged_demand_reference,
 )
 from carrieralloc import subproblem
 from carrieralloc.subproblem import _anchored_demand, gap_term, ue_step
@@ -109,18 +110,51 @@ def test_demand_monotonicity_in_prices():
 
 
 def test_positive_increments_form_cheapest_prefix():
+    # a first step bids on exactly one carrier: the cheapest, lowest index on ties
     rng = np.random.default_rng(5)
     for _ in range(50):
         utility = LogarithmicUtility(k=rng.uniform(0.1, 10.0), r_max=100.0)
         prices = [10.0 ** rng.uniform(-2, 0.5) for _ in range(3)]
+        if rng.random() < 0.5:
+            prices[2] = prices[1] = min(prices)
         bids = first_step(utility, prices, r_cap=300.0)
-        order = sorted(range(3), key=lambda c: (prices[c], c))
-        seen_zero = False
-        for c in order:
-            if bids[c] == 0.0:
-                seen_zero = True
+        cheapest = prices.index(min(prices))
+        assert [c for c, w in enumerate(bids) if w > 0.0] == [cheapest]
+        assert all(w == 0.0 for c, w in enumerate(bids) if c != cheapest)
+
+
+def first_step_cases(rng):
+    """Prices of 1-4 carriers, tied exactly, a few ulps apart, or spread."""
+    for case in range(10000):
+        (utility,) = random_utilities(rng, 1)
+        base = 10.0 ** rng.uniform(-3.0, 1.0)
+        prices = []
+        for _ in range(1 + case % 4):
+            style = rng.randrange(3)
+            if style == 0:
+                prices.append(base)
+            elif style == 1:
+                p = base
+                for _ in range(rng.randint(1, 4)):
+                    p = math.nextafter(p, rng.choice((0.0, math.inf)))
+                prices.append(p)
             else:
-                assert not seen_zero, "positive bid after a zero increment"
+                prices.append(base * 10.0 ** rng.uniform(-1.0, 1.0))
+        yield utility, prices, 10.0 ** rng.uniform(0.0, 2.5)
+
+
+def test_first_step_bitwise_matches_staged_reference():
+    """The whole demand at the cheapest price equals the staged split's rates.
+
+    The staged form inverts the marginal at every price and clamps each
+    dearer increment at zero; the scalar inversion's demand never grows
+    with price, so those increments are all exactly 0.0.
+    """
+    for utility, prices, r_cap in first_step_cases(random.Random(11)):
+        rates = staged_demand_reference(utility, prices, r_cap)
+        bids = first_step(utility, prices, r_cap=r_cap)
+        assert [w.hex() for w in bids] == [(p * r).hex() for p, r in zip(prices, rates)], (
+            utility, prices, r_cap)
 
 
 def test_total_demand_strictly_positive():
