@@ -39,7 +39,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .utility import UtilityFunction, demands, log_utility, marginals, parameter_arrays
+from .utility import (
+    RootFindingError,
+    UtilityFunction,
+    demands,
+    log_utility,
+    marginals,
+    parameter_arrays,
+)
 
 __all__ = [
     "OracleError",
@@ -146,7 +153,8 @@ def _clear_price(
     of the bracket replaced by its midpoint).  A bracket that has not halved
     in _BISECT_EVERY steps is halved by moving every user to its demand at
     the midpoint.  y stays above the smallest normal double.  A final
-    linearised step y + dy, r + (dr/dy) dy sums the totals to capacity.
+    linearised step y + dy, r + (dr/dy) dy sums the totals to capacity.  A
+    demand inversion that fails raises OracleError naming the users.
     """
     params = tuple(v[users] for v in prob.params)
     r = np.maximum(rates, 1e-12 * capacity)
@@ -167,7 +175,14 @@ def _clear_price(
             break
         if width <= eps or width > 0.5 * widths[-1 - _BISECT_EVERY]:
             y = 0.5 * (y_lo + y_hi) if width > eps else y_hi
-            r, slope = demands(params, math.exp(y), prob.r_cap, r)
+            try:
+                r, slope = demands(params, math.exp(y), prob.r_cap, r)
+            except RootFindingError as exc:
+                raise OracleError(
+                    f"price clearing of users {[prob.uids[j] for j in users]} on capacity "
+                    f"{capacity!r} in the price bracket [{math.exp(y_lo)!r}, "
+                    f"{math.exp(y_hi)!r}]: {exc}"
+                ) from exc
             lm = np.full(r.shape, y)
             excess = r.sum() - capacity
             if width <= eps or abs(excess) <= 1e-12 * capacity:

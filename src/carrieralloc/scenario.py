@@ -63,6 +63,13 @@ VERIFY_OBJECTIVE_TOL = 1e-3
 VERIFY_TOTALS_RTOL = 1e-2
 VERIFY_KKT_FACTOR = 10.0
 
+# libyaml's C scanner, parser and emitter wherever PyYAML was built with them
+# (the pure-Python classes otherwise).  Either way PyYAML's safe constructor,
+# resolver and representer decide every type, so both read and write the same
+# documents; only the place where a long quoted string is folded may differ.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class ScenarioError(ValueError):
     """Invalid scenario contents or unparseable scenario file."""
@@ -237,7 +244,7 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     """Parse and validate a scenario file, including any engine/sweep sections."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
@@ -357,7 +364,7 @@ def scenario_to_yaml(
             "to": sweep.stop,
             "step": sweep.step,
         }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
 
 
 def build_paper_scenario(r1: float = 300.0, r2: float = 100.0) -> Scenario:

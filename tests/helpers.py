@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy.special import lambertw
 
+from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
     LogarithmicUtility,
     RootFindingError,
@@ -195,6 +196,19 @@ def staged_demand_reference(utility, prices, r_cap):
         rates[c] = increment
         claimed += increment
     return rates
+
+
+def flat_stretch_scenario():
+    """One carrier and two sigmoidal users whose marginals are flat to machine
+    precision over most of its capacity; the demand inverter fails on them."""
+    return Scenario(
+        carriers=(CarrierSpec(id=1, capacity=181.3),),
+        ues=(
+            UESpec(id=1, utility=SigmoidalUtility(a=41.6, b=14.7), carriers=(1,)),
+            UESpec(id=2, utility=SigmoidalUtility(a=44.5, b=385.5), carriers=(1,)),
+        ),
+        name="flat-stretch",
+    )
 
 
 def outcome(fn, *args):

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import csv
 import re
 
 import pytest
 
-from carrieralloc.cli import main
+from helpers import flat_stretch_scenario
+from carrieralloc.cli import EXIT_NUMERIC, main
 from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import (
     RunRecord,
@@ -93,6 +95,22 @@ def test_sweep_exit_2_lists_failing_points(paper_file, capsys):
     err = capsys.readouterr().err
     assert "failing sweep points" in err
     assert "240" in err and "250" in err
+
+
+def test_sweep_verify_records_an_oracle_kernel_failure(tmp_path, capsys):
+    path = tmp_path / "flat.yaml"
+    save_scenario(flat_stretch_scenario(), path)
+    out_dir = tmp_path / "out"
+    code = main(
+        ["sweep", "--scenario", str(path), "--carrier", "1",
+         "--from", "181.3", "--to", "181.3", "--step", "1",
+         "--max-rounds", "50", "--verify", "--out", str(out_dir)]
+    )
+    assert code == EXIT_NUMERIC
+    with open(out_dir / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert "oracle:" in row["error"] and "users [1, 2]" in row["error"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sweep_uses_file_sweep_section(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     fd_marginal_tolerance,
+    flat_stretch_scenario,
     log_demand_lambertw,
     random_utilities,
     sig_demand_closed_form,
@@ -24,6 +25,7 @@ from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_sce
 from carrieralloc.subproblem import gap_term
 from carrieralloc.utility import (
     LogarithmicUtility,
+    RootFindingError,
     SigmoidalUtility,
     log_utility,
     marginal,
@@ -353,6 +355,13 @@ def test_random_multi_carrier_scenarios_certify():
 def test_oracle_rejects_bad_tol():
     with pytest.raises(OracleError):
         solve_central(two_ue_scenario(), tol=0.0)
+
+
+def test_inverter_failure_raises_oracle_error_naming_the_group():
+    with pytest.raises(OracleError, match=r"users \[1, 2\] on capacity 181\.3") as info:
+        solve_central(flat_stretch_scenario())
+    assert "price bracket [" in str(info.value)
+    assert isinstance(info.value.__cause__, RootFindingError)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ import hashlib
 import math
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
+from carrieralloc import scenario as scenario_module
+from carrieralloc.cli import main
 from carrieralloc.protocol import EngineConfig
 from carrieralloc.scenario import (
     RATES_HEADER,
@@ -100,15 +104,62 @@ def test_paper_scenario_structure():
 # ---------------------------------------------------------------------------
 # persistence
 
+# sha256 of `carrieralloc paper-scenario --out -`: the file format, byte for byte
+PAPER_SCENARIO_SHA256 = "d2f64835da2ac0cb15a81c2b5f86a7e76703dce162d9f4b1f8c09c07b0fa9c4c"
 
-def test_save_load_round_trip(tmp_path):
+
+@pytest.fixture(
+    params=[
+        pytest.param(
+            ("CSafeLoader", "CSafeDumper"),
+            id="libyaml",
+            marks=pytest.mark.skipif(
+                not yaml.__with_libyaml__, reason="PyYAML built without libyaml"
+            ),
+        ),
+        pytest.param(("SafeLoader", "SafeDumper"), id="python"),
+    ]
+)
+def yaml_classes(request, monkeypatch):
+    """Scenario files read and written by libyaml's C classes or PyYAML's own
+    (named, because without libyaml the C classes do not exist)."""
+    loader, dumper = (getattr(yaml, name) for name in request.param)
+    monkeypatch.setattr(scenario_module, "_LOADER", loader)
+    monkeypatch.setattr(scenario_module, "_DUMPER", dumper)
+
+
+def test_paper_scenario_file_bytes_are_pinned(yaml_classes, capsys):
+    assert main(["paper-scenario", "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PAPER_SCENARIO_SHA256
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_either_writer_is_read_by_either_reader(monkeypatch, tmp_path):
+    # The emitters fold long double-quoted names at different places, so the
+    # texts may differ; the documents may not.
+    names = ["a: b", "'\"", "yes", "1e3", "", "\u65e5\u672c\n~", "x" * 300 + "\t" + "x" * 300,
+             "\x85" + "x" * 300 + " lead"]
+    pairs = [(yaml.CSafeLoader, yaml.CSafeDumper), (yaml.SafeLoader, yaml.SafeDumper)]
+    path = tmp_path / "s.yaml"
+    for name in names:
+        s = replace(tiny_scenario(), name=name)
+        for _, dumper in pairs:
+            monkeypatch.setattr(scenario_module, "_DUMPER", dumper)
+            save_scenario(s, path)
+            for loader, _ in pairs:
+                monkeypatch.setattr(scenario_module, "_LOADER", loader)
+                assert load_scenario(path) == s
+
+
+def test_save_load_round_trip(yaml_classes, tmp_path):
     s = tiny_scenario()
     path = tmp_path / "tiny.yaml"
     save_scenario(s, path)
     assert load_scenario(path) == s
 
 
-def test_save_load_round_trip_random_scenarios(tmp_path):
+def test_save_load_round_trip_random_scenarios(yaml_classes, tmp_path):
     rng = np.random.default_rng(43)
     for trial in range(20):
         n_carriers = int(rng.integers(1, 4))
@@ -139,7 +190,7 @@ def test_save_load_round_trip_random_scenarios(tmp_path):
         assert load_scenario(path) == s
 
 
-def test_document_engine_and_sweep_sections(tmp_path):
+def test_document_engine_and_sweep_sections(yaml_classes, tmp_path):
     s = tiny_scenario()
     path = tmp_path / "doc.yaml"
     save_scenario(
@@ -155,7 +206,7 @@ def test_document_engine_and_sweep_sections(tmp_path):
     assert doc.sweep == SweepSpec(carrier_id=1, start=10.0, stop=50.0, step=10.0)
 
 
-def test_load_errors_carry_context(tmp_path):
+def test_load_errors_carry_context(yaml_classes, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("carriers:\n  - id: 1\n    capacity: 0.0\nues:\n  - id: 1\n    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n")
     with pytest.raises(ScenarioError, match="capacity"):
@@ -164,8 +215,10 @@ def test_load_errors_carry_context(tmp_path):
     with pytest.raises(ScenarioError, match="carriers"):
         load_scenario(bad)
     bad.write_text("carriers: [\n")
-    with pytest.raises(ScenarioError, match="YAML"):
+    # the two parsers word the error differently, but both give its mark
+    with pytest.raises(ScenarioError, match="not valid YAML") as info:
         load_scenario(bad)
+    assert "line 2, column 1" in str(info.value)
     bad.write_text(
         "carriers:\n  - id: 1\n    capacity: 10.0\nues:\n  - id: 1\n    utility: {type: cubic}\n    carriers: [1]\n"
     )
