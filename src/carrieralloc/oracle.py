@@ -16,14 +16,15 @@ reach:
 1. clear the common price at which the group's demand equals its capacity,
    by safeguarded Newton steps over the vectorized marginals of
    utility.marginals (see _clear_price);
-2. route every user's demand at that price by max flow, source -> user
-   (demand) -> reachable carrier -> sink (capacity).  A flow that routes all
-   demand is Hall's condition: the group shares that price, and the flow is
-   its rates;
-3. otherwise the source side of the maximal min cut (the users and carriers
-   that cannot reach the sink in the residual graph) is overloaded at that
-   price.  It becomes a group of its own, priced higher, and the other users
-   on the other carriers form a second group, priced lower.
+2. route every user's demand at that price by max flow over the group's
+   reach matrix, source -> user (demand) -> reachable carrier -> sink
+   (capacity).  A flow that routes all demand is Hall's condition: the group
+   shares that price, and the flow, its rates, fills every carrier; so the
+   source side of the maximal min cut (the users and carriers that cannot
+   reach the sink in the residual graph) holds every user;
+3. otherwise that cut holds some but not all users, overloaded at that price.
+   They become a group of their own, priced higher, and the other users on
+   the other carriers form a second group, priced lower.
 
 Each split leaves two strictly smaller groups, so a solve makes at most 2M-1
 price clearings and needs no starting point.  A
@@ -135,10 +136,9 @@ class _Problem:
         self.M = len(self.ues)
         self.r_cap = float(self.caps.sum())
         self.cindex = {cid: k for k, cid in enumerate(self.cids)}
-        self.reach = [sorted(self.cindex[cid] for cid in ue.carriers) for ue in self.ues]
         self.mask = np.zeros((self.K, self.M), dtype=bool)
-        for j, reach in enumerate(self.reach):
-            self.mask[reach, j] = True
+        for j, ue in enumerate(self.ues):
+            self.mask[[self.cindex[cid] for cid in ue.carriers], j] = True
 
 
 def _clear_price(
@@ -213,119 +213,92 @@ def _price_step(r: np.ndarray, lm: np.ndarray, slope: np.ndarray, capacity: floa
 
 
 def _hall_split(
-    demand: Sequence[float], caps: Sequence[float], reach: List[List[int]]
-) -> Tuple[List[Dict[int, float]], List[int], List[int]]:
+    demand: np.ndarray, caps: np.ndarray, mask: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max flow source -> user (demand) -> reachable carrier -> sink (capacity).
 
-    Users and carriers are numbered locally; ``reach[j]`` lists the carriers
-    of user j.  Returns the flow on every user-carrier edge, and the users
-    and carriers that cannot reach the sink in the final residual graph (the
-    source side of the maximal min cut).  Residuals up to 1e-12 of the total
-    capacity count as zero, so the cut holds no user exactly when the flow
-    routes every demand to that precision.  Shortest augmenting paths
-    (Edmonds-Karp) over at most M + K + 2 nodes.
+    ``mask[l, j]``: user j reaches carrier l.  Returns the flow, shaped like
+    ``mask``, and masks of the users and carriers that cannot reach the sink
+    in the final residual graph (the source side of the maximal min cut).
+    Residuals up to 1e-12 of the total capacity count as zero.  A flow that
+    routes a demand summing to the capacity fills every carrier, and the cut
+    then holds every user.  Edmonds-Karp, each search a level at a time.
     """
     eps = 1e-12 * float(sum(caps))
-    users_of: List[List[int]] = [[] for _ in caps]
-    for j, carriers in enumerate(reach):
-        for l in carriers:
-            users_of[l].append(j)
-    flow = [dict.fromkeys(carriers, 0.0) for carriers in reach]
-    need = list(demand)  # residual of source -> user
-    room = list(caps)  # residual of carrier -> sink
-
+    flow = np.zeros(mask.shape)
+    need = np.array(demand, dtype=float)  # residual of source -> user
+    room = np.array(caps, dtype=float)  # residual of carrier -> sink
     while True:
         # from_user[l]: the user a carrier was reached from; from_carrier[j]:
-        # the carrier a user was reached from (None: from the source)
-        from_carrier: Dict[int, Optional[int]] = {
-            j: None for j in range(len(reach)) if need[j] > eps
-        }
-        from_user: Dict[int, int] = {}
-        queue = list(from_carrier)
-        end = None
-        for j in queue:
-            for l in reach[j]:
-                if l in from_user:
-                    continue
-                from_user[l] = j
-                if room[l] > eps:
-                    end = l
-                    break
-                for i in users_of[l]:
-                    if i not in from_carrier and flow[i][l] > eps:
-                        from_carrier[i] = l
-                        queue.append(i)
-            if end is not None:
+        # the carrier a user was reached from (-1: the source, -2: not reached).
+        # A level lists its nodes in the order a node-by-node FIFO search meets them.
+        from_user = np.full(len(room), -1)
+        from_carrier = np.where(need > eps, -1, -2)
+        queue, end = np.flatnonzero(need > eps), -1
+        while queue.size:
+            hit = mask.take(queue, axis=1) & (from_user < 0)[:, None]
+            carriers = np.flatnonzero(hit.any(axis=1))
+            if not carriers.size:
                 break
-        if end is None:
+            first = hit[carriers].argmax(axis=1)
+            from_user[carriers] = queue[first]
+            carriers = carriers[np.argsort(first, kind="stable")]
+            with_room = carriers[room[carriers] > eps]
+            if with_room.size:
+                end = with_room[0]
+                break
+            hit = (flow[carriers] > eps) & (from_carrier == -2)
+            queue = np.flatnonzero(hit.any(axis=0))
+            first = hit[:, queue].argmax(axis=0)
+            from_carrier[queue] = carriers[first]
+            queue = queue[np.argsort(first, kind="stable")]
+        if end < 0:
             break
-        forward, backward = [], []
-        l = end
-        while l is not None:
-            j = from_user[l]
-            forward.append((j, l))
-            l = from_carrier[j]
-            if l is not None:
-                backward.append((j, l))
-        first = forward[-1][0]
-        push = min([need[first], room[end]] + [flow[j][l] for j, l in backward])
-        for j, l in forward:
-            flow[j][l] += push
-        for j, l in backward:
-            flow[j][l] -= push
-        need[first] -= push
+        # the path alternates carrier l_0 = end, user j_0, carrier l_1, ...
+        ls, js = [end], []
+        while ls[-1] >= 0:
+            js.append(from_user[ls[-1]])
+            ls.append(from_carrier[js[-1]])
+        ls, js = np.array(ls[:-1]), np.array(js)
+        push = min(need[js[-1]], room[end], flow[ls[1:], js[:-1]].min(initial=math.inf))
+        flow[ls, js] += push
+        flow[ls[1:], js[:-1]] -= push
+        need[js[-1]] -= push
         room[end] -= push
 
     # Reach the sink backwards: a carrier with room, every user of such a
     # carrier, and every carrier whose flow to such a user can be pushed back.
-    to_sink = {l for l, r in enumerate(room) if r > eps}
-    queue = list(to_sink)
-    reaching_users = set()
-    for l in queue:
-        for j in users_of[l]:
-            if j in reaching_users:
-                continue
-            reaching_users.add(j)
-            for l2, x in flow[j].items():
-                if x > eps and l2 not in to_sink:
-                    to_sink.add(l2)
-                    queue.append(l2)
-    cut_users = [j for j in range(len(reach)) if j not in reaching_users]
-    cut_carriers = [l for l in range(len(caps)) if l not in to_sink]
-    return flow, cut_users, cut_carriers
+    to_sink, grown = None, room > eps
+    while not np.array_equal(to_sink, grown):
+        to_sink, users = grown, mask[grown].any(axis=0)
+        grown = to_sink | (flow[:, users] > eps).any(axis=1)
+    return flow, ~users, ~to_sink
 
 
 def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
     """Prices, rates and the number of price clearings of the optimum.
 
-    A group is a list of users and the set of carriers they may use; its
+    A group is a mask of users and a mask of the carriers they may use; its
     last entry holds each user's rate to start its price clearing from.
     """
-    prices = np.zeros(prob.K)
-    rates = np.zeros((prob.K, prob.M))
-    groups = [(list(range(prob.M)), set(range(prob.K)), np.ones(prob.M))]
+    prices, rates = np.zeros(prob.K), np.zeros((prob.K, prob.M))
+    groups = [(np.ones(prob.M, dtype=bool), np.ones(prob.K, dtype=bool), np.ones(prob.M))]
     clearings = 0
     while groups:
         users, carriers, start = groups.pop()
-        reach = [[l for l in prob.reach[j] if l in carriers] for j in users]
-        reached = sorted({l for r in reach for l in r})
-        pi, totals = _clear_price(prob, users, float(prob.caps[reached].sum()), start)
+        carriers = carriers & prob.mask[:, users].any(axis=1)
+        caps, sub = prob.caps[carriers], np.ix_(carriers, users)
+        pi, totals = _clear_price(prob, np.flatnonzero(users), float(caps.sum()), start)
         clearings += 1
-        local = {l: i for i, l in enumerate(reached)}
-        flow, cut_users, cut_carriers = _hall_split(
-            totals, prob.caps[reached], [[local[l] for l in r] for r in reach]
-        )
-        if 0 < len(cut_users) < len(users):
-            inside = np.isin(np.arange(len(users)), cut_users)
-            inside_carriers = {reached[l] for l in cut_carriers}
-            others = set(reached) - inside_carriers
-            for side, side_carriers in ((inside, inside_carriers), (~inside, others)):
-                groups.append((np.array(users)[side].tolist(), side_carriers, totals[side]))
+        flow, cut_users, cut_carriers = _hall_split(totals, caps, prob.mask[sub])
+        if 0 < cut_users.sum() < cut_users.size:
+            for side, side_carriers in ((cut_users, cut_carriers), (~cut_users, ~cut_carriers)):
+                inside, reached = users.copy(), carriers.copy()
+                inside[users], reached[carriers] = side, side_carriers
+                groups.append((inside, reached, totals[side]))
             continue
-        prices[reached] = pi
-        for i, j in enumerate(users):
-            for l, x in flow[i].items():
-                rates[reached[l], j] = x
+        prices[carriers] = pi
+        rates[sub] = flow
     return prices, rates, clearings
 
 
@@ -343,10 +316,7 @@ def solve_central(scenario, tol: float = 1e-9) -> OracleSolution:
     totals = rates.sum(axis=0)
     sol = OracleSolution(
         rates={
-            (prob.cids[k], prob.uids[j]): float(rates[k, j])
-            for k in range(prob.K)
-            for j in range(prob.M)
-            if prob.mask[k, j]
+            (prob.cids[k], prob.uids[j]): float(rates[k, j]) for k, j in zip(*np.nonzero(prob.mask))
         },
         totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
         prices={prob.cids[k]: float(prices[k]) for k in range(prob.K)},

@@ -291,6 +291,62 @@ def test_hall_split_on_twelve_carrier_chain():
         assert sol.prices[cid] == pytest.approx(marginal(u, 10.0), rel=1e-9)
 
 
+def _random_flow_network(rng, kind):
+    """Demands, capacities and a carrier x user reach mask for ``_hall_split``.
+
+    ``kind`` "tight": the demands and capacities are the user and carrier
+    sums of a random flow on the mask, so every demand can be routed and
+    fills every carrier; "slack": the same with spare capacity; "random":
+    independent draws, so Hall's condition often fails.  About a fifth of
+    the users copy the previous user's reach and weight, and about a third
+    reach a single carrier.
+    """
+    n_carriers, n_users = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+    mask = np.zeros((n_carriers, n_users), dtype=bool)
+    weight = rng.uniform(1.0, 20.0, size=n_users)
+    for j in range(n_users):
+        if j and rng.random() < 0.2:
+            mask[:, j], weight[j] = mask[:, j - 1], weight[j - 1]
+            continue
+        size = 1 if rng.random() < 0.3 else int(rng.integers(1, min(3, n_carriers) + 1))
+        mask[rng.choice(n_carriers, size=size, replace=False), j] = True
+    if kind == "random":
+        return weight, rng.uniform(1.0, 20.0, size=n_carriers) * rng.uniform(0.2, 2.0), mask
+    share = rng.uniform(0.0, 1.0, size=mask.shape) * mask
+    flow = weight * share / share.sum(axis=0)  # identical users get identical flows
+    caps = flow.sum(axis=1)
+    if kind == "slack":
+        caps = caps + rng.uniform(0.0, 5.0, size=n_carriers)
+    return flow.sum(axis=0), caps, mask
+
+
+@pytest.mark.parametrize("kind", ["tight", "slack", "random"])
+def test_hall_split_flow_and_cut_certify_each_other(kind):
+    # Max-flow/min-cut certificate: the flow is feasible, no cut user reaches
+    # a carrier outside the cut, and the flow's value equals the capacity of
+    # the cut, the demand of the users outside it plus the cut carriers'.
+    rng = np.random.default_rng({"tight": 11, "slack": 12, "random": 13}[kind])
+    proper_cuts = 0
+    for _ in range(300):
+        demand, caps, mask = _random_flow_network(rng, kind)
+        eps = 1e-12 * caps.sum()
+        flow, cut_users, cut_carriers = oracle._hall_split(demand, caps, mask)
+        assert flow.shape == mask.shape
+        assert (flow >= 0.0).all() and (flow[~mask] == 0.0).all()
+        assert (flow.sum(axis=0) <= demand + eps).all()
+        assert (flow.sum(axis=1) <= caps + eps).all()
+        assert not mask[~cut_carriers][:, cut_users].any()
+        cut_value = demand[~cut_users].sum() + caps[cut_carriers].sum()
+        assert abs(flow.sum() - cut_value) <= len(caps) * eps
+        if kind != "random":  # Hall's condition holds: every demand is routed
+            assert abs(flow.sum() - demand.sum()) <= len(caps) * eps
+        if kind == "tight":  # every carrier full, so no user reaches the sink
+            assert cut_users.all()
+        proper_cuts += 0 < cut_users.sum() < cut_users.size
+    if kind == "random":
+        assert proper_cuts > 0
+
+
 def test_satiated_users_share_spare_capacity():
     # Past b + 37/a the scalar sigmoidal marginal cancels to 0, but the
     # kernel's form does not: at 43 units each the pair's marginal is about
@@ -306,9 +362,9 @@ def test_satiated_users_share_spare_capacity():
     assert 0.0 < sol.prices[1] <= 1e-15
 
 
-def _random_multi_carrier_scenario(rng, name):
-    n_carriers = int(rng.integers(2, 17))
-    n_ues = int(rng.integers(2, 2 * n_carriers + 3))
+def _random_multi_carrier_scenario(rng, name, n_carriers=None, n_ues=None):
+    n_carriers = n_carriers or int(rng.integers(2, 17))
+    n_ues = n_ues or int(rng.integers(2, 2 * n_carriers + 3))
     utilities = random_utilities(rng, n_ues)
     for j in range(1, n_ues):
         if rng.random() < 0.2:
@@ -329,8 +385,9 @@ def _random_multi_carrier_scenario(rng, name):
 def test_random_multi_carrier_scenarios_certify():
     rng = np.random.default_rng(53)
     failures = []
-    for i in range(200):
-        s = _random_multi_carrier_scenario(rng, f"random-{i}")
+    for i in range(201):
+        # after 200 small scenarios, one of 1000 users on 8 carriers
+        s = _random_multi_carrier_scenario(rng, f"random-{i}", *([8, 1000] if i == 200 else []))
         try:
             sol = solve_central(s, tol=1e-9)
         except OracleError as exc:
@@ -350,6 +407,7 @@ def test_random_multi_carrier_scenarios_certify():
             candidate = sum(log_utility(utilities[uid], t) for uid, t in totals.items())
             assert candidate <= sol.objective + 1e-9, s.name
     assert not failures, failures
+    assert sol.iterations > 1, "the 1000-user scenario needs a Hall split"
 
 
 def test_oracle_rejects_bad_tol():
