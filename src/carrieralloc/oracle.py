@@ -16,20 +16,22 @@ reach:
 1. clear the common price at which the group's demand equals its capacity,
    by safeguarded Newton steps over the vectorized marginals of
    utility.marginals (see _clear_price);
-2. route every user's demand at that price by max flow over the group's
-   reach matrix, source -> user (demand) -> reachable carrier -> sink
-   (capacity).  A flow that routes all demand is Hall's condition: the group
-   shares that price, and the flow, its rates, fills every carrier; so the
-   source side of the maximal min cut (the users and carriers that cannot
-   reach the sink in the residual graph) holds every user;
+2. route every user's demand at that price by max flow, source -> user
+   (demand) -> reachable carrier -> sink (capacity).  User -> carrier edges
+   have no capacity, so the augmenting paths are searched over carriers:
+   flow moves from one carrier to another through a user that reaches both.
+   A flow that routes all demand is Hall's condition: the group shares that
+   price, and the flow, its rates, fills every carrier; so the source side
+   of the maximal min cut (the users and carriers that cannot reach the
+   sink in the residual graph) holds every user;
 3. otherwise that cut holds some but not all users, overloaded at that price.
    They become a group of their own, priced higher, and the other users on
    the other carriers form a second group, priced lower.
 
 Each split leaves two strictly smaller groups, so a solve makes at most 2M-1
-price clearings and needs no starting point.  A
-carrier that no user reaches gets price 0.  The result is returned only when
-kkt_check certifies it at the requested tolerance.
+price clearings and needs no starting point.  A carrier that no user reaches
+gets price 0.  The result is returned only when kkt_check certifies it at
+the requested tolerance.
 """
 
 from __future__ import annotations
@@ -151,8 +153,9 @@ def _clear_price(
     bracket on y = ln p.  Newton steps in x = ln r and y solve m_i(r_i) = p
     with sum r_i = capacity (each user's step capped at a factor e, a y out
     of the bracket replaced by its midpoint).  A bracket that has not halved
-    in _BISECT_EVERY steps is halved by moving every user to its demand at
-    the midpoint.  y stays above the smallest normal double.  A final
+    in _BISECT_EVERY steps, or with every user on a flat stretch (no
+    negative slope), is halved by moving every user to its demand at the
+    midpoint.  y stays above the smallest normal double.  A final
     linearised step y + dy, r + (dr/dy) dy sums the totals to capacity.  A
     demand inversion that fails raises OracleError naming the users.
     """
@@ -173,7 +176,7 @@ def _clear_price(
         eps = 1e-15 * max(1.0, abs(y_hi))
         if spread <= 100.0 * eps:
             break
-        if width <= eps or width > 0.5 * widths[-1 - _BISECT_EVERY]:
+        if width <= eps or width > 0.5 * widths[-1 - _BISECT_EVERY] or not (slope < 0.0).any():
             y = 0.5 * (y_lo + y_hi) if width > eps else y_hi
             try:
                 r, slope = demands(params, math.exp(y), prob.r_cap, r)
@@ -209,7 +212,9 @@ def _price_step(r: np.ndarray, lm: np.ndarray, slope: np.ndarray, capacity: floa
     ref = lm[np.argmin(slope)]
     with np.errstate(invalid="ignore"):
         dev = np.where(slope < 0.0, lm - ref, 0.0)
-    return ref, dev, float((capacity - r.sum() + (slope * dev).sum()) / slope.sum())
+    total = slope.sum()  # 0 when every user is on a flat stretch: no step
+    dy = (capacity - r.sum() + (slope * dev).sum()) / total if total < 0.0 else 0.0
+    return ref, dev, float(dy)
 
 
 def _hall_split(
@@ -222,57 +227,50 @@ def _hall_split(
     in the final residual graph (the source side of the maximal min cut).
     Residuals up to 1e-12 of the total capacity count as zero.  A flow that
     routes a demand summing to the capacity fills every carrier, and the cut
-    then holds every user.  Edmonds-Karp, each search a level at a time.
+    then holds every user.  Row 0 of ``held`` is each user's unrouted demand,
+    as if on a carrier that every user reaches and that has no room; each
+    augmentation is a breadth-first search from it to a carrier with room.
     """
     eps = 1e-12 * float(sum(caps))
-    flow = np.zeros(mask.shape)
-    need = np.array(demand, dtype=float)  # residual of source -> user
-    room = np.array(caps, dtype=float)  # residual of carrier -> sink
+    reach = np.vstack([np.ones(mask.shape[1], dtype=bool), mask])
+    held = np.vstack([demand, np.zeros(mask.shape)])
+    room = np.concatenate([[0.0], caps])
     while True:
-        # from_user[l]: the user a carrier was reached from; from_carrier[j]:
-        # the carrier a user was reached from (-1: the source, -2: not reached).
-        # A level lists its nodes in the order a node-by-node FIFO search meets them.
-        from_user = np.full(len(room), -1)
-        from_carrier = np.where(need > eps, -1, -2)
-        queue, end = np.flatnonzero(need > eps), -1
-        while queue.size:
-            hit = mask.take(queue, axis=1) & (from_user < 0)[:, None]
-            carriers = np.flatnonzero(hit.any(axis=1))
-            if not carriers.size:
+        moves = reach @ (held > eps).T  # moves[b, a]: a user with flow on row a reaches row b
+        parent = np.full(len(room), -1)
+        parent[0], queue, end = 0, [0], 0
+        for a in queue:
+            ahead = np.flatnonzero(moves[:, a] & (parent < 0))
+            parent[ahead] = a
+            queue.extend(ahead)
+            if (room[ahead] > eps).any():
+                end = ahead[room[ahead] > eps][0]
                 break
-            first = hit[carriers].argmax(axis=1)
-            from_user[carriers] = queue[first]
-            carriers = carriers[np.argsort(first, kind="stable")]
-            with_room = carriers[room[carriers] > eps]
-            if with_room.size:
-                end = with_room[0]
-                break
-            hit = (flow[carriers] > eps) & (from_carrier == -2)
-            queue = np.flatnonzero(hit.any(axis=0))
-            first = hit[:, queue].argmax(axis=0)
-            from_carrier[queue] = carriers[first]
-            queue = queue[np.argsort(first, kind="stable")]
-        if end < 0:
+        if not end:
             break
-        # the path alternates carrier l_0 = end, user j_0, carrier l_1, ...
-        ls, js = [end], []
-        while ls[-1] >= 0:
-            js.append(from_user[ls[-1]])
-            ls.append(from_carrier[js[-1]])
-        ls, js = np.array(ls[:-1]), np.array(js)
-        push = min(need[js[-1]], room[end], flow[ls[1:], js[:-1]].min(initial=math.inf))
-        flow[ls, js] += push
-        flow[ls[1:], js[:-1]] -= push
-        need[js[-1]] -= push
+        # each hop moves the same amount from row a to row b, over its users
+        hops, b = [], end
+        while b:
+            hops.append((parent[b], b, reach[b] & (held[parent[b]] > eps)))
+            b = parent[b]
+        push = min(room[end], *(held[a, users].sum() for a, _, users in hops))
         room[end] -= push
+        for a, b, users in hops:
+            moved = _first(held[a, users], push)
+            held[a, users] -= moved
+            held[b, users] += moved
 
-    # Reach the sink backwards: a carrier with room, every user of such a
-    # carrier, and every carrier whose flow to such a user can be pushed back.
+    # Reach the sink backwards: the carriers with room, then every carrier
+    # whose flow can move onto one of them.
     to_sink, grown = None, room > eps
     while not np.array_equal(to_sink, grown):
-        to_sink, users = grown, mask[grown].any(axis=0)
-        grown = to_sink | (flow[:, users] > eps).any(axis=1)
-    return flow, ~users, ~to_sink
+        to_sink, grown = grown, grown | moves[grown].any(axis=0)
+    return held[1:], ~mask[to_sink[1:]].any(axis=0), ~to_sink[1:]
+
+
+def _first(amounts: np.ndarray, total: float) -> np.ndarray:
+    """The first ``total`` of ``amounts``, taken in index order."""
+    return np.minimum(amounts, np.maximum(total - np.cumsum(amounts) + amounts, 0.0))
 
 
 def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:

@@ -299,8 +299,19 @@ def _random_flow_network(rng, kind):
     fills every carrier; "slack": the same with spare capacity; "random":
     independent draws, so Hall's condition often fails.  About a fifth of
     the users copy the previous user's reach and weight, and about a third
-    reach a single carrier.
+    reach a single carrier.  "chain": 2-32 carriers in a row, each user on
+    carrier l and usually l+1, and capacities near the mean load, so that
+    routing needs long augmenting paths and Hall's condition may fail.
     """
+    if kind == "chain":
+        n_carriers = int(rng.integers(2, 33))
+        n_users = int(rng.integers(n_carriers, 4 * n_carriers + 1))
+        demand = rng.uniform(1.0, 20.0, size=n_users)
+        first, users = rng.integers(0, n_carriers, size=n_users), np.arange(n_users)
+        mask = np.zeros((n_carriers, n_users), dtype=bool)
+        mask[first, users] = True
+        mask[np.minimum(first + 1, n_carriers - 1), users] |= rng.random(n_users) < 0.8
+        return demand, demand.sum() / n_carriers * rng.uniform(0.7, 1.3, size=n_carriers), mask
     n_carriers, n_users = int(rng.integers(1, 7)), int(rng.integers(1, 13))
     mask = np.zeros((n_carriers, n_users), dtype=bool)
     weight = rng.uniform(1.0, 20.0, size=n_users)
@@ -320,12 +331,12 @@ def _random_flow_network(rng, kind):
     return flow.sum(axis=0), caps, mask
 
 
-@pytest.mark.parametrize("kind", ["tight", "slack", "random"])
+@pytest.mark.parametrize("kind", ["tight", "slack", "random", "chain"])
 def test_hall_split_flow_and_cut_certify_each_other(kind):
     # Max-flow/min-cut certificate: the flow is feasible, no cut user reaches
     # a carrier outside the cut, and the flow's value equals the capacity of
     # the cut, the demand of the users outside it plus the cut carriers'.
-    rng = np.random.default_rng({"tight": 11, "slack": 12, "random": 13}[kind])
+    rng = np.random.default_rng({"tight": 11, "slack": 12, "random": 13, "chain": 14}[kind])
     proper_cuts = 0
     for _ in range(300):
         demand, caps, mask = _random_flow_network(rng, kind)
@@ -338,12 +349,12 @@ def test_hall_split_flow_and_cut_certify_each_other(kind):
         assert not mask[~cut_carriers][:, cut_users].any()
         cut_value = demand[~cut_users].sum() + caps[cut_carriers].sum()
         assert abs(flow.sum() - cut_value) <= len(caps) * eps
-        if kind != "random":  # Hall's condition holds: every demand is routed
+        if kind in ("tight", "slack"):  # Hall's condition holds: every demand is routed
             assert abs(flow.sum() - demand.sum()) <= len(caps) * eps
         if kind == "tight":  # every carrier full, so no user reaches the sink
             assert cut_users.all()
         proper_cuts += 0 < cut_users.sum() < cut_users.size
-    if kind == "random":
+    if kind in ("random", "chain"):
         assert proper_cuts > 0
 
 
@@ -415,6 +426,7 @@ def test_oracle_rejects_bad_tol():
         solve_central(two_ue_scenario(), tol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_inverter_failure_raises_oracle_error_naming_the_group():
     with pytest.raises(OracleError, match=r"users \[1, 2\] on capacity 181\.3") as info:
         solve_central(flat_stretch_scenario())
