@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
+_LN_MIN_RATE = math.log(5e-324)  # the smallest positive rate; 1/r, so every marginal, is +inf
 
 
 class UtilityDomainError(ValueError):
@@ -272,14 +273,16 @@ def demands(
     """Every user's rate in (0, r_cap] where its marginal equals its price.
 
     Newton on ln m(e^x) = ln p in x = ln r from ``start`` (default 1/p: both
-    marginals behave like 1/r near 0), bisecting the bracket that every
-    evaluation narrows when a step leaves it.  Returns the rates and
-    dr/d(ln p) = m/m' from the last evaluation.
+    marginals behave like 1/r near 0), clipped into the bracket
+    [ln 5e-324, ln r_cap + 1e-12] that starts at the smallest positive rate
+    and that every evaluation narrows; a step that leaves the bracket goes
+    to its midpoint.  Returns the rates and dr/d(ln p) = m/m' from the last
+    evaluation.
     """
     y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
     cap = math.log(r_cap)
-    x_lo, x_hi = np.full(y.shape, -np.inf), np.full(y.shape, cap + 1e-12)  # cap is tried once
-    x = np.minimum(-y if start is None else np.log(start), cap)
+    x_lo, x_hi = np.full(y.shape, _LN_MIN_RATE), np.full(y.shape, cap + 1e-12)  # cap is tried once
+    x = np.clip(-y if start is None else np.log(start), _LN_MIN_RATE, cap)
     for _ in range(200):
         r = np.exp(x)
         m, dm = marginals(params, r)
@@ -289,8 +292,7 @@ def demands(
             new = np.minimum(x + (y - lm) * slope / r, cap)
         x_lo, x_hi = np.where(lm > y, x, x_lo), np.where(lm > y, x_hi, x)
         done = (new == x) & (np.abs(lm - y) <= 1e-12)
-        bisect = np.where(np.isfinite(x_lo), 0.5 * (x_lo + x_hi), x_hi - 2.0)
-        new = np.where((new > x_lo) & (new < x_hi) | done, new, bisect)
+        new = np.where((new > x_lo) & (new < x_hi) | done, new, 0.5 * (x_lo + x_hi))
         if np.all(np.abs(new - x) <= 1e-10) or np.all(x_hi - x_lo <= 1e-15):
             return np.minimum(np.exp(new), r_cap), np.where(new < cap, slope, 0.0)
         x = new

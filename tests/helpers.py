@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy.special import lambertw
 
+from carrieralloc.oracle import OracleError, solve_central
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
     LogarithmicUtility,
@@ -200,7 +201,8 @@ def staged_demand_reference(utility, prices, r_cap):
 
 def flat_stretch_scenario():
     """One carrier and two sigmoidal users whose marginals are flat to machine
-    precision over most of its capacity; the demand inverter fails on them."""
+    precision over most of its capacity; the optimal price lies in
+    [41.6, 44.5], next to the second user's steepness."""
     return Scenario(
         carriers=(CarrierSpec(id=1, capacity=181.3),),
         ues=(
@@ -209,6 +211,62 @@ def flat_stretch_scenario():
         ),
         name="flat-stretch",
     )
+
+
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def wide_range_scenario(rng, name):
+    """A scenario far outside the paper's ranges, drawn from a numpy Generator.
+
+    2-32 carriers with capacities log-uniform in 1e-3..1e4; 1-100 users, each
+    reaching 1..K carriers.  Sigmoidal users draw a log-uniform in 0.05-50 and
+    b in 0.1-1000, so a*b reaches 5e4 and many marginals are flat to machine
+    precision; logarithmic users draw k log-uniform in 1e-3..1e3.  The users
+    share 1, 2, 4 or M utility profiles, so many of them are identical.
+    """
+    n_carriers = int(rng.integers(2, 33))
+    n_ues = int(rng.integers(1, 101))
+    profiles = []
+    for _ in range(int(rng.choice([1, 2, 4, n_ues]))):
+        if rng.random() < 0.5:
+            profiles.append(
+                SigmoidalUtility(a=_log_uniform(rng, 0.05, 50.0), b=_log_uniform(rng, 0.1, 1000.0))
+            )
+        else:
+            profiles.append(
+                LogarithmicUtility(
+                    k=_log_uniform(rng, 1e-3, 1e3), r_max=_log_uniform(rng, 1.0, 1e3)
+                )
+            )
+    ues = []
+    for j in range(n_ues):
+        size = int(rng.integers(1, n_carriers + 1))
+        reach = rng.choice(n_carriers, size=size, replace=False) + 1
+        ues.append(
+            UESpec(
+                id=j + 1,
+                utility=profiles[int(rng.integers(len(profiles)))],
+                carriers=tuple(sorted(int(c) for c in reach)),
+            )
+        )
+    carriers = tuple(
+        CarrierSpec(id=l, capacity=_log_uniform(rng, 1e-3, 1e4)) for l in range(1, n_carriers + 1)
+    )
+    return Scenario(carriers=carriers, ues=tuple(ues), name=name)
+
+
+def oracle_outcome(scenario, tol=1e-9):
+    """How the oracle ends on ``scenario``: "certified", "inverter" (an
+    OracleError from a failed demand inversion) or "OracleError" (any other).
+    Every other exception propagates."""
+    try:
+        sol = solve_central(scenario, tol=tol)
+    except OracleError as exc:
+        return "inverter" if isinstance(exc.__cause__, RootFindingError) else "OracleError"
+    assert sol.kkt.passed and sol.kkt.tol == tol, scenario.name
+    return "certified"
 
 
 def outcome(fn, *args):

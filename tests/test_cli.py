@@ -6,7 +6,9 @@ import re
 import pytest
 
 from helpers import flat_stretch_scenario
+from carrieralloc import oracle
 from carrieralloc.cli import EXIT_NUMERIC, main
+from carrieralloc.oracle import OracleError
 from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import (
     RunRecord,
@@ -14,6 +16,7 @@ from carrieralloc.scenario import (
     save_scenario,
     write_results,
 )
+from carrieralloc.utility import RootFindingError
 
 @pytest.fixture()
 def paper_file(tmp_path):
@@ -97,7 +100,11 @@ def test_sweep_exit_2_lists_failing_points(paper_file, capsys):
     assert "240" in err and "250" in err
 
 
-def test_sweep_verify_records_an_oracle_kernel_failure(tmp_path, capsys):
+def test_sweep_verify_records_an_oracle_kernel_failure(tmp_path, monkeypatch, capsys):
+    def failing_demands(*args):
+        raise RootFindingError("Newton inverter failed to converge")
+
+    monkeypatch.setattr(oracle, "demands", failing_demands)
     path = tmp_path / "flat.yaml"
     save_scenario(flat_stretch_scenario(), path)
     out_dir = tmp_path / "out"
@@ -145,6 +152,24 @@ def test_verify_command(paper_file, capsys):
     assert main(["verify", "--scenario", str(paper_file)]) == 0
     out = capsys.readouterr().out
     assert "verification pass" in out
+
+
+def test_verify_reports_protocol_non_convergence(paper_file, capsys):
+    assert main(["verify", "--scenario", str(paper_file), "--max-rounds", "1"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "rounds=1 " in captured.out and "converged=False" in captured.out
+    assert "protocol did not converge" in captured.err
+
+
+def test_verify_reports_an_oracle_error_as_numeric_failure(paper_file, monkeypatch, capsys):
+    def failing_oracle(scenario, tol=1e-9):
+        raise OracleError("price clearing did not converge in 200 steps")
+
+    monkeypatch.setattr("carrieralloc.cli.solve_central", failing_oracle)
+    assert main(["verify", "--scenario", str(paper_file)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure: price clearing did not converge in 200 steps" in err
+    assert "Traceback" not in err
 
 
 def test_utility_curve_contains_published_point(capsys):

@@ -1,6 +1,7 @@
 """Centralized solver: projection, optima, KKT certification, duality."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from helpers import (
     fd_marginal_tolerance,
     flat_stretch_scenario,
     log_demand_lambertw,
+    oracle_outcome,
     random_utilities,
     sig_demand_closed_form,
+    wide_range_scenario,
 )
 from carrieralloc import oracle
 from carrieralloc.oracle import (
@@ -427,11 +430,44 @@ def test_oracle_rejects_bad_tol():
 
 
 @pytest.mark.filterwarnings("error")
-def test_inverter_failure_raises_oracle_error_naming_the_group():
+def test_inverter_failure_raises_oracle_error_naming_the_group(monkeypatch):
+    def failing_demands(*args):
+        raise RootFindingError("Newton inverter failed to converge")
+
+    monkeypatch.setattr(oracle, "demands", failing_demands)
     with pytest.raises(OracleError, match=r"users \[1, 2\] on capacity 181\.3") as info:
         solve_central(flat_stretch_scenario())
     assert "price bracket [" in str(info.value)
     assert isinstance(info.value.__cause__, RootFindingError)
+
+
+@pytest.mark.filterwarnings("error")
+def test_flat_stretch_scenario_certifies():
+    # Both marginals equal a to machine precision over most of the capacity.
+    sol = solve_central(flat_stretch_scenario(), tol=1e-9)
+    assert sol.kkt.passed and sol.kkt.tol == 1e-9
+    assert 41.6 <= sol.prices[1] <= 44.5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_random_scenarios_of_2000_users_on_16_carriers_certify(seed):
+    # groups of hundreds of users priced next to their sigmoidal steepness
+    rng = np.random.default_rng(seed)
+    s = _random_multi_carrier_scenario(rng, f"random-2000-{seed}", 16, 2000)
+    sol = solve_central(s, tol=1e-9)
+    assert sol.kkt.passed and sol.kkt.tol == 1e-9
+
+
+def test_wide_range_scenarios_certify_or_raise_oracle_error():
+    # Far outside the paper's ranges (helpers.wide_range_scenario): a*b up to
+    # 5e4, capacities over seven decades, shared profiles.  Every scenario
+    # counts; the few that the flat clearing cannot certify yet must raise
+    # OracleError from the certificate, never fail in the demand inverter.
+    rng = np.random.default_rng(15)
+    counts = Counter(oracle_outcome(wide_range_scenario(rng, f"wide-{i}")) for i in range(100))
+    assert counts["inverter"] == 0, counts
+    assert counts["certified"] >= 97, counts
 
 
 # ---------------------------------------------------------------------------
