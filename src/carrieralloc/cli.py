@@ -3,7 +3,7 @@
 Commands:
     run             run the bidding protocol on a scenario file
     sweep           capacity sweep over one carrier, optional oracle check
-    verify          protocol vs. centralized oracle on one scenario
+    verify          run, then check the protocol against the centralized oracle
     utility-curve   sample a utility function as CSV on stdout
     paper-scenario  emit the built-in 18-UE reference scenario file
 
@@ -18,17 +18,16 @@ import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .oracle import OracleError, solve_central
-from .protocol import EngineConfig, NonConvergenceError, run
+from .protocol import EngineConfig
 from .scenario import (
     RunRecord,
     ScenarioError,
     SweepSpec,
     build_paper_scenario,
-    compare_to_oracle,
     load_scenario_document,
+    run_point,
     run_sweep,
     scenario_to_yaml,
     write_results,
@@ -133,32 +132,57 @@ def _sweep_spec(args, file_sweep: Optional[SweepSpec]) -> SweepSpec:
     return SweepSpec(**given)
 
 
-def _summary_line(result) -> str:
-    prices = " ".join(
-        f"p{cid}={price:.6g}" for cid, price in sorted(result.prices.items())
-    )
-    return (
-        f"rounds={result.rounds} objective={result.objective:.9g} "
-        f"converged={result.converged} {prices}"
-    )
+def _point_line(carrier_id: int, rec: RunRecord, verify: bool) -> Tuple[str, bool]:
+    """One sweep point's output line, and whether the point passed."""
+    line = f"R{carrier_id}={rec.sweep_value:g}: "
+    res, cmp = rec.result, rec.comparison
+    if res is None:
+        return line + f"error: {rec.error}", False
+    prices = " ".join(f"p{cid}={price:.6g}" for cid, price in sorted(res.prices.items()))
+    line += f"rounds={res.rounds} objective={res.objective:.9g} converged={res.converged} {prices}"
+    ok = res.converged and rec.error is None
+    if verify:
+        if cmp is None:
+            return line + " verify=missing", False
+        line += (
+            f" obj_delta={cmp.objective_delta:.3g}"
+            f" totals_rel={cmp.max_total_rel_delta:.3g}"
+            f" kkt={'pass' if cmp.kkt.passed else 'FAIL'}"
+            f" verify={'pass' if cmp.passed else 'FAIL'}"
+        )
+        ok = ok and cmp.passed
+    return line, ok
 
 
-def _cmd_run(args) -> int:
+def _cmd_point(args) -> int:
+    """``run`` and ``verify``: one point, the file's scenario as it stands."""
     doc = load_scenario_document(args.scenario)
-    config = _engine_config(args, doc.engine)
-    try:
-        result = run(doc.scenario, config)
-        code = EXIT_OK
-    except NonConvergenceError as exc:
-        result = exc.result
-        code = EXIT_NUMERIC
-    print(_summary_line(result))
-    if args.out is not None:
-        record = RunRecord(sweep_value=doc.scenario.carriers[0].capacity, result=result)
-        paths = write_results([record], args.out)
+    verify = args.command == "verify"
+    first = doc.scenario.carriers[0]
+    rec = run_point(doc.scenario, first.capacity, _engine_config(args, doc.engine), verify)
+    line, ok = _point_line(first.id, rec, verify)
+    print(line)
+    if rec.comparison is not None:
+        cmp, kkt = rec.comparison, rec.comparison.kkt
+        print(
+            f"oracle objective={rec.oracle.objective:.9g} "
+            f"(protocol {rec.result.objective:.9g}, delta {cmp.objective_delta:.3g})"
+        )
+        print(f"max per-UE total deviation {cmp.max_total_rel_delta:.3g} (UE {cmp.worst_ue_id})")
+        print(
+            f"kkt tol={kkt.tol:g} stationarity={kkt.stationarity_active:.3g}/"
+            f"{kkt.stationarity_inactive:.3g} comp_slack={kkt.complementary_slackness:.3g} "
+            f"=> {'pass' if kkt.passed else 'FAIL'}"
+        )
+    if verify:
+        print(f"verification {'pass' if ok else 'FAIL'}")
+    if rec.error is not None:
+        print(f"numeric failure: {rec.error}", file=sys.stderr)
+    if getattr(args, "out", None) is not None:
+        paths = write_results([rec], args.out)
         print(f"wrote {paths['rates']} {paths['prices']} {paths['summary']}",
               file=sys.stderr)
-    return code
+    return EXIT_OK if ok else EXIT_NUMERIC
 
 
 def _cmd_sweep(args) -> int:
@@ -170,62 +194,15 @@ def _cmd_sweep(args) -> int:
         write_results(records, args.out)
     failed: List[str] = []
     for rec in records:
-        line = f"R{sweep.carrier_id}={rec.sweep_value:g}: "
-        if rec.result is None:
-            line += f"error: {rec.error}"
-            failed.append(f"{rec.sweep_value:g} ({rec.error})")
-        else:
-            line += _summary_line(rec.result)
-            ok = rec.result.converged and rec.error is None
-            if args.verify:
-                if rec.comparison is None:
-                    ok = False
-                    line += " verify=missing"
-                else:
-                    line += (
-                        f" obj_delta={rec.comparison.objective_delta:.3g}"
-                        f" totals_rel={rec.comparison.max_total_rel_delta:.3g}"
-                        f" kkt={'pass' if rec.comparison.kkt.passed else 'FAIL'}"
-                        f" verify={'pass' if rec.comparison.passed else 'FAIL'}"
-                    )
-                    ok = ok and rec.comparison.passed
-            if not ok:
-                failed.append(f"{rec.sweep_value:g}")
+        line, ok = _point_line(sweep.carrier_id, rec, args.verify)
         print(line)
+        if not ok:
+            reason = f" ({rec.error})" if rec.result is None else ""
+            failed.append(f"{rec.sweep_value:g}{reason}")
     if failed:
         print(f"failing sweep points: {', '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    doc = load_scenario_document(args.scenario)
-    config = _engine_config(args, doc.engine)
-    try:
-        result = run(doc.scenario, config)
-    except NonConvergenceError as exc:
-        print(_summary_line(exc.result))
-        print("protocol did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    oracle_solution = solve_central(doc.scenario)
-    report = compare_to_oracle(result, oracle_solution, doc.scenario, config.delta)
-    print(_summary_line(result))
-    print(
-        f"oracle objective={oracle_solution.objective:.9g} "
-        f"(protocol {result.objective:.9g}, delta {report.objective_delta:.3g})"
-    )
-    print(
-        f"max per-UE total deviation {report.max_total_rel_delta:.3g} "
-        f"(UE {report.worst_ue_id})"
-    )
-    kkt = report.kkt
-    print(
-        f"kkt tol={kkt.tol:g} stationarity={kkt.stationarity_active:.3g}/"
-        f"{kkt.stationarity_inactive:.3g} comp_slack={kkt.complementary_slackness:.3g} "
-        f"=> {'pass' if kkt.passed else 'FAIL'}"
-    )
-    print(f"verification {'pass' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
 def _cmd_utility_curve(args) -> int:
@@ -268,9 +245,9 @@ def _cmd_paper_scenario(args) -> int:
 
 
 _HANDLERS = {
-    "run": _cmd_run,
+    "run": _cmd_point,
     "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+    "verify": _cmd_point,
     "utility-curve": _cmd_utility_curve,
     "paper-scenario": _cmd_paper_scenario,
 }
@@ -287,9 +264,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ScenarioError, UtilityDomainError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OracleError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ stored as a single YAML document with top-level sections ``carriers``,
 ``ues``, and optional ``engine`` and ``sweep`` sections whose field names
 mirror the corresponding dataclasses.
 
-The sweep runner re-runs the protocol (and optionally the centralized
-oracle) while one carrier's capacity steps through a range, and the writers
+``run_point`` runs the protocol (and optionally the centralized oracle) on
+one scenario; the sweep runner maps it over the capacities one carrier steps
+through, and the writers
 emit three CSV files with fixed headers:
 
     rates.csv    sweep_value,carrier_id,ue_id,rate,bid
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import yaml
 
@@ -33,7 +35,6 @@ from .protocol import AllocationResult, EngineConfig, NonConvergenceError, run
 from .utility import (
     LogarithmicUtility,
     SigmoidalUtility,
-    UtilityDomainError,
     UtilityFunction,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
     "scenario_to_yaml",
     "build_paper_scenario",
     "compare_to_oracle",
+    "run_point",
     "run_sweep",
     "write_results",
 ]
@@ -206,38 +208,43 @@ def _number(value: object, field: str, kind: type = float):
     return kind(value)
 
 
-_UTILITY_BUILDERS = {
-    "sigmoidal": lambda d: SigmoidalUtility(a=_number(d["a"], "a"), b=_number(d["b"], "b")),
-    "logarithmic": lambda d: LogarithmicUtility(
-        k=_number(d["k"], "k"), r_max=_number(d["r_max"], "r_max")
-    ),
-}
+_FAMILIES = {"sigmoidal": SigmoidalUtility, "logarithmic": LogarithmicUtility}
+# Each family's parameters: its dataclass's init fields, in order.
+_PARAMS = {family: [f.name for f in fields(family) if f.init] for family in _FAMILIES.values()}
 
 
 def _utility_to_dict(u: UtilityFunction) -> Dict[str, object]:
-    if isinstance(u, SigmoidalUtility):
-        return {"type": "sigmoidal", "a": u.a, "b": u.b}
-    if isinstance(u, LogarithmicUtility):
-        return {"type": "logarithmic", "k": u.k, "r_max": u.r_max}
+    for kind, family in _FAMILIES.items():
+        if isinstance(u, family):
+            return {"type": kind, **{name: getattr(u, name) for name in _PARAMS[family]}}
     raise ScenarioError(f"unknown utility object {u!r}")
 
 
-def _utility_from_dict(d: object, where: str) -> UtilityFunction:
+def _utility_from_dict(d: object) -> UtilityFunction:
     if not isinstance(d, dict) or "type" not in d:
-        raise ScenarioError(f"{where}: utility must be a mapping with a 'type' key")
-    kind = d["type"]
-    builder = _UTILITY_BUILDERS.get(kind)
-    if builder is None:
+        raise ScenarioError("utility must be a mapping with a 'type' key")
+    family = _FAMILIES.get(d["type"])
+    if family is None:
         raise ScenarioError(
-            f"{where}: unknown utility type {kind!r} "
-            f"(expected one of {sorted(_UTILITY_BUILDERS)})"
+            f"unknown utility type {d['type']!r} (expected one of {sorted(_FAMILIES)})"
         )
+    return family(*(_number(d[name], name) for name in _PARAMS[family]))
+
+
+@contextmanager
+def _context(where: str) -> Iterator[None]:
+    """Re-raise a bad entry's error as a ScenarioError that starts with ``where``."""
     try:
-        return builder(d)
+        yield
     except KeyError as exc:
-        raise ScenarioError(f"{where}: utility is missing field {exc}") from exc
-    except (TypeError, ValueError, UtilityDomainError) as exc:
+        raise ScenarioError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+# The sweep section's keys, by the SweepSpec field each one sets.
+_SWEEP_KEYS = (("carrier_id", "carrier", int), ("start", "from", float),
+               ("stop", "to", float), ("step", "step", float))
 
 
 def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
@@ -249,72 +256,46 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
-
-    def section(name: str, required: bool) -> object:
-        if name not in raw:
-            if required:
-                raise ScenarioError(f"{path}: missing section '{name}'")
-            return None
-        return raw[name]
-
-    carriers_raw = section("carriers", required=True)
-    ues_raw = section("ues", required=True)
-    if not isinstance(carriers_raw, list) or not isinstance(ues_raw, list):
+    for section in ("carriers", "ues"):
+        if section not in raw:
+            raise ScenarioError(f"{path}: missing section '{section}'")
+    if not isinstance(raw["carriers"], list) or not isinstance(raw["ues"], list):
         raise ScenarioError(f"{path}: 'carriers' and 'ues' must be lists")
 
     carriers = []
-    for idx, item in enumerate(carriers_raw):
-        where = f"{path}: carriers[{idx}]"
-        try:
+    for idx, item in enumerate(raw["carriers"]):
+        with _context(f"{path}: carriers[{idx}]"):
             carriers.append(
                 CarrierSpec(id=_number(item["id"], "id", int),
                             capacity=_number(item["capacity"], "capacity"))
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
 
     ues = []
-    for idx, item in enumerate(ues_raw):
-        where = f"{path}: ues[{idx}]"
-        try:
-            reach = tuple(sorted(_number(c, "carriers", int) for c in item["carriers"]))
+    for idx, item in enumerate(raw["ues"]):
+        with _context(f"{path}: ues[{idx}]"):
+            reach = item["carriers"]
+            if not isinstance(reach, list):
+                raise TypeError(f"carriers must be a list, got {reach!r}")
             ues.append(
                 UESpec(
                     id=_number(item["id"], "id", int),
-                    utility=_utility_from_dict(item.get("utility"), where),
-                    carriers=reach,
+                    utility=_utility_from_dict(item.get("utility")),
+                    carriers=tuple(sorted(_number(c, "carriers", int) for c in reach)),
                 )
             )
-        except ScenarioError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
 
     name = raw.get("name", path.stem)
     scenario = Scenario(carriers=tuple(carriers), ues=tuple(ues), name=str(name))
 
-    engine = None
-    engine_raw = section("engine", required=False)
-    if engine_raw is not None:
-        if not isinstance(engine_raw, dict):
-            raise ScenarioError(f"{path}: engine must be a mapping")
-        try:
-            engine = EngineConfig(**engine_raw)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: engine: {exc}") from exc
-
-    sweep = None
-    sweep_raw = section("sweep", required=False)
-    if sweep_raw is not None:
-        try:
-            sweep = SweepSpec(
-                carrier_id=_number(sweep_raw["carrier"], "carrier", int),
-                start=_number(sweep_raw["from"], "from"),
-                stop=_number(sweep_raw["to"], "to"),
-                step=_number(sweep_raw["step"], "step"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: sweep: {exc}") from exc
+    engine = sweep = None
+    if raw.get("engine") is not None:
+        with _context(f"{path}: engine"):
+            engine = EngineConfig(**raw["engine"])
+    if raw.get("sweep") is not None:
+        with _context(f"{path}: sweep"):
+            sweep = SweepSpec(**{
+                attr: _number(raw["sweep"][key], key, kind) for attr, key, kind in _SWEEP_KEYS
+            })
         scenario.carrier(sweep.carrier_id)
 
     return ScenarioDocument(scenario=scenario, engine=engine, sweep=sweep)
@@ -358,12 +339,7 @@ def scenario_to_yaml(
     if engine is not None:
         doc["engine"] = asdict(engine)
     if sweep is not None:
-        doc["sweep"] = {
-            "carrier": sweep.carrier_id,
-            "from": sweep.start,
-            "to": sweep.stop,
-            "step": sweep.step,
-        }
+        doc["sweep"] = {key: getattr(sweep, attr) for attr, key, _ in _SWEEP_KEYS}
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
 
 
@@ -432,15 +408,19 @@ def compare_to_oracle(
     )
 
 
-def _run_point(
-    scenario: Scenario,
-    sweep: SweepSpec,
+def run_point(
+    point: Scenario,
     value: float,
-    config: EngineConfig,
-    verify: bool,
+    config: EngineConfig = EngineConfig(),
+    verify: bool = False,
 ) -> RunRecord:
+    """The protocol on one scenario, then optionally the oracle and the comparison.
+
+    ``value`` is the record's ``sweep_value``.  Failures (non-convergence,
+    solver errors) are recorded in the returned record, not raised; after
+    non-convergence the oracle still runs on the partial result.
+    """
     record = RunRecord(sweep_value=value)
-    point = scenario.with_capacity(sweep.carrier_id, value)
     try:
         record.result = run(point, config)
     except NonConvergenceError as exc:
@@ -456,7 +436,7 @@ def _run_point(
                 record.result, record.oracle, point, config.delta
             )
         except OracleError as exc:
-            record.error = (record.error or "") + f" oracle: {exc}"
+            record.error = " ".join(filter(None, (record.error, f"oracle: {exc}")))
     return record
 
 
@@ -466,13 +446,12 @@ def run_sweep(
     config: EngineConfig = EngineConfig(),
     verify: bool = False,
 ) -> List[RunRecord]:
-    """Protocol run per sweep value, in sweep order.
-
-    Per-point failures (non-convergence, solver errors) are recorded in the
-    returned records rather than aborting the sweep.
-    """
+    """``run_point`` per sweep value, in sweep order."""
     scenario.carrier(sweep.carrier_id)
-    return [_run_point(scenario, sweep, v, config, verify) for v in sweep.values()]
+    return [
+        run_point(scenario.with_capacity(sweep.carrier_id, v), v, config, verify)
+        for v in sweep.values()
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -500,53 +479,38 @@ def write_results(records: Sequence[RunRecord], out_dir: Union[str, Path]) -> Di
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
-    paths = {
-        "rates": out / "rates.csv",
-        "prices": out / "prices.csv",
-        "summary": out / "summary.csv",
-    }
-
-    rows = []
+    paths = {name: out / f"{name}.csv" for name in ("rates", "prices", "summary")}
+    rates: List[list] = []
+    prices: List[list] = []
+    summary: List[list] = []
     for rec in records:
-        if rec.result is None:
-            continue
-        for (cid, uid), rate in sorted(rec.result.rates.items()):
-            bid = rec.result.bids.get((cid, uid), 0.0)
-            rows.append([_fmt(rec.sweep_value), cid, uid, _fmt(rate), _fmt(bid)])
-    _write_rows(paths["rates"], RATES_HEADER, rows)
-
-    rows = []
-    for rec in records:
-        if rec.result is None:
-            continue
-        for cid, price in sorted(rec.result.prices.items()):
-            rows.append(
-                [_fmt(rec.sweep_value), cid, _fmt(price), rec.result.rounds, rec.result.converged]
-            )
-    _write_rows(paths["prices"], PRICES_HEADER, rows)
-
-    rows = []
-    for rec in records:
-        row = [_fmt(rec.sweep_value)]
-        if rec.result is not None:
-            row += [_fmt(rec.result.objective), rec.result.rounds, rec.result.converged]
+        value, res, cmp = _fmt(rec.sweep_value), rec.result, rec.comparison
+        row = [value]
+        if res is not None:
+            for (cid, uid), rate in sorted(res.rates.items()):
+                rates.append([value, cid, uid, _fmt(rate), _fmt(res.bids.get((cid, uid), 0.0))])
+            for cid, price in sorted(res.prices.items()):
+                prices.append([value, cid, _fmt(price), res.rounds, res.converged])
+            row += [_fmt(res.objective), res.rounds, res.converged]
         else:
             row += ["", "", ""]
         row.append(rec.error or "")
-        if rec.oracle is not None and rec.comparison is not None:
+        if rec.oracle is not None and cmp is not None:
             row += [
                 _fmt(rec.oracle.objective),
-                _fmt(rec.comparison.objective_delta),
-                _fmt(rec.comparison.max_total_rel_delta),
-                _fmt(rec.comparison.kkt.stationarity_active),
-                _fmt(rec.comparison.kkt.stationarity_inactive),
-                _fmt(rec.comparison.kkt.complementary_slackness),
-                rec.comparison.kkt.passed,
+                _fmt(cmp.objective_delta),
+                _fmt(cmp.max_total_rel_delta),
+                _fmt(cmp.kkt.stationarity_active),
+                _fmt(cmp.kkt.stationarity_inactive),
+                _fmt(cmp.kkt.complementary_slackness),
+                cmp.kkt.passed,
             ]
         else:
             row += [""] * 7
-        rows.append(row)
-    _write_rows(paths["summary"], SUMMARY_HEADER, rows)
+        summary.append(row)
+    _write_rows(paths["rates"], RATES_HEADER, rates)
+    _write_rows(paths["prices"], PRICES_HEADER, prices)
+    _write_rows(paths["summary"], SUMMARY_HEADER, summary)
 
     return paths
 

@@ -158,17 +158,47 @@ def test_verify_reports_protocol_non_convergence(paper_file, capsys):
     assert main(["verify", "--scenario", str(paper_file), "--max-rounds", "1"]) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert "rounds=1 " in captured.out and "converged=False" in captured.out
-    assert "protocol did not converge" in captured.err
+    assert "numeric failure: no convergence after 1 rounds" in captured.err
+
+
+def test_verify_runs_the_oracle_after_protocol_non_convergence(paper_file, capsys):
+    assert main(["verify", "--scenario", str(paper_file), "--max-rounds", "1"]) == EXIT_NUMERIC
+    out = capsys.readouterr().out
+    assert "obj_delta=" in out and "oracle objective=" in out
+    assert out.splitlines()[-1] == "verification FAIL"
+
+
+def test_run_and_verify_print_the_sweep_point_line(paper_file, capsys):
+    flags = ["--scenario", str(paper_file)]
+    assert main(["run"] + flags) == 0
+    run_line = capsys.readouterr().out.splitlines()[0]
+    assert main(["sweep"] + flags + ["--carrier", "1", "--from", "300", "--to", "300",
+                                     "--step", "10"]) == 0
+    assert capsys.readouterr().out.splitlines() == [run_line]
+    assert run_line.startswith("R1=300: rounds=")
+    assert main(["verify"] + flags) == 0
+    verify_line = capsys.readouterr().out.splitlines()[0]
+    assert verify_line.startswith(run_line + " obj_delta=")
+
+
+def test_run_out_records_the_non_convergence_message(paper_file, tmp_path):
+    out_dir = tmp_path / "results"
+    assert main(["run", "--scenario", str(paper_file), "--max-rounds", "1",
+                 "--out", str(out_dir)]) == EXIT_NUMERIC
+    with open(out_dir / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["converged"] == "False"
+    assert row["error"].startswith("no convergence after 1 rounds")
 
 
 def test_verify_reports_an_oracle_error_as_numeric_failure(paper_file, monkeypatch, capsys):
     def failing_oracle(scenario, tol=1e-9):
         raise OracleError("price clearing did not converge in 200 steps")
 
-    monkeypatch.setattr("carrieralloc.cli.solve_central", failing_oracle)
+    monkeypatch.setattr("carrieralloc.scenario.solve_central", failing_oracle)
     assert main(["verify", "--scenario", str(paper_file)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "numeric failure: price clearing did not converge in 200 steps" in err
+    assert "numeric failure: oracle: price clearing did not converge in 200 steps" in err
     assert "Traceback" not in err
 
 

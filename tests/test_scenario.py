@@ -13,6 +13,7 @@ import yaml
 
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
+from carrieralloc.oracle import OracleError
 from carrieralloc.protocol import EngineConfig
 from carrieralloc.scenario import (
     RATES_HEADER,
@@ -27,8 +28,10 @@ from carrieralloc.scenario import (
     build_paper_scenario,
     load_scenario,
     load_scenario_document,
+    run_point,
     run_sweep,
     save_scenario,
+    scenario_to_yaml,
     write_results,
 )
 from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility
@@ -245,6 +248,11 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
     )
     bad.write_text(good)
     load_scenario_document(bad)
+    # numbers PyYAML reads as strings (1e3 has no dot) are still numbers
+    bad.write_text(good.replace("capacity: 10.0", "capacity: 1e3")
+                   .replace("carriers: [1]", 'carriers: ["1"]'))
+    quoted = load_scenario(bad)
+    assert quoted.carriers[0].capacity == 1000.0 and quoted.ues[0].carriers == (1,)
     for old, new, where in (
         ("capacity: 10.0", "capacity: true", r"carriers\[0\]: capacity"),
         ("id: 1\n    capacity", "id: 2.7\n    capacity", r"carriers\[0\]: id"),
@@ -252,6 +260,7 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
         ("id: 1\n    utility", "id: true\n    utility", r"ues\[0\]: id"),
         ("carriers: [1]", "carriers: [true]", r"ues\[0\]: carriers"),
         ("carriers: [1]", "carriers: [1.5]", r"ues\[0\]: carriers"),
+        ("carriers: [1]", 'carriers: "1"', r"ues\[0\]: carriers must be a list"),
         ("k: 1.0", "k: true", r"ues\[0\]: k"),
         ("r_max: 10.0", "r_max: false", r"ues\[0\]: r_max"),
         ("carrier: 1,", "carrier: true,", "sweep: carrier"),
@@ -341,6 +350,27 @@ def test_run_sweep_records_per_point_failures(tmp_path):
     for row, rec in zip(rows, records):
         assert None not in row and len(row) == 12
         assert row["error"] == rec.error
+
+
+def test_run_point_joins_protocol_and_oracle_errors(monkeypatch):
+    def failing_oracle(scenario, tol=1e-9):
+        raise OracleError("price clearing did not converge in 200 steps")
+
+    monkeypatch.setattr(scenario_module, "solve_central", failing_oracle)
+    s = tiny_scenario()
+    converged = run_point(s, 20.0, EngineConfig(), verify=True)
+    assert converged.result.converged and converged.sweep_value == 20.0
+    assert converged.error == "oracle: price clearing did not converge in 200 steps"
+    stalled = run_point(s, 20.0, EngineConfig(max_rounds=1), verify=True)
+    assert stalled.error.startswith("no convergence after 1 rounds")
+    assert stalled.error.endswith(") oracle: price clearing did not converge in 200 steps")
+
+
+def test_unknown_utility_object_is_not_written():
+    s = tiny_scenario()
+    odd = replace(s, ues=(replace(s.ues[0], utility=object()),) + s.ues[1:])
+    with pytest.raises(ScenarioError, match="unknown utility object"):
+        scenario_to_yaml(odd)
 
 
 def test_run_sweep_unknown_carrier():
