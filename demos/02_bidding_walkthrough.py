@@ -67,7 +67,7 @@ def main() -> None:
         print(f"  user {uid}: total {result.totals[uid]:7.3f}  ({parts})")
     print(f"  shadow prices: p1={result.prices[1]:.6f}  p2={result.prices[2]:.6f}")
 
-    truth = solve_central(SCENARIO, tol=1e-9)
+    truth = solve_central(SCENARIO)
     print("\ncentralized solver agrees:")
     for uid in (1, 2, 3):
         print(

@@ -20,8 +20,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .protocol import EngineConfig
+from .protocol import GAP_TOL, EngineConfig
 from .scenario import (
+    _SWEEP_KEYS,
     RunRecord,
     ScenarioError,
     SweepSpec,
@@ -59,14 +60,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="carrieralloc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = EngineConfig()
+
     def add_engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--delta", type=float, default=None,
-                       help="bid-stability tolerance of the stop rule, which also "
-                            "needs a duality gap below 1e-9 (default 1e-3)")
+                       help="bid-stability tolerance of the stop rule, which also needs "
+                            f"a duality gap of at most {GAP_TOL:g} (default {defaults.delta:g})")
         p.add_argument("--max-rounds", type=int, default=None,
-                       help="round limit before giving up (default 10000)")
+                       help=f"round limit before giving up (default {defaults.max_rounds})")
         p.add_argument("--damping", type=float, default=None,
-                       help="bid damping factor theta in (0, 1] (default 0.7)")
+                       help=f"bid damping factor theta in (0, 1] (default {defaults.damping:g})")
 
     p_run = sub.add_parser("run", help="run the protocol on a scenario")
     p_run.add_argument("--scenario", required=True, help="scenario file (YAML)")
@@ -75,11 +78,9 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one carrier's capacity")
     p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--carrier", dest="carrier_id", type=int, default=None,
-                         help="carrier id to sweep")
-    p_sweep.add_argument("--from", dest="start", type=float, default=None)
-    p_sweep.add_argument("--to", dest="stop", type=float, default=None)
-    p_sweep.add_argument("--step", type=float, default=None)
+    for name, key, kind in _SWEEP_KEYS:
+        p_sweep.add_argument(_SWEEP_FLAGS[name], dest=name, type=kind, default=None,
+                             help=f"sweep {key} (overrides the scenario file's)")
     p_sweep.add_argument("--verify", action="store_true",
                          help="also solve each point centrally and compare")
     add_engine_flags(p_sweep)
@@ -108,8 +109,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The sweep flags, by the SweepSpec field each one sets.
-_SWEEP_FLAGS = {"carrier_id": "--carrier", "start": "--from", "stop": "--to", "step": "--step"}
+# The sweep flags, by the SweepSpec field each one sets: the file's sweep keys.
+_SWEEP_FLAGS = {name: "--" + key for name, key, _ in _SWEEP_KEYS}
 
 
 def _given(args, names) -> dict:

@@ -30,15 +30,15 @@ reach:
 
 Each split leaves two strictly smaller groups, so a solve makes at most 2M-1
 price clearings and needs no starting point.  A carrier that no user reaches
-gets price 0.  The result is returned only when kkt_check certifies it at
-the requested tolerance.
+gets price 0.  The result is returned only when its KKT residuals are all
+at most KKT_TOL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .utility import (
 
 __all__ = [
     "OracleError",
+    "KKT_TOL",
     "KKTReport",
     "OracleSolution",
     "project_carrier_block",
@@ -65,6 +66,8 @@ class OracleError(RuntimeError):
     """Raised when the centralized solver cannot produce a certified solution."""
 
 
+# Every optimum solve_central returns is certified at this KKT tolerance.
+KKT_TOL = 1e-9
 _CLEARING_STEPS = 200
 _BISECT_EVERY = 3
 _LN_TINY = math.log(np.finfo(float).tiny)
@@ -118,7 +121,7 @@ class OracleSolution:
     totals: Dict[int, float]
     prices: Dict[int, float]
     objective: float
-    kkt: Optional[KKTReport]
+    kkt: KKTReport
     iterations: int
     converged: bool
 
@@ -300,37 +303,33 @@ def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
     return prices, rates, clearings
 
 
-def solve_central(scenario, tol: float = 1e-9) -> OracleSolution:
+def solve_central(scenario) -> OracleSolution:
     """Certified optimum of the log-utility allocation problem.
 
-    ``tol`` is the KKT tolerance the returned solution is certified against;
     ``iterations`` counts price clearings.  Raises OracleError, naming the
-    worst KKT residual, when the result does not certify.
+    worst KKT residual, when the result does not certify at KKT_TOL.
     """
-    if not (tol > 0.0):
-        raise OracleError(f"tol must be > 0, got {tol}")
     prob = _Problem(scenario)
     prices, rates, clearings = _decompose(prob)
+    kkt = _kkt_report(prob, rates, prices, KKT_TOL)
+    if not kkt.passed:
+        worst = max(_RESIDUALS, key=lambda name: getattr(kkt, name))
+        raise OracleError(
+            f"optimum of {scenario.name!r} fails its KKT "
+            f"certificate at tol {KKT_TOL:g}: {worst} = {getattr(kkt, worst):.3e}"
+        )
     totals = rates.sum(axis=0)
-    sol = OracleSolution(
+    return OracleSolution(
         rates={
             (prob.cids[k], prob.uids[j]): float(rates[k, j]) for k, j in zip(*np.nonzero(prob.mask))
         },
         totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
         prices={prob.cids[k]: float(prices[k]) for k in range(prob.K)},
         objective=sum(log_utility(u, float(t)) for u, t in zip(prob.utilities, totals)),
-        kkt=None,  # filled below
+        kkt=kkt,
         iterations=clearings,
         converged=True,
     )
-    sol.kkt = kkt_check(sol, scenario, tol)
-    if not sol.kkt.passed:
-        worst = max(_RESIDUALS, key=lambda name: getattr(sol.kkt, name))
-        raise OracleError(
-            f"optimum of {scenario.name!r} fails its KKT "
-            f"certificate at tol {tol:g}: {worst} = {getattr(sol.kkt, worst):.3e}"
-        )
-    return sol
 
 
 def kkt_check(candidate, scenario, tol: float) -> KKTReport:
@@ -349,7 +348,11 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
     for (cid, uid), r in candidate.rates.items():
         rates[prob.cindex[cid], uindex[uid]] = r
     prices = np.array([candidate.prices[cid] for cid in prob.cids], dtype=float)
+    return _kkt_report(prob, rates, prices, tol)
 
+
+def _kkt_report(prob: _Problem, rates: np.ndarray, prices: np.ndarray, tol: float) -> KKTReport:
+    """kkt_check of the arrays ``rates`` (carriers x users) and ``prices``."""
     totals = rates.sum(axis=0)
     alive = totals > 0.0
     m, _ = marginals(prob.params, np.where(alive, totals, 1.0))

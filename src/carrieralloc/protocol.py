@@ -51,7 +51,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .subproblem import DEFAULT_DAMPING, ProtocolError, gap_term, ue_step
+from .subproblem import ProtocolError, gap_term, ue_step
 from .utility import log_utility
 
 __all__ = [
@@ -97,7 +97,7 @@ class EngineConfig:
 
     delta: float = 1e-3
     max_rounds: int = 10000
-    damping: float = DEFAULT_DAMPING
+    damping: float = 0.7
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():

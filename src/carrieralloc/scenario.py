@@ -426,7 +426,7 @@ def run_point(
     except NonConvergenceError as exc:
         record.result = exc.result
         record.error = str(exc)
-    except (ScenarioError, OracleError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         return record
     if verify:
@@ -447,7 +447,6 @@ def run_sweep(
     verify: bool = False,
 ) -> List[RunRecord]:
     """``run_point`` per sweep value, in sweep order."""
-    scenario.carrier(sweep.carrier_id)
     return [
         run_point(scenario.with_capacity(sweep.carrier_id, v), v, config, verify)
         for v in sweep.values()

@@ -42,7 +42,6 @@ __all__ = [
     "gap_term",
 ]
 
-DEFAULT_DAMPING = 0.7
 # Scale of the proximal anchor weight rho, relative to p_min / T_prev.
 ANCHOR_GAIN = 0.3
 # Twice a bound on the scalar marginal's rounding error per unit of m + 2a

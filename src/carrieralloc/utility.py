@@ -276,8 +276,9 @@ def demands(
     marginals behave like 1/r near 0), clipped into the bracket
     [ln 5e-324, ln r_cap + 1e-12] that starts at the smallest positive rate
     and that every evaluation narrows; a step that leaves the bracket goes
-    to its midpoint.  Returns the rates and dr/d(ln p) = m/m' from the last
-    evaluation.
+    to its midpoint, unless it is a Newton step of zero on a falling marginal
+    below the cap: that is the root, even on a bracket end.  Returns the
+    rates and dr/d(ln p) = m/m' from the last evaluation.
     """
     y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
     cap = math.log(r_cap)
@@ -291,7 +292,7 @@ def demands(
             slope = m / dm
             new = np.minimum(x + (y - lm) * slope / r, cap)
         x_lo, x_hi = np.where(lm > y, x, x_lo), np.where(lm > y, x_hi, x)
-        done = (new == x) & (np.abs(lm - y) <= 1e-12)
+        done = (new == x) & (slope < 0.0) & (x < cap)
         new = np.where((new > x_lo) & (new < x_hi) | done, new, 0.5 * (x_lo + x_hi))
         if np.all(np.abs(new - x) <= 1e-10) or np.all(x_hi - x_lo <= 1e-15):
             return np.minimum(np.exp(new), r_cap), np.where(new < cap, slope, 0.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.special import lambertw
 
-from carrieralloc.oracle import OracleError, solve_central
+from carrieralloc.oracle import KKT_TOL, OracleError, solve_central
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
     LogarithmicUtility,
@@ -257,15 +257,15 @@ def wide_range_scenario(rng, name):
     return Scenario(carriers=carriers, ues=tuple(ues), name=name)
 
 
-def oracle_outcome(scenario, tol=1e-9):
+def oracle_outcome(scenario):
     """How the oracle ends on ``scenario``: "certified", "inverter" (an
     OracleError from a failed demand inversion) or "OracleError" (any other).
     Every other exception propagates."""
     try:
-        sol = solve_central(scenario, tol=tol)
+        sol = solve_central(scenario)
     except OracleError as exc:
         return "inverter" if isinstance(exc.__cause__, RootFindingError) else "OracleError"
-    assert sol.kkt.passed and sol.kkt.tol == tol, scenario.name
+    assert sol.kkt.passed and sol.kkt.tol == KKT_TOL, scenario.name
     return "certified"
 
 

@@ -8,14 +8,16 @@ import pytest
 from helpers import flat_stretch_scenario
 from carrieralloc import oracle
 from carrieralloc.cli import EXIT_NUMERIC, main
-from carrieralloc.oracle import OracleError
+from carrieralloc.oracle import OracleError, solve_central
 from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import (
     RunRecord,
     build_paper_scenario,
+    run_point,
     save_scenario,
     write_results,
 )
+from carrieralloc.subproblem import ProtocolError
 from carrieralloc.utility import RootFindingError
 
 @pytest.fixture()
@@ -98,6 +100,40 @@ def test_sweep_exit_2_lists_failing_points(paper_file, capsys):
     err = capsys.readouterr().err
     assert "failing sweep points" in err
     assert "240" in err and "250" in err
+
+
+def test_sweep_records_a_protocol_error_per_point(paper_file, tmp_path, monkeypatch, capsys):
+    # A protocol run that raises at R1=260 fails that point alone: its record
+    # holds the error and no result, and the oracle is not asked about it.
+    def run_failing_at_260(point, config):
+        if point.carrier(1).capacity == 260.0:
+            raise ProtocolError("bid of UE 13 is not finite")
+        return run(point, config)
+
+    solved = []
+
+    def recording_oracle(point):
+        solved.append(point.carrier(1).capacity)
+        return solve_central(point)
+
+    monkeypatch.setattr("carrieralloc.scenario.run", run_failing_at_260)
+    monkeypatch.setattr("carrieralloc.scenario.solve_central", recording_oracle)
+    message = "ProtocolError: bid of UE 13 is not finite"
+    rec = run_point(build_paper_scenario(260.0), 260.0, EngineConfig(), verify=True)
+    assert rec.result is None and rec.oracle is None and rec.comparison is None
+    assert rec.error == message and solved == []
+    with open(write_results([rec], tmp_path / "point")["summary"], newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == message
+
+    code = main(
+        ["sweep", "--scenario", str(paper_file), "--carrier", "1",
+         "--from", "250", "--to", "260", "--step", "10", "--verify"]
+    )
+    assert code == EXIT_NUMERIC and solved == [250.0]
+    captured = capsys.readouterr()
+    assert f"R1=260: error: {message}\n" in captured.out
+    assert f"failing sweep points: 260 ({message})" in captured.err
 
 
 def test_sweep_verify_records_an_oracle_kernel_failure(tmp_path, monkeypatch, capsys):
@@ -192,7 +228,7 @@ def test_run_out_records_the_non_convergence_message(paper_file, tmp_path):
 
 
 def test_verify_reports_an_oracle_error_as_numeric_failure(paper_file, monkeypatch, capsys):
-    def failing_oracle(scenario, tol=1e-9):
+    def failing_oracle(scenario):
         raise OracleError("price clearing did not converge in 200 steps")
 
     monkeypatch.setattr("carrieralloc.scenario.solve_central", failing_oracle)

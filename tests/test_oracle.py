@@ -17,6 +17,7 @@ from helpers import (
 )
 from carrieralloc import oracle
 from carrieralloc.oracle import (
+    KKT_TOL,
     KKTReport,
     OracleError,
     kkt_check,
@@ -93,7 +94,7 @@ def test_identical_ues_split_evenly():
         ues=(UESpec(id=1, utility=u, carriers=(1,)), UESpec(id=2, utility=u, carriers=(1,))),
         name="twins",
     )
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     assert sol.totals[1] == pytest.approx(50.0, abs=1e-6)
     assert sol.totals[2] == pytest.approx(50.0, abs=1e-6)
     assert sol.objective == pytest.approx(2.0 * log_utility(u, 50.0), abs=1e-9)
@@ -101,7 +102,7 @@ def test_identical_ues_split_evenly():
 
 def test_sig_log_pair_equalizes_marginals():
     s = two_ue_scenario()
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     # independent scalar bisection on marginal_sig(r) = marginal_log(100 - r)
     sig, log = s.ues[0].utility, s.ues[1].utility
     lo, hi = 1e-9, 100.0 - 1e-9
@@ -117,7 +118,7 @@ def test_sig_log_pair_equalizes_marginals():
 
 
 def test_paper_scenario_totals_at_r1_300():
-    sol = solve_central(build_paper_scenario(300.0), tol=1e-9)
+    sol = solve_central(build_paper_scenario(300.0))
     expected = [11.27, 21.94, 34.72, 19.82, 25.67, 36.36]
     for j, want in enumerate(expected):
         assert sol.totals[13 + j] == pytest.approx(want, abs=1.0)
@@ -135,7 +136,7 @@ def test_single_price_totals_match_closed_form_demands():
 
     for r1 in (110.0, 180.0):
         s = build_paper_scenario(r1)
-        sol = solve_central(s, tol=1e-9)
+        sol = solve_central(s)
         assert sol.prices[1] == sol.prices[2]
         lo, hi = 1e-6, 10.0
         for _ in range(200):
@@ -154,7 +155,7 @@ def test_paper_sweep_points_certify():
     # 1e-9 and fills both carriers, without a numpy warning.
     for r1 in range(20, 301, 10):
         s = build_paper_scenario(float(r1))
-        sol = solve_central(s, tol=1e-9)
+        sol = solve_central(s)
         assert sol.kkt.passed and sol.kkt.tol == 1e-9
         for c in s.carriers:
             load = sum(r for (cid, _), r in sol.rates.items() if cid == c.id)
@@ -162,7 +163,7 @@ def test_paper_sweep_points_certify():
 
 
 def test_oracle_capacity_exhausted_exactly():
-    sol = solve_central(build_paper_scenario(110.0), tol=1e-9)
+    sol = solve_central(build_paper_scenario(110.0))
     loads = {1: 0.0, 2: 0.0}
     for (cid, _), r in sol.rates.items():
         assert r >= 0.0
@@ -173,21 +174,20 @@ def test_oracle_capacity_exhausted_exactly():
 
 def test_totals_unique_across_listing_orders():
     s = build_paper_scenario(150.0)
-    tol = 1e-9
-    base = solve_central(s, tol=tol)
+    base = solve_central(s)
     rng = np.random.default_rng(31)
     for _ in range(2):
         carriers, ues = list(s.carriers), list(s.ues)
         rng.shuffle(carriers)
         rng.shuffle(ues)
-        other = solve_central(Scenario(tuple(carriers), tuple(ues), s.name), tol=tol)
+        other = solve_central(Scenario(tuple(carriers), tuple(ues), s.name))
         for uid, total in base.totals.items():
-            assert other.totals[uid] == pytest.approx(total, abs=10.0 * tol + 1e-7)
+            assert other.totals[uid] == pytest.approx(total, abs=10.0 * KKT_TOL + 1e-7)
 
 
 def test_oracle_objective_dominates_random_feasible_points():
     s = build_paper_scenario(90.0)
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     rng = np.random.default_rng(37)
     utilities = {u.id: u.utility for u in s.ues}
     for _ in range(100):
@@ -222,7 +222,7 @@ def test_duality_gap_is_small():
     # the protocol's dual function: one gap_term per user plus
     # p_l (R_l - load_l) per carrier
     s = build_paper_scenario(150.0)
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     gap = 0.0
     for ue in s.ues:
         prices = [sol.prices[cid] for cid in ue.carriers]
@@ -236,7 +236,7 @@ def test_duality_gap_is_small():
 
 
 def test_failed_certificate_raises_naming_worst_residual(monkeypatch):
-    def failing_check(candidate, scenario, tol):
+    def failing_report(prob, rates, prices, tol):
         return KKTReport(
             stationarity_active=3e-6,
             stationarity_inactive=0.0,
@@ -247,9 +247,9 @@ def test_failed_certificate_raises_naming_worst_residual(monkeypatch):
             passed=False,
         )
 
-    monkeypatch.setattr(oracle, "kkt_check", failing_check)
-    with pytest.raises(OracleError, match=r"stationarity_active = 3\.000e-06"):
-        solve_central(two_ue_scenario(), tol=1e-9)
+    monkeypatch.setattr(oracle, "_kkt_report", failing_report)
+    with pytest.raises(OracleError, match=r"at tol 1e-09: stationarity_active = 3\.000e-06"):
+        solve_central(two_ue_scenario())
 
 
 def test_hall_split_prices_captive_users_apart():
@@ -262,7 +262,7 @@ def test_hall_split_prices_captive_users_apart():
         + tuple(UESpec(id=i, utility=u, carriers=(1, 2)) for i in (4, 5, 6)),
         name="captive",
     )
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     for uid in (1, 2, 3):
         assert sol.totals[uid] == pytest.approx(10.0 / 3.0, abs=1e-9)
     for uid in (4, 5, 6):
@@ -284,7 +284,7 @@ def test_hall_split_on_twelve_carrier_chain():
         + tuple(UESpec(id=i, utility=u, carriers=(12,)) for i in (12, 13, 14)),
         name="chain",
     )
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     for uid in range(1, 12):
         assert sol.totals[uid] == pytest.approx(10.0, abs=1e-9)
     for uid in (12, 13, 14):
@@ -371,7 +371,7 @@ def test_satiated_users_share_spare_capacity():
         ues=(UESpec(id=1, utility=u, carriers=(1,)), UESpec(id=2, utility=u, carriers=(1,))),
         name="satiated",
     )
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     assert sol.totals == {1: 43.0, 2: 43.0}
     assert 0.0 < sol.prices[1] <= 1e-15
 
@@ -403,7 +403,7 @@ def test_random_multi_carrier_scenarios_certify():
         # after 200 small scenarios, one of 1000 users on 8 carriers
         s = _random_multi_carrier_scenario(rng, f"random-{i}", *([8, 1000] if i == 200 else []))
         try:
-            sol = solve_central(s, tol=1e-9)
+            sol = solve_central(s)
         except OracleError as exc:
             failures.append(str(exc))
             continue
@@ -424,11 +424,6 @@ def test_random_multi_carrier_scenarios_certify():
     assert sol.iterations > 1, "the 1000-user scenario needs a Hall split"
 
 
-def test_oracle_rejects_bad_tol():
-    with pytest.raises(OracleError):
-        solve_central(two_ue_scenario(), tol=0.0)
-
-
 @pytest.mark.filterwarnings("error")
 def test_inverter_failure_raises_oracle_error_naming_the_group(monkeypatch):
     def failing_demands(*args):
@@ -444,7 +439,7 @@ def test_inverter_failure_raises_oracle_error_naming_the_group(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_flat_stretch_scenario_certifies():
     # Both marginals equal a to machine precision over most of the capacity.
-    sol = solve_central(flat_stretch_scenario(), tol=1e-9)
+    sol = solve_central(flat_stretch_scenario())
     assert sol.kkt.passed and sol.kkt.tol == 1e-9
     assert 41.6 <= sol.prices[1] <= 44.5
 
@@ -455,19 +450,19 @@ def test_random_scenarios_of_2000_users_on_16_carriers_certify(seed):
     # groups of hundreds of users priced next to their sigmoidal steepness
     rng = np.random.default_rng(seed)
     s = _random_multi_carrier_scenario(rng, f"random-2000-{seed}", 16, 2000)
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     assert sol.kkt.passed and sol.kkt.tol == 1e-9
 
 
 def test_wide_range_scenarios_certify_or_raise_oracle_error():
     # Far outside the paper's ranges (helpers.wide_range_scenario): a*b up to
     # 5e4, capacities over seven decades, shared profiles.  Every scenario
-    # counts; the few that the flat clearing cannot certify yet must raise
+    # counts; one that the flat clearing cannot certify must raise
     # OracleError from the certificate, never fail in the demand inverter.
     rng = np.random.default_rng(15)
     counts = Counter(oracle_outcome(wide_range_scenario(rng, f"wide-{i}")) for i in range(100))
     assert counts["inverter"] == 0, counts
-    assert counts["certified"] >= 97, counts
+    assert counts["certified"] == 100, counts
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +471,15 @@ def test_wide_range_scenarios_certify_or_raise_oracle_error():
 
 def test_exact_solution_passes_kkt_at_solver_tol():
     s = build_paper_scenario(200.0)
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     report = kkt_check(sol, s, tol=1e-9)
     assert report.passed
+    assert report == sol.kkt  # the dict front reads the solver's own arrays back exactly
 
 
 def test_perturbation_grows_stationarity_residual():
     s = two_ue_scenario()
-    sol = solve_central(s, tol=1e-9)
+    sol = solve_central(s)
     base = kkt_check(sol, s, tol=1e-9)
     bumped = dict(sol.rates)
     key = (1, 1)

@@ -353,7 +353,7 @@ def test_run_sweep_records_per_point_failures(tmp_path):
 
 
 def test_run_point_joins_protocol_and_oracle_errors(monkeypatch):
-    def failing_oracle(scenario, tol=1e-9):
+    def failing_oracle(scenario):
         raise OracleError("price clearing did not converge in 200 steps")
 
     monkeypatch.setattr(scenario_module, "solve_central", failing_oracle)
