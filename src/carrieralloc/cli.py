@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .protocol import GAP_TOL, EngineConfig
+from .protocol import EngineConfig
 from .scenario import (
     _SWEEP_KEYS,
     RunRecord,
@@ -60,16 +60,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="carrieralloc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = EngineConfig()
+    # The one engine setting on the command line; the others are EngineConfig's
+    # defaults, and a scenario file has none.
+    max_rounds = EngineConfig().max_rounds
 
     def add_engine_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--delta", type=float, default=None,
-                       help="bid-stability tolerance of the stop rule, which also needs "
-                            f"a duality gap of at most {GAP_TOL:g} (default {defaults.delta:g})")
-        p.add_argument("--max-rounds", type=int, default=None,
-                       help=f"round limit before giving up (default {defaults.max_rounds})")
-        p.add_argument("--damping", type=float, default=None,
-                       help=f"bid damping factor theta in (0, 1] (default {defaults.damping:g})")
+        p.add_argument("--max-rounds", type=int, default=max_rounds,
+                       help=f"round limit before giving up (default {max_rounds})")
 
     p_run = sub.add_parser("run", help="run the protocol on a scenario")
     p_run.add_argument("--scenario", required=True, help="scenario file (YAML)")
@@ -103,7 +100,6 @@ def _build_parser() -> _Parser:
 
     p_paper = sub.add_parser("paper-scenario", help="emit the built-in scenario")
     p_paper.add_argument("--r1", type=float, default=300.0, help="carrier-1 capacity")
-    p_paper.add_argument("--r2", type=float, default=100.0, help="carrier-2 capacity")
     p_paper.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     return parser
@@ -113,18 +109,8 @@ def _build_parser() -> _Parser:
 _SWEEP_FLAGS = {name: "--" + key for name, key, _ in _SWEEP_KEYS}
 
 
-def _given(args, names) -> dict:
-    """The flags among ``names`` given on the command line, by dest."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
-def _engine_config(args, file_engine: Optional[EngineConfig]) -> EngineConfig:
-    given = _given(args, [f.name for f in fields(EngineConfig)])
-    return replace(file_engine or EngineConfig(), **given)
-
-
 def _sweep_spec(args, file_sweep: Optional[SweepSpec]) -> SweepSpec:
-    given = _given(args, _SWEEP_FLAGS)
+    given = {name: getattr(args, name) for name in _SWEEP_FLAGS if getattr(args, name) is not None}
     if file_sweep is not None:
         return replace(file_sweep, **given)
     missing = [flag for name, flag in _SWEEP_FLAGS.items() if name not in given]
@@ -160,7 +146,7 @@ def _cmd_point(args) -> int:
     doc = load_scenario_document(args.scenario)
     verify = args.command == "verify"
     first = doc.scenario.carriers[0]
-    rec = run_point(doc.scenario, first.capacity, _engine_config(args, doc.engine), verify)
+    rec = run_point(doc.scenario, first.capacity, EngineConfig(max_rounds=args.max_rounds), verify)
     line, ok = _point_line(first.id, rec, verify)
     print(line)
     if rec.comparison is not None:
@@ -188,8 +174,8 @@ def _cmd_point(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = load_scenario_document(args.scenario)
-    config = _engine_config(args, doc.engine)
     sweep = _sweep_spec(args, doc.sweep)
+    config = EngineConfig(max_rounds=args.max_rounds)
     records = run_sweep(doc.scenario, sweep, config, verify=args.verify)
     if args.out is not None:
         write_results(records, args.out)
@@ -231,10 +217,8 @@ def _cmd_utility_curve(args) -> int:
 
 
 def _cmd_paper_scenario(args) -> int:
-    scenario = build_paper_scenario(r1=args.r1, r2=args.r2)
     text = scenario_to_yaml(
-        scenario,
-        engine=EngineConfig(),
+        build_paper_scenario(r1=args.r1),
         sweep=SweepSpec(carrier_id=1, start=20.0, stop=300.0, step=10.0),
     )
     if args.out == "-":

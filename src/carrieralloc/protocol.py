@@ -201,10 +201,9 @@ class _AndersonMixer:
             del self.df[0], self.dg[0], self.gram[0]
             for row in self.gram:
                 del row[0]
-        cross = [_dot(col, df) for col in self.df]
-        for row, c in zip(self.gram, cross):
-            row.append(c)
-        self.gram.append(cross + [_dot(df, df)])
+        # gram is stored as its lower triangle: row i holds the products of
+        # column i with columns 0..i, all that _solve reads.
+        self.gram.append([_dot(col, df) for col in self.df] + [_dot(df, df)])
         self.df.append(df)
         self.dg.append(dg)
 

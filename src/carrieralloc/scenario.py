@@ -2,9 +2,11 @@
 
 A scenario is a set of capacity-limited carriers plus users, each user with
 a utility function and a non-empty set of reachable carriers.  Scenarios are
-stored as a single YAML document with top-level sections ``carriers``,
-``ues``, and optional ``engine`` and ``sweep`` sections whose field names
-mirror the corresponding dataclasses.
+stored as a single YAML document with top-level keys ``name``, ``carriers``,
+``ues`` and an optional ``sweep`` section; any other key, at any level, is an
+error, so a misspelled key never leaves a value on its default.  Engine
+settings are not part of the file: the library sets all three
+``EngineConfig`` fields, the CLI sets ``--max-rounds`` only.
 
 ``run_point`` runs the protocol (and optionally the centralized oracle) on
 one scenario; the sweep runner maps it over the capacities one carrier steps
@@ -24,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -173,7 +175,6 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ScenarioDocument:
     scenario: Scenario
-    engine: Optional[EngineConfig] = None
     sweep: Optional[SweepSpec] = None
 
 
@@ -228,7 +229,22 @@ def _utility_from_dict(d: object) -> UtilityFunction:
         raise ScenarioError(
             f"unknown utility type {d['type']!r} (expected one of {sorted(_FAMILIES)})"
         )
+    _known(d, ["type", *_PARAMS[family]])
     return family(*(_number(d[name], name) for name in _PARAMS[family]))
+
+
+def _known(d: object, keys: Sequence[str]) -> dict:
+    """``d``, a mapping that has no key outside ``keys``.
+
+    A key the format does not define is refused, not ignored: ignored, a
+    misspelled key would leave its value on the default unannounced.
+    """
+    if not isinstance(d, dict):
+        raise TypeError(f"must be a mapping, got {d!r}")
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} (expected {', '.join(keys)})")
+    return d
 
 
 @contextmanager
@@ -248,7 +264,7 @@ _SWEEP_KEYS = (("carrier_id", "carrier", int), ("start", "from", float),
 
 
 def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
-    """Parse and validate a scenario file, including any engine/sweep sections."""
+    """Parse and validate a scenario file, including any sweep section."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(), Loader=_LOADER)
@@ -256,6 +272,8 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
+    with _context(str(path)):
+        _known(raw, ["name", "carriers", "ues", "sweep"])
     for section in ("carriers", "ues"):
         if section not in raw:
             raise ScenarioError(f"{path}: missing section '{section}'")
@@ -265,6 +283,7 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     carriers = []
     for idx, item in enumerate(raw["carriers"]):
         with _context(f"{path}: carriers[{idx}]"):
+            _known(item, ["id", "capacity"])
             carriers.append(
                 CarrierSpec(id=_number(item["id"], "id", int),
                             capacity=_number(item["capacity"], "capacity"))
@@ -273,6 +292,7 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     ues = []
     for idx, item in enumerate(raw["ues"]):
         with _context(f"{path}: ues[{idx}]"):
+            _known(item, ["id", "utility", "carriers"])
             reach = item["carriers"]
             if not isinstance(reach, list):
                 raise TypeError(f"carriers must be a list, got {reach!r}")
@@ -287,18 +307,16 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     name = raw.get("name", path.stem)
     scenario = Scenario(carriers=tuple(carriers), ues=tuple(ues), name=str(name))
 
-    engine = sweep = None
-    if raw.get("engine") is not None:
-        with _context(f"{path}: engine"):
-            engine = EngineConfig(**raw["engine"])
+    sweep = None
     if raw.get("sweep") is not None:
         with _context(f"{path}: sweep"):
+            section = _known(raw["sweep"], [key for _, key, _ in _SWEEP_KEYS])
             sweep = SweepSpec(**{
-                attr: _number(raw["sweep"][key], key, kind) for attr, key, kind in _SWEEP_KEYS
+                attr: _number(section[key], key, kind) for attr, key, kind in _SWEEP_KEYS
             })
         scenario.carrier(sweep.carrier_id)
 
-    return ScenarioDocument(scenario=scenario, engine=engine, sweep=sweep)
+    return ScenarioDocument(scenario=scenario, sweep=sweep)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
@@ -307,21 +325,14 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 
 def save_scenario(
-    scenario: Scenario,
-    path: Union[str, Path],
-    engine: Optional[EngineConfig] = None,
-    sweep: Optional[SweepSpec] = None,
+    scenario: Scenario, path: Union[str, Path], sweep: Optional[SweepSpec] = None
 ) -> Path:
     path = Path(path)
-    path.write_text(scenario_to_yaml(scenario, engine=engine, sweep=sweep))
+    path.write_text(scenario_to_yaml(scenario, sweep=sweep))
     return path
 
 
-def scenario_to_yaml(
-    scenario: Scenario,
-    engine: Optional[EngineConfig] = None,
-    sweep: Optional[SweepSpec] = None,
-) -> str:
+def scenario_to_yaml(scenario: Scenario, sweep: Optional[SweepSpec] = None) -> str:
     doc: Dict[str, object] = {
         "name": scenario.name,
         "carriers": [
@@ -336,15 +347,13 @@ def scenario_to_yaml(
             for u in scenario.ues
         ],
     }
-    if engine is not None:
-        doc["engine"] = asdict(engine)
     if sweep is not None:
         doc["sweep"] = {key: getattr(sweep, attr) for attr, key, _ in _SWEEP_KEYS}
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
 
 
-def build_paper_scenario(r1: float = 300.0, r2: float = 100.0) -> Scenario:
-    """The 18-UE / 2-carrier reference experiment.
+def build_paper_scenario(r1: float = 300.0) -> Scenario:
+    """The 18-UE / 2-carrier reference experiment, carrier 2 fixed at 100.
 
     Three user groups of six: group 1 (ids 1-6) reaches carrier 1 only,
     group 2 (ids 7-12) carrier 2 only, group 3 (ids 13-18) both.  Within a
@@ -369,7 +378,7 @@ def build_paper_scenario(r1: float = 300.0, r2: float = 100.0) -> Scenario:
             reach = (1, 2)
         ues.append(UESpec(id=i, utility=profiles[(i - 1) % 6], carriers=reach))
     return Scenario(
-        carriers=(CarrierSpec(id=1, capacity=float(r1)), CarrierSpec(id=2, capacity=float(r2))),
+        carriers=(CarrierSpec(id=1, capacity=float(r1)), CarrierSpec(id=2, capacity=100.0)),
         ues=tuple(ues),
         name=f"paper18-r1-{r1:g}",
     )

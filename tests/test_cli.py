@@ -304,3 +304,9 @@ def test_unknown_flags_exit_usage(paper_file):
     for command in ("sweep", "verify"):
         for flag, value in (("--anchor-gain", "0.3"), ("--oracle-tol", "1e-9")):
             assert main([command, "--scenario", str(paper_file), flag, value]) == 1
+    # engine settings other than the round limit are EngineConfig's alone,
+    # and carrier 2 of the reference experiment is fixed
+    for command in ("run", "sweep", "verify"):
+        for flag, value in (("--delta", "1e-3"), ("--damping", "0.7")):
+            assert main([command, "--scenario", str(paper_file), flag, value]) == 1
+    assert main(["paper-scenario", "--r2", "100"]) == 1

@@ -108,7 +108,7 @@ def test_paper_scenario_structure():
 # persistence
 
 # sha256 of `carrieralloc paper-scenario --out -`: the file format, byte for byte
-PAPER_SCENARIO_SHA256 = "d2f64835da2ac0cb15a81c2b5f86a7e76703dce162d9f4b1f8c09c07b0fa9c4c"
+PAPER_SCENARIO_SHA256 = "9473dbd42ea63bdbbf3cb0d3f572f57b47ab13242fb4b6b7de00bc2c4a595373"
 
 
 @pytest.fixture(
@@ -196,17 +196,15 @@ def test_save_load_round_trip_random_scenarios(yaml_classes, tmp_path):
 def test_document_engine_and_sweep_sections(yaml_classes, tmp_path):
     s = tiny_scenario()
     path = tmp_path / "doc.yaml"
-    save_scenario(
-        s,
-        path,
-        engine=EngineConfig(delta=5e-4, max_rounds=777),
-        sweep=SweepSpec(carrier_id=1, start=10.0, stop=50.0, step=10.0),
-    )
+    save_scenario(s, path, sweep=SweepSpec(carrier_id=1, start=10.0, stop=50.0, step=10.0))
     doc = load_scenario_document(path)
     assert doc.scenario == s
-    assert doc.engine.delta == 5e-4
-    assert doc.engine.max_rounds == 777
     assert doc.sweep == SweepSpec(carrier_id=1, start=10.0, stop=50.0, step=10.0)
+    # engine settings are EngineConfig's alone: a file that still has the
+    # engine section older writers emitted is refused, not run on defaults
+    path.write_text(path.read_text() + "engine:\n  delta: 0.001\n  max_rounds: 10000\n")
+    with pytest.raises(ScenarioError, match=r"doc\.yaml: unknown key 'engine'"):
+        load_scenario_document(path)
 
 
 def test_load_errors_carry_context(yaml_classes, tmp_path):
@@ -232,7 +230,7 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
     )
     with pytest.raises(ScenarioError, match="engine"):
         load_scenario(bad)
-    # a boolean round limit, and a module constant named as an engine field
+    # an engine section of any contents is a key the format does not define
     for engine in ("{max_rounds: true}", "{anchor_gain: 0.3}"):
         bad.write_text(
             "carriers:\n  - id: 1\n    capacity: 10.0\nues:\n  - id: 1\n    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n"
@@ -267,6 +265,12 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
         ("from: 5", "from: false", "sweep: from"),
         ("step: 5", "step: true", "sweep: step"),
         ("to: 10", "to: .inf", "sweep: sweep stop must be finite"),
+        # a key the format does not define, at each level
+        ("sweep:", "sweeep:", r"bad\.yaml: unknown key 'sweeep'"),
+        ("sweep:", "engnie: {max_rounds: 3}\nsweep:", r"bad\.yaml: unknown key 'engnie'"),
+        ("capacity: 10.0", "capacity: 10.0\n    capcity: 99", r"carriers\[0\]: unknown key 'capcity'"),
+        ("r_max: 10.0}", "r_max: 10.0, kk: 3}", r"ues\[0\]: unknown key 'kk'"),
+        ("carriers: [1]", "carriers: [1]\n    prio: 2", r"ues\[0\]: unknown key 'prio'"),
     ):
         bad.write_text(good.replace(old, new))
         with pytest.raises(ScenarioError, match=where):
