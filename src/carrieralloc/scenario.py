@@ -51,6 +51,7 @@ __all__ = [
     "ComparisonReport",
     "load_scenario",
     "load_scenario_document",
+    "parse_utility",
     "save_scenario",
     "scenario_to_yaml",
     "build_paper_scenario",
@@ -258,6 +259,20 @@ def _context(where: str) -> Iterator[None]:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _parse(text: str, where: str) -> object:
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{where}: not valid YAML: {exc}") from exc
+
+
+def parse_utility(text: str, where: str) -> UtilityFunction:
+    """A utility written as in a scenario file, e.g. ``{type: sigmoidal, a: 1, b: 30}``."""
+    raw = _parse(text, where)
+    with _context(where):
+        return _utility_from_dict(raw)
+
+
 # The sweep section's keys, by the SweepSpec field each one sets.
 _SWEEP_KEYS = (("carrier_id", "carrier", int), ("start", "from", float),
                ("stop", "to", float), ("step", "step", float))
@@ -266,10 +281,7 @@ _SWEEP_KEYS = (("carrier_id", "carrier", int), ("start", "from", float),
 def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
     """Parse and validate a scenario file, including any sweep section."""
     path = Path(path)
-    try:
-        raw = yaml.load(path.read_text(), Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+    raw = _parse(path.read_text(), str(path))
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     with _context(str(path)):
@@ -305,7 +317,9 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
             )
 
     name = raw.get("name", path.stem)
-    scenario = Scenario(carriers=tuple(carriers), ues=tuple(ues), name=str(name))
+    if not isinstance(name, str):
+        raise ScenarioError(f"{path}: name must be a string, got {name!r}")
+    scenario = Scenario(carriers=tuple(carriers), ues=tuple(ues), name=name)
 
     sweep = None
     if raw.get("sweep") is not None:

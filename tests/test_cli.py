@@ -100,6 +100,7 @@ def test_sweep_exit_2_lists_failing_points(paper_file, capsys):
     err = capsys.readouterr().err
     assert "failing sweep points" in err
     assert "240" in err and "250" in err
+    assert "no convergence after 1 rounds" in err
 
 
 def test_sweep_records_a_protocol_error_per_point(paper_file, tmp_path, monkeypatch, capsys):
@@ -194,7 +195,7 @@ def test_verify_reports_protocol_non_convergence(paper_file, capsys):
     assert main(["verify", "--scenario", str(paper_file), "--max-rounds", "1"]) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert "rounds=1 " in captured.out and "converged=False" in captured.out
-    assert "numeric failure: no convergence after 1 rounds" in captured.err
+    assert "failing sweep points: 300 (no convergence after 1 rounds" in captured.err
 
 
 def test_verify_runs_the_oracle_after_protocol_non_convergence(paper_file, capsys):
@@ -204,13 +205,15 @@ def test_verify_runs_the_oracle_after_protocol_non_convergence(paper_file, capsy
     assert out.splitlines()[-1] == "verification FAIL"
 
 
-def test_run_and_verify_print_the_sweep_point_line(paper_file, capsys):
+def test_run_and_verify_print_the_sweep_point_line(paper_file, tmp_path, capsys):
     flags = ["--scenario", str(paper_file)]
-    assert main(["run"] + flags) == 0
+    assert main(["run"] + flags + ["--out", str(tmp_path / "run")]) == 0
     run_line = capsys.readouterr().out.splitlines()[0]
     assert main(["sweep"] + flags + ["--carrier", "1", "--from", "300", "--to", "300",
-                                     "--step", "10"]) == 0
+                                     "--step", "10", "--out", str(tmp_path / "sweep")]) == 0
     assert capsys.readouterr().out.splitlines() == [run_line]
+    for name in ("rates.csv", "prices.csv", "summary.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
     assert run_line.startswith("R1=300: rounds=")
     assert main(["verify"] + flags) == 0
     verify_line = capsys.readouterr().out.splitlines()[0]
@@ -234,13 +237,13 @@ def test_verify_reports_an_oracle_error_as_numeric_failure(paper_file, monkeypat
     monkeypatch.setattr("carrieralloc.scenario.solve_central", failing_oracle)
     assert main(["verify", "--scenario", str(paper_file)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "numeric failure: oracle: price clearing did not converge in 200 steps" in err
+    assert "failing sweep points: 300 (oracle: price clearing did not converge in 200 steps)" in err
     assert "Traceback" not in err
 
 
 def test_utility_curve_contains_published_point(capsys):
     assert main(
-        ["utility-curve", "--type", "sig", "--a", "1", "--b", "30",
+        ["utility-curve", "--utility", "{type: sigmoidal, a: 1, b: 30}",
          "--max", "100", "--samples", "1000"]
     ) == 0
     out = capsys.readouterr().out.splitlines()
@@ -253,7 +256,7 @@ def test_utility_curve_contains_published_point(capsys):
 
 
 def test_utility_curve_log_reaches_one(capsys):
-    assert main(["utility-curve", "--type", "log", "--k", "3", "--rmax", "100"]) == 0
+    assert main(["utility-curve", "--utility", "{type: logarithmic, k: 3, r_max: 100}"]) == 0
     out = capsys.readouterr().out.splitlines()
     last_r, last_u = out[-1].split(",")
     assert float(last_r) == 100.0
@@ -261,18 +264,25 @@ def test_utility_curve_log_reaches_one(capsys):
 
 
 def test_utility_curve_validation(capsys):
-    assert main(["utility-curve", "--type", "sig", "--a", "1", "--b", "30", "--samples", "0"]) == 1
-    assert main(["utility-curve", "--type", "sig", "--b", "30"]) == 1
-    assert main(["utility-curve", "--type", "log", "--k", "3"]) == 1
-    assert main(["utility-curve", "--type", "log", "--k", "-3", "--rmax", "100"]) == 1
+    sig = "{type: sigmoidal, a: 1, b: 30}"
+    assert main(["utility-curve", "--utility", sig, "--samples", "0"]) == 1
+    # a utility is refused exactly as in a scenario file, before any row
+    for bad in ("{type: sigmoidal, b: 30}", "{type: logarithmic, k: 3}",
+                "{type: logarithmic, k: -3, r_max: 100}", "{type: sigmoidal, a: 1",
+                "[1, 2]", "{type: logarithmic, k: 3, r_max: 100, a: 1}",
+                "{type: sigmoidal, a: true, b: 30}", "{type: sig, a: 1, b: 30}"):
+        capsys.readouterr()
+        assert main(["utility-curve", "--utility", bad]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --utility: "), bad
+        assert "Traceback" not in captured.err
     # an infinite axis fails before any row is written
-    capsys.readouterr()
-    assert main(["utility-curve", "--type", "sig", "--a", "1", "--b", "30", "--max", "inf"]) == 1
+    assert main(["utility-curve", "--utility", sig, "--max", "inf"]) == 1
     assert capsys.readouterr().out == ""
 
 
 def test_utility_curve_is_deterministic(capsys):
-    args = ["utility-curve", "--type", "log", "--k", "0.5", "--rmax", "100"]
+    args = ["utility-curve", "--utility", "{type: logarithmic, k: 0.5, r_max: 100}"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
@@ -281,7 +291,7 @@ def test_utility_curve_is_deterministic(capsys):
 
 def test_paper_scenario_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.yaml"
-    assert main(["paper-scenario", "--r1", "300", "--out", str(out)]) == 0
+    assert main(["paper-scenario", "--out", str(out)]) == 0
     assert main(["run", "--scenario", str(out)]) == 0
     run_line = capsys.readouterr().out
     # generated file runs exactly like the built-in fixture
@@ -310,3 +320,7 @@ def test_unknown_flags_exit_usage(paper_file):
         for flag, value in (("--delta", "1e-3"), ("--damping", "0.7")):
             assert main([command, "--scenario", str(paper_file), flag, value]) == 1
     assert main(["paper-scenario", "--r2", "100"]) == 1
+    # the reference experiment's carrier 1 is swept, not set; a utility is
+    # written as in a scenario file
+    assert main(["paper-scenario", "--r1", "300"]) == 1
+    assert main(["utility-curve", "--type", "sig", "--a", "1", "--b", "30"]) == 1

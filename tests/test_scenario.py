@@ -271,6 +271,9 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
         ("capacity: 10.0", "capacity: 10.0\n    capcity: 99", r"carriers\[0\]: unknown key 'capcity'"),
         ("r_max: 10.0}", "r_max: 10.0, kk: 3}", r"ues\[0\]: unknown key 'kk'"),
         ("carriers: [1]", "carriers: [1]\n    prio: 2", r"ues\[0\]: unknown key 'prio'"),
+        # a name YAML does not read as a string
+        *(("sweep:", f"name: {name}\nsweep:", r"bad\.yaml: name must be a string")
+          for name in ("[1, 2]", "null", "true", "123", "{a: 1}")),
     ):
         bad.write_text(good.replace(old, new))
         with pytest.raises(ScenarioError, match=where):
