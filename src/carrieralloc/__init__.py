@@ -17,7 +17,7 @@ from .utility import (
     marginal,
     solve_rate_for_price,
 )
-from .subproblem import ProtocolError, gap_term, ue_step
+from .subproblem import ProtocolError, ue_step
 from .protocol import (
     AllocationResult,
     EngineConfig,
@@ -29,6 +29,7 @@ from .oracle import (
     KKTReport,
     OracleError,
     OracleSolution,
+    duality_gap,
     kkt_check,
     project_carrier_block,
     solve_central,
@@ -64,7 +65,6 @@ __all__ = [
     "marginal",
     "solve_rate_for_price",
     "ProtocolError",
-    "gap_term",
     "ue_step",
     "AllocationResult",
     "EngineConfig",
@@ -75,6 +75,7 @@ __all__ = [
     "OracleError",
     "OracleSolution",
     "kkt_check",
+    "duality_gap",
     "project_carrier_block",
     "solve_central",
     "CarrierSpec",

@@ -46,6 +46,7 @@ from .utility import (
     RootFindingError,
     UtilityFunction,
     demands,
+    dual_gap,
     log_utility,
     marginals,
     parameter_arrays,
@@ -59,6 +60,7 @@ __all__ = [
     "project_carrier_block",
     "solve_central",
     "kkt_check",
+    "duality_gap",
 ]
 
 
@@ -342,13 +344,23 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
     stationarity residual infinite; rates on links a user does not reach
     count in its total and its carrier's load only.
     """
+    return _kkt_report(*_candidate_arrays(candidate, scenario), tol)
+
+
+def duality_gap(candidate, scenario) -> float:
+    """utility.dual_gap of ``candidate`` (as in kkt_check) on ``scenario``."""
+    prob, rates, prices = _candidate_arrays(candidate, scenario)
+    return dual_gap(prob.params, prob.mask, prob.caps, rates, prices)
+
+
+def _candidate_arrays(candidate, scenario) -> Tuple[_Problem, np.ndarray, np.ndarray]:
+    """The scenario's arrays, and the candidate's rates (carriers x users) and prices."""
     prob = _Problem(scenario)
     uindex = {uid: j for j, uid in enumerate(prob.uids)}
     rates = np.zeros((prob.K, prob.M))
     for (cid, uid), r in candidate.rates.items():
         rates[prob.cindex[cid], uindex[uid]] = r
-    prices = np.array([candidate.prices[cid] for cid in prob.cids], dtype=float)
-    return _kkt_report(prob, rates, prices, tol)
+    return prob, rates, np.array([candidate.prices[cid] for cid in prob.cids], dtype=float)
 
 
 def _kkt_report(prob: _Problem, rates: np.ndarray, prices: np.ndarray, tol: float) -> KKTReport:

@@ -16,16 +16,10 @@ the allocation is near the optimum: where a sigmoidal marginal is nearly
 flat, a round may contract the remaining error by only ~1e-4 while every
 bid already moves by far less than delta.  A run therefore stops only in a
 round after the first where no bid moved by delta or more since the
-previous round *and* the duality gap
-
-    D(p) - sum_i ln U_i(T_i),   D(p) = sum_i max_T (ln U_i(T) - pi_i T) + sum_l p_l R_l
-
-(pi_i the cheapest price user i reaches) is at most GAP_TOL.  The gap is the
-sum of one non-negative term per user (subproblem.gap_term) and one per
-carrier, p_l R_l - sum_i w_li, so every user and carrier prices its own
-share and the oracle stays independent of what it certifies.  It is only
-evaluated in rounds where the bids are already stable.  Otherwise the run
-ends at the round limit with NonConvergenceError.
+previous round *and* the duality gap of its prices and rates
+(utility.dual_gap), which needs no oracle, is at most GAP_TOL.  The gap is
+evaluated only in such rounds and in the last, where a run that has not
+stopped raises NonConvergenceError.
 
 Acceleration.  After ANDERSON_WARMUP plain rounds, the state a round hands
 to the next one -- every bid and every user's anchor rates -- is
@@ -51,8 +45,10 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .subproblem import ProtocolError, gap_term, ue_step
-from .utility import log_utility
+import numpy as np
+
+from .subproblem import ProtocolError, ue_step
+from .utility import dual_gap, log_utility, parameter_arrays
 
 __all__ = [
     "EngineConfig",
@@ -243,11 +239,9 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     """Run the bidding protocol on a scenario until it certifies its optimum.
 
-    A round after the first converges when no bid moved by ``config.delta``
-    or more since the previous round and the duality gap of the current
-    prices and rates is at most GAP_TOL; from round ANDERSON_WARMUP + 1 on,
-    the state passed to the next round is Anderson-mixed (see the module
-    docstring).  The result carries its final round's largest bid move in
+    A run stops by the module docstring's stop rule; from round
+    ANDERSON_WARMUP + 1 on, the state passed to the next round is
+    Anderson-mixed.  The result carries its final round's largest bid move in
     ``max_bid_delta`` and its gap in ``duality_gap``.  Raises
     NonConvergenceError (carrying the partial result) when the round limit
     is reached first.
@@ -271,6 +265,10 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         carrier_links[k].append(i)
     # no UE can be allocated more than its reachable carriers hold
     r_caps = [sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
+    # the stop test's arrays; mask.T lists the links in their user-major order
+    params = parameter_arrays([ue.utility for ue in ues])
+    mask = np.array([[cid in ue.carriers for ue in ues] for cid in cids])
+    cap_array = np.array(caps)
 
     # Initial bids w(1) = R_l / M_l: scale-free, strictly positive, and give
     # every carrier a first-round price of exactly 1.
@@ -279,19 +277,6 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     anchors: Optional[List[float]] = None
     # the bids the carriers priced in the previous round
     seen = [0.0] * len(links)
-
-    def duality_gap(prices: List[float]) -> float:
-        gap = 0.0
-        for k, idx in enumerate(carrier_links):
-            # a carrier no user reaches is no constraint of the problem
-            if idx:
-                gap += prices[k] * caps[k] - sum(bids[i] for i in idx)
-        link_prices = [prices[k] for k in link_carrier]
-        for ue, span, r_cap in zip(ues, spans, r_caps):
-            p = link_prices[span]
-            rates = [w / q for w, q in zip(bids[span], p)]
-            gap += gap_term(ue.utility, p, rates, r_cap)
-        return gap
 
     mixer = _AndersonMixer(ANDERSON_DEPTH)
     converged = False
@@ -305,9 +290,13 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         ]
         round_delta = max(abs(w - v) for w, v in zip(bids, seen))
         seen = bids
-        if n > 1 and round_delta < config.delta:
-            gap = duality_gap(prices)
-            if gap <= GAP_TOL:
+        stable = n > 1 and round_delta < config.delta
+        if stable or n == config.max_rounds:
+            price = np.array(prices)
+            rates = np.zeros(mask.shape)
+            rates.T[mask.T] = np.array(bids) / price[link_carrier]
+            gap = dual_gap(params, mask, cap_array, rates, price)
+            if stable and gap <= GAP_TOL:
                 converged = True
                 break
         if n < config.max_rounds:
@@ -334,8 +323,6 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
                 new_bids, new_anchors = mixed[: len(links)], mixed[len(links):]
             bids, anchors = new_bids, new_anchors
 
-    if not converged:
-        gap = duality_gap(prices)
     rate = [w / prices[k] for w, k in zip(bids, link_carrier)]
     by_carrier = [i for idx in carrier_links for i in idx]
     totals = {ue.id: sum(rate[span]) for ue, span in zip(ues, spans)}

@@ -34,11 +34,7 @@ import yaml
 
 from .oracle import KKTReport, OracleError, OracleSolution, kkt_check, solve_central
 from .protocol import AllocationResult, EngineConfig, NonConvergenceError, run
-from .utility import (
-    LogarithmicUtility,
-    SigmoidalUtility,
-    UtilityFunction,
-)
+from .utility import LogarithmicUtility, SigmoidalUtility, UtilityFunction, log_utility
 
 __all__ = [
     "ScenarioError",
@@ -61,10 +57,9 @@ __all__ = [
     "write_results",
 ]
 
-# Tolerances used when a sweep verifies the protocol against the oracle:
-# objective agreement, per-UE total agreement (relative), and the KKT
+# Tolerances of a sweep's check against the oracle (besides the objectives,
+# see compare_to_oracle): per-UE total agreement (relative), and the KKT
 # certificate at ten times the bid-stability tolerance.
-VERIFY_OBJECTIVE_TOL = 1e-3
 VERIFY_TOTALS_RTOL = 1e-2
 VERIFY_KKT_FACTOR = 10.0
 
@@ -408,26 +403,31 @@ def compare_to_oracle(
     scenario: Scenario,
     delta: float,
 ) -> ComparisonReport:
-    """Objective and per-UE total deltas, plus the protocol KKT certificate."""
-    objective_delta = abs(result.objective - oracle_solution.objective)
-    worst_dev, worst_uid = 0.0, min(result.totals)
-    for uid, total in result.totals.items():
-        ref = oracle_solution.totals[uid]
-        dev = abs(total - ref) / max(abs(ref), 1e-300)
-        if dev > worst_dev:
-            worst_dev, worst_uid = dev, uid
+    """Objective and per-UE total deltas, plus the protocol KKT certificate.
+
+    The protocol's allocation is feasible, so 0 <= P(T*) - P(T) <= its gap, up
+    to rounding: both objectives sum M users' scalar ln U, each from terms no
+    larger than s_i = |ln U| + 2 a (T + b) + 2 (logarithmic: |ln U| +
+    2 |ln ln(1 + k r_max)| + 2) rounded a few times, and the gap adds prices
+    times rates up to 2 sum_l p_l R_l; so each of the three is within
+    (M + 8) u (sum_i s_i + 2 sum_l p_l R_l), s_i taken at both totals.
+    """
+    scale = 2.0 * sum(result.prices[c.id] * c.capacity for c in scenario.carriers)
+    for ue in scenario.ues:
+        u = ue.utility
+        c = u.a * u.b if isinstance(u, SigmoidalUtility) else abs(math.log(math.log1p(u.k * u.r_max)))
+        for t in (result.totals[ue.id], oracle_solution.totals[ue.id]):
+            scale += abs(log_utility(u, t)) + 2.0 * (getattr(u, "a", 0.0) * t + c + 1.0)
+    budget = 2.0 * (len(scenario.ues) + 8) * 2.0**-53 * scale
+    gain = oracle_solution.objective - result.objective
+    ref = oracle_solution.totals
+    dev = {uid: abs(t - ref[uid]) / max(abs(ref[uid]), 1e-300) for uid, t in result.totals.items()}
+    worst_uid = max(sorted(dev), key=dev.get)  # the lowest id among equals
     kkt = kkt_check(result, scenario, tol=VERIFY_KKT_FACTOR * delta)
-    passed = (
-        objective_delta <= VERIFY_OBJECTIVE_TOL
-        and worst_dev <= VERIFY_TOTALS_RTOL
-        and kkt.passed
-    )
+    passed = -budget <= gain <= result.duality_gap + budget
     return ComparisonReport(
-        objective_delta=objective_delta,
-        max_total_rel_delta=worst_dev,
-        worst_ue_id=worst_uid,
-        kkt=kkt,
-        passed=passed,
+        objective_delta=abs(gain), max_total_rel_delta=dev[worst_uid], worst_ue_id=worst_uid,
+        kkt=kkt, passed=passed and dev[worst_uid] <= VERIFY_TOTALS_RTOL and kkt.passed,
     )
 
 

@@ -20,12 +20,10 @@ current price level.  The anchor term vanishes at any stationary point
 (r = q implies marginal(sum r) = p_l on carriers with r_l > 0), so the fixed
 points of the iteration are exactly the unanchored ones; only the path to
 them is damped.  Bids are additionally smoothed as theta*raw + (1-theta)*last.
+The round engine's stop test prices the resulting allocation with
+utility.dual_gap, which writes out the dual function.
 
-Each user can also price its own distance from the optimum: gap_term is its
-non-negative share of the duality gap at the current prices, which the round
-engine sums into its stop test.
-
-Both functions are pure and take one user's per-carrier values as lists,
+ue_step is pure and takes one user's per-carrier values as lists,
 all in the same order: the user's reachable carriers by ascending id.
 """
 
@@ -34,12 +32,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .utility import UtilityFunction, log_utility, solve_rate_for_price
+from .utility import UtilityFunction, solve_rate_for_price
 
 __all__ = [
     "ProtocolError",
     "ue_step",
-    "gap_term",
 ]
 
 # Scale of the proximal anchor weight rho, relative to p_min / T_prev.
@@ -215,32 +212,3 @@ def ue_step(
     ]
     return bids, [w / p for w, p in zip(bids, prices)]
 
-
-def gap_term(
-    utility: UtilityFunction,
-    prices: Sequence[float],
-    rates: Sequence[float],
-    r_cap: float,
-) -> float:
-    """This user's share of the duality gap D(p) - sum_i ln U_i(T_i).
-
-    With pi the cheapest reachable price and T = sum_l r_l the user's total,
-
-        gap_i = [max_t (ln U(t) - pi t) - (ln U(T) - pi T)] + sum_l (p_l - pi) r_l,
-
-    both parts non-negative: the first is how far T is from the demand at
-    pi, the second what the user pays above pi on dearer carriers.  Summed
-    over users, plus p_l R_l - sum_i w_li per carrier, it is exactly the
-    gap between the dual function and the primal objective.  It is +inf
-    while the user holds no rate.
-    """
-    pi = min(prices)
-    total = sum(rates)
-    if not (total > 0.0):
-        return math.inf
-    best = solve_rate_for_price(utility, pi, r_cap)
-    shortfall = (log_utility(utility, best) - pi * best) - (
-        log_utility(utility, total) - pi * total
-    )
-    overpay = sum((p - pi) * r for p, r in zip(prices, rates))
-    return shortfall + overpay

@@ -14,8 +14,8 @@ The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
 price is well defined and invertible by bisection.
 
-``marginals`` and ``demands`` evaluate and invert many users' marginals at
-once; the protocol keeps the scalar ``marginal``.
+``marginals``, ``demands`` and ``dual_gap`` work on many users at once; the
+protocol's user step keeps the scalar ``marginal``.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -40,6 +40,7 @@ __all__ = [
     "parameter_arrays",
     "marginals",
     "demands",
+    "dual_gap",
     "solve_rate_for_price",
 ]
 
@@ -268,20 +269,23 @@ def marginals(params: Tuple[np.ndarray, ...], r: np.ndarray) -> Tuple[np.ndarray
 
 
 def demands(
-    params: Tuple[np.ndarray, ...], price, r_cap: float, start: Optional[np.ndarray] = None
+    params: Tuple[np.ndarray, ...], price, r_cap, start: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every user's rate in (0, r_cap] where its marginal equals its price.
 
-    Newton on ln m(e^x) = ln p in x = ln r from ``start`` (default 1/p: both
-    marginals behave like 1/r near 0), clipped into the bracket
+    ``price`` and ``r_cap`` are one value or one per user; at price 0 the rate
+    is r_cap.  Newton on ln m(e^x) = ln p in x = ln r from ``start`` (default
+    1/p: both marginals behave like 1/r near 0), clipped into the bracket
     [ln 5e-324, ln r_cap + 1e-12] that starts at the smallest positive rate
     and that every evaluation narrows; a step that leaves the bracket goes
     to its midpoint, unless it is a Newton step of zero on a falling marginal
     below the cap: that is the root, even on a bracket end.  Returns the
     rates and dr/d(ln p) = m/m' from the last evaluation.
     """
-    y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
-    cap = math.log(r_cap)
+    with np.errstate(divide="ignore"):
+        y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
+    # the oracle's one cap keeps libm's log, whose last bit numpy's does not always match
+    cap = np.log(r_cap) if np.ndim(r_cap) else math.log(r_cap)
     x_lo, x_hi = np.full(y.shape, _LN_MIN_RATE), np.full(y.shape, cap + 1e-12)  # cap is tried once
     x = np.clip(-y if start is None else np.log(start), _LN_MIN_RATE, cap)
     for _ in range(200):
@@ -298,3 +302,31 @@ def demands(
             return np.minimum(np.exp(new), r_cap), np.where(new < cap, slope, 0.0)
         x = new
     raise RootFindingError("Newton inverter failed to converge")
+
+
+def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices) -> float:
+    """D(p) - sum_i ln U_i(T_i) of ``rates`` (carriers x users, T_i a column's
+    sum) at carrier prices p >= 0; ``mask[l, i]``: user i reaches carrier l.
+
+        D(p) = sum_i max_{0 < T <= C_i} (ln U_i(T) - pi_i T) + sum_l p_l R_l,
+
+    pi_i the cheapest price and C_i the capacity user i reaches, bounds the
+    optimum at any p >= 0, so a feasible allocation has 0 <= P(T*) - P(T) <=
+    gap.  It is summed from non-negative parts: per user, the surplus T_i
+    misses at pi_i and its pay above pi_i; per reached carrier, p_l times its
+    unsold capacity.  One ``demands`` call, from T_i and capped at C_i, finds
+    every best T (C_i at pi_i = 0).  +inf while a user holds no rate.
+    """
+    sig, a, b, k = params
+    totals = rates.sum(axis=0)
+    if not (totals > 0.0).all():
+        return math.inf
+    pi = np.where(mask, prices[:, None], np.inf).min(axis=0)
+    r = np.stack([demands(params, pi, caps @ mask, totals)[0], totals])
+    x = a * (r - b)
+    with np.errstate(divide="ignore"):  # ln U; less ln ln(1 + k r_max) if logarithmic
+        ln_sig = np.log(-np.expm1(-a * r)) - np.log1p(np.exp(-np.abs(x))) + np.minimum(x, 0.0)
+        ln_u = np.where(sig, ln_sig, np.log(np.log1p(k * r)))
+    missed = ln_u[0] - ln_u[1] - pi * (r[0] - r[1])
+    unsold = np.where(mask.any(axis=1), prices * (caps - rates.sum(axis=1)), 0.0)
+    return float(missed.sum() + ((prices[:, None] - pi) * rates).sum() + unsold.sum())

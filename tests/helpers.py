@@ -5,13 +5,14 @@ import math
 import numpy as np
 from scipy.special import lambertw
 
-from carrieralloc.oracle import KKT_TOL, OracleError, solve_central
+from carrieralloc.oracle import KKT_TOL, OracleError, duality_gap, solve_central
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
     LogarithmicUtility,
     RootFindingError,
     SigmoidalUtility,
     UtilityDomainError,
+    log_utility,
     solve_rate_for_price,
 )
 
@@ -257,16 +258,46 @@ def wide_range_scenario(rng, name):
     return Scenario(carriers=carriers, ues=tuple(ues), name=name)
 
 
-def oracle_outcome(scenario):
+def oracle_outcome(scenario, gaps=None):
     """How the oracle ends on ``scenario``: "certified", "inverter" (an
     OracleError from a failed demand inversion) or "OracleError" (any other).
-    Every other exception propagates."""
+    Every other exception propagates.  A certified optimum must have a
+    finite duality gap, computed with numpy's floating-point warnings raised
+    as errors; it is appended to ``gaps`` when given."""
     try:
         sol = solve_central(scenario)
     except OracleError as exc:
         return "inverter" if isinstance(exc.__cause__, RootFindingError) else "OracleError"
     assert sol.kkt.passed and sol.kkt.tol == KKT_TOL, scenario.name
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        gap = duality_gap(sol, scenario)
+    assert math.isfinite(gap), (scenario.name, gap)
+    if gaps is not None:
+        gaps.append(gap)
     return "certified"
+
+
+def gap_rounding_budget(scenario, candidate):
+    """A bound on the rounding in ``duality_gap(candidate, scenario)``.
+
+    Per user, the gap takes the difference of two ln U values and pi times
+    the difference of two totals.  Each ln U value is summed from terms no
+    larger than s = |ln U| + 2 for a sigmoidal user, and s = |ln U| +
+    |ln ln(1 + k r_max)| + 2 for a logarithmic one, whose normalization the
+    gap leaves out; each term is within 4u of its own size (u the unit
+    roundoff), so a value is within 8u s, and a difference within 16u s.
+    Per link it adds (p_l - pi) r_l and per carrier p_l (R_l - load_l), with
+    the load a sum of M rates: all of them within (K M + M + 4) u sum_l p_l R_l.
+    """
+    u = EPS / 2.0
+    s = 0.0
+    for ue in scenario.ues:
+        s += abs(log_utility(ue.utility, candidate.totals[ue.id])) + 2.0
+        if isinstance(ue.utility, LogarithmicUtility):
+            s += abs(math.log(math.log1p(ue.utility.k * ue.utility.r_max)))
+    k, m = len(scenario.carriers), len(scenario.ues)
+    paid = sum(candidate.prices[c.id] * c.capacity for c in scenario.carriers)
+    return 16.0 * u * s + (k * m + m + 4) * u * paid
 
 
 def outcome(fn, *args):

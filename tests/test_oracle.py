@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     fd_marginal_tolerance,
     flat_stretch_scenario,
+    gap_rounding_budget,
     log_demand_lambertw,
     oracle_outcome,
     random_utilities,
@@ -20,20 +22,26 @@ from carrieralloc.oracle import (
     KKT_TOL,
     KKTReport,
     OracleError,
+    duality_gap,
     kkt_check,
     project_carrier_block,
     solve_central,
 )
 from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_scenario
-from carrieralloc.subproblem import gap_term
 from carrieralloc.utility import (
     LogarithmicUtility,
     RootFindingError,
     SigmoidalUtility,
     log_utility,
     marginal,
+    marginals,
+    parameter_arrays,
+    solve_rate_for_price,
 )
+
+
+LOG_HALF = LogarithmicUtility(k=0.5, r_max=100.0)
 
 
 def two_ue_scenario():
@@ -219,20 +227,133 @@ def test_gradient_matches_finite_differences():
 
 
 def test_duality_gap_is_small():
-    # the protocol's dual function: one gap_term per user plus
-    # p_l (R_l - load_l) per carrier
-    s = build_paper_scenario(150.0)
+    # D(p) - P(T*) at every reference point, within the rounding the gap makes
+    for r1 in range(20, 301, 10):
+        s = build_paper_scenario(float(r1))
+        sol = solve_central(s)
+        assert abs(duality_gap(sol, s)) <= gap_rounding_budget(s, sol), r1
+
+
+def _one_user(utility, capacities):
+    """One user reaching carriers 1, 2, ... of the given capacities."""
+    carriers = tuple(CarrierSpec(id=l, capacity=c) for l, c in enumerate(capacities, 1))
+    return Scenario(carriers=carriers, ues=(UESpec(1, utility, tuple(range(1, len(capacities) + 1))),))
+
+
+def _candidate(rates, prices):
+    """Rates and prices of one user on carriers 1, 2, ..., as a result carries them."""
+    return SimpleNamespace(
+        rates={(l, 1): r for l, r in enumerate(rates, 1)},
+        prices=dict(enumerate(prices, 1)),
+        totals={1: sum(rates)},
+    )
+
+
+def test_duality_gap_vanishes_at_demand_and_grows_off_it():
+    demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
+    split = [0.25 * demand, 0.75 * demand]
+    s = _one_user(LOG_HALF, split)  # the user reaches exactly its demand
+    assert duality_gap(_candidate(split, [0.05, 0.05]), s) == pytest.approx(0.0, abs=1e-12)
+    short = [0.25 * demand, 0.5 * demand]
+    lost = log_utility(LOG_HALF, demand) - log_utility(LOG_HALF, 0.75 * demand)
+    unsold = 0.05 * 0.25 * demand  # carrier 2's price times its idle capacity
+    gap = duality_gap(_candidate(short, [0.05, 0.05]), s)
+    assert gap == pytest.approx((lost - 0.05 * 0.25 * demand) + unsold)
+
+
+def test_duality_gap_charges_rate_bought_above_the_cheapest_price():
+    demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
+    s = _one_user(LOG_HALF, [demand - 1.0, 1.0])
+    gap = duality_gap(_candidate([demand - 1.0, 1.0], [0.05, 0.08]), s)
+    assert gap == pytest.approx(0.03 * 1.0, rel=1e-9)
+    assert duality_gap(_candidate([0.0, 0.0], [0.05, 0.08]), s) == math.inf
+
+
+@pytest.mark.parametrize("capacity", (20.0, 30.0, 60.0, 150.0))
+def test_duality_gap_is_defined_at_a_zero_price(capacity):
+    # one steep user alone on one carrier: its marginal underflows at R=150,
+    # so the oracle prices it at exactly 0, and D(0) takes the user's cap
+    s = _one_user(SigmoidalUtility(a=8.72, b=16.72), [capacity])
     sol = solve_central(s)
-    gap = 0.0
+    gap = duality_gap(sol, s)
+    assert abs(gap) <= gap_rounding_budget(s, sol)
+    assert (sol.prices[1] == 0.0) == (capacity == 150.0)
+
+
+# ---------------------------------------------------------------------------
+# the reference experiment's prices, without the KKT residuals
+
+U = 2.0**-53  # unit roundoff
+
+
+def _objective_error(s, sol):
+    """How far the oracle's objective may be from the optimum P*: its duality
+    gap and that gap's rounding, plus the rounding of the sum itself.  Each
+    scalar ln U value adds terms no larger than |ln U| + 2 a (T + b) + 2
+    (logarithmic: |ln U| + 2 |ln ln(1 + k r_max)| + 2), each a few roundings
+    off, and M of them are summed: (M + 8) u times the terms in all."""
+    terms = 0.0
     for ue in s.ues:
-        prices = [sol.prices[cid] for cid in ue.carriers]
-        rates = [sol.rates.get((cid, ue.id), 0.0) for cid in ue.carriers]
-        r_cap = sum(s.carrier(cid).capacity for cid in ue.carriers)
-        gap += gap_term(ue.utility, prices, rates, r_cap)
-    for c in s.carriers:
-        load = sum(r for (cid, _), r in sol.rates.items() if cid == c.id)
-        gap += sol.prices[c.id] * (c.capacity - load)
-    assert -1e-9 <= gap <= 1e-5
+        u, t = ue.utility, sol.totals[ue.id]
+        if isinstance(u, SigmoidalUtility):
+            terms += abs(log_utility(u, t)) + 2.0 * u.a * (t + u.b) + 2.0
+        else:
+            terms += abs(log_utility(u, t)) + 2.0 * abs(math.log(math.log1p(u.k * u.r_max))) + 2.0
+    return abs(duality_gap(sol, s)) + gap_rounding_budget(s, sol) + (len(s.ues) + 8) * U * terms
+
+
+@pytest.mark.parametrize("r1", (20.0, 150.0, 300.0))
+def test_objective_derivative_in_r1_is_the_price_of_carrier_1(r1):
+    # Envelope theorem: where P*(R1) is differentiable, dP*/dR1 = p1.  R1 =
+    # 20, 150 and 300 lie inside the three price regimes.  A central
+    # difference with step h errs by h^2/6 |P'''| = h^2/6 |p1''| (taken as
+    # twice the second difference of p1 over 10 h), plus the error of the two
+    # objectives divided by the step.
+    h = 1e-4 * r1
+    grid = (r1 - 10.0 * h, r1 - h, r1, r1 + h, r1 + 10.0 * h)
+    s = {x: build_paper_scenario(x) for x in grid}
+    sol = {x: solve_central(s[x]) for x in grid}
+    p1 = {x: sol[x].prices[1] for x in grid}
+    lo, hi = grid[1], grid[3]
+    fd = (sol[hi].objective - sol[lo].objective) / (hi - lo)
+    curvature = abs(p1[grid[4]] - 2.0 * p1[r1] + p1[grid[0]]) / (0.5 * (grid[4] - grid[0])) ** 2
+    truncation = 2.0 * (0.5 * (hi - lo)) ** 2 / 6.0 * curvature
+    rounding = (_objective_error(s[hi], sol[hi]) + _objective_error(s[lo], sol[lo])) / (hi - lo)
+    assert abs(fd - p1[r1]) <= truncation + rounding, (fd, p1[r1], truncation, rounding)
+
+
+def _regime(r1):
+    """1 while the optimum prices carrier 1 above carrier 2, 0 while they
+    share one price, -1 when carrier 1 is the cheaper."""
+    p = solve_central(build_paper_scenario(r1)).prices
+    return (p[1] > p[2]) - (p[1] < p[2])
+
+
+def test_price_regimes_change_at_r1_50_and_200():
+    # Fig. 4: p1 > p2, then one shared price, then p1 < p2.  Groups 1 and 2
+    # are alike and group 3 reaches both carriers, so at one shared price the
+    # three sets demand (R1 + 100)/3 each: carrier 1 alone holds group 1's
+    # share down to R1 = 50, and carrier 2 group 2's up to R1 = 200.  There
+    # carrier 1's room moves by 2/3 per unit of R1 and carrier 2's by 1/3.
+    # The oracle's Hall split counts room up to 1e-12 (R1 + 100) as zero, its
+    # clearing leaves as much excess, and rounding in ln m_i moves the shared
+    # price by eps_i, so each user's total by T_i e_i eps_i (e_i its demand
+    # elasticity, eps_i as in tests/test_invariance): those over the slope.
+    assert (_regime(20.0), _regime(150.0), _regime(300.0)) == (1, 0, -1)
+    for exact, slope, lo, hi in ((50.0, 2.0 / 3.0, 20.0, 150.0), (200.0, 1.0 / 3.0, 150.0, 300.0)):
+        start = _regime(lo)
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _regime(mid) == start else (lo, mid)
+        s = build_paper_scenario(exact)
+        sol = solve_central(s)
+        params = parameter_arrays([ue.utility for ue in s.ues])
+        sig, a, b, k = params
+        t = np.array([sol.totals[ue.id] for ue in s.ues])
+        m, dm = marginals(params, t)
+        eps = U * (8.0 * np.where(sig, a * (t + b), k * t) + 16.0)
+        shift = (t * m / (t * -dm) * eps).sum()
+        assert abs(hi - exact) <= (2e-12 * (exact + 100.0) + shift) / slope, (exact, hi)
 
 
 def test_failed_certificate_raises_naming_worst_residual(monkeypatch):

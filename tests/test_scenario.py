@@ -13,8 +13,8 @@ import yaml
 
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
-from carrieralloc.oracle import OracleError
-from carrieralloc.protocol import EngineConfig
+from carrieralloc.oracle import OracleError, solve_central
+from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import (
     RATES_HEADER,
     PRICES_HEADER,
@@ -26,6 +26,7 @@ from carrieralloc.scenario import (
     SweepSpec,
     UESpec,
     build_paper_scenario,
+    compare_to_oracle,
     load_scenario,
     load_scenario_document,
     run_point,
@@ -34,7 +35,7 @@ from carrieralloc.scenario import (
     scenario_to_yaml,
     write_results,
 )
-from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility
+from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility, log_utility
 
 
 def tiny_scenario():
@@ -312,6 +313,26 @@ def test_run_sweep_order_and_verification():
         assert rec.result is not None and rec.result.converged
         assert rec.oracle is not None and rec.comparison is not None
         assert rec.comparison.passed, (rec.sweep_value, rec.comparison)
+
+
+@pytest.fixture(scope="module")
+def paper_300():
+    s = build_paper_scenario(300.0)
+    return s, run(s), solve_central(s)
+
+
+@pytest.mark.parametrize("uid", range(1, 19))
+def test_verify_catches_one_total_short_by_half_a_percent(paper_300, uid):
+    # A 0.5% shortfall is inside the totals' 1e-2 and the KKT rule's 10 * delta
+    # for some users; the objective then leaves the protocol's duality gap.
+    s, res, sol = paper_300
+    assert compare_to_oracle(res, sol, s, EngineConfig().delta).passed
+    rates = {k: r * 0.995 if k[1] == uid else r for k, r in res.rates.items()}
+    totals = {**res.totals, uid: res.totals[uid] * 0.995}
+    utility = {ue.id: ue.utility for ue in s.ues}
+    objective = sum(log_utility(utility[i], t) for i, t in totals.items())
+    short = replace(res, rates=rates, totals=totals, objective=objective)
+    assert not compare_to_oracle(short, sol, s, EngineConfig().delta).passed
 
 
 # The paper sweep's rounds and rates, pinned bit for bit.  Round counts are

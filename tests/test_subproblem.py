@@ -14,11 +14,10 @@ from helpers import (
     staged_demand_reference,
 )
 from carrieralloc import subproblem
-from carrieralloc.subproblem import _anchored_demand, gap_term, ue_step
+from carrieralloc.subproblem import _anchored_demand, ue_step
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
-    log_utility,
     solve_rate_for_price,
 )
 
@@ -161,23 +160,6 @@ def test_total_demand_strictly_positive():
     for prices in ([1e6, 1e6], [0.5, 80.0]):
         bids = first_step(SigmoidalUtility(a=5.0, b=10.0), prices, r_cap=200.0)
         assert sum(bids) > 0.0
-
-
-def test_gap_term_vanishes_at_demand_and_grows_off_it():
-    prices = [0.05, 0.05]
-    demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    split = [0.25 * demand, 0.75 * demand]
-    assert gap_term(LOG_HALF, prices, split, 100.0) == pytest.approx(0.0, abs=1e-12)
-    short = [0.25 * demand, 0.5 * demand]
-    lost = log_utility(LOG_HALF, demand) - log_utility(LOG_HALF, 0.75 * demand)
-    assert gap_term(LOG_HALF, prices, short, 100.0) == pytest.approx(lost - 0.05 * 0.25 * demand)
-
-
-def test_gap_term_charges_rate_bought_above_the_cheapest_price():
-    demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    gap = gap_term(LOG_HALF, [0.05, 0.08], [demand - 1.0, 1.0], 100.0)
-    assert gap == pytest.approx(0.03 * 1.0, rel=1e-9)
-    assert gap_term(LOG_HALF, [0.05, 0.08], [0.0, 0.0], 100.0) == math.inf
 
 
 def anchored_cases(rng):
