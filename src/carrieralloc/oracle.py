@@ -38,16 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .utility import (
     RootFindingError,
-    UtilityFunction,
     demands,
     dual_gap,
-    log_utility,
+    log_utilities,
     marginals,
     parameter_arrays,
 )
@@ -137,8 +136,7 @@ class _Problem:
         self.cids = [c.id for c in self.carriers]
         self.caps = np.array([c.capacity for c in self.carriers], dtype=float)
         self.uids = [u.id for u in self.ues]
-        self.utilities: List[UtilityFunction] = [u.utility for u in self.ues]
-        self.params = parameter_arrays(self.utilities)
+        self.params = parameter_arrays([u.utility for u in self.ues])
         self.K = len(self.carriers)
         self.M = len(self.ues)
         self.r_cap = float(self.caps.sum())
@@ -327,7 +325,7 @@ def solve_central(scenario) -> OracleSolution:
         },
         totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
         prices={prob.cids[k]: float(prices[k]) for k in range(prob.K)},
-        objective=sum(log_utility(u, float(t)) for u, t in zip(prob.utilities, totals)),
+        objective=float(log_utilities(prob.params, totals).sum()),
         kkt=kkt,
         iterations=clearings,
         converged=True,

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .subproblem import ProtocolError, ue_step
-from .utility import dual_gap, log_utility, parameter_arrays
+from .utility import dual_gap, log_utilities, parameter_arrays
 
 __all__ = [
     "EngineConfig",
@@ -70,8 +70,10 @@ __all__ = [
 # exp(-a b / 2); for the reference utilities' sigmoidal(1, 30) that is
 # 6e-7, and eps = 1e-9 keeps totals within 0.06 of the optimum, under 1% of
 # any total above 6.  eps also stays well above the rounding in the gap:
-# each user's term is a difference of two ln U values of size up to a*b,
-# rounded to ~1e-16 * a*b, so 10^3 steep users (a*b = 500) add up to ~5e-11.
+# each user's term is a difference of two ln U values (utility.log_utilities)
+# whose terms are of size up to a * max(0, b - T), rounded to ~1e-16 times
+# that, so 10^3 users held far below a steep inflection (a * (b - T) = 500)
+# add up to ~5e-11.
 GAP_TOL = 1e-9
 # Lowest shadow price: keeps every rate w / p finite while a carrier holds no bids.
 PRICE_FLOOR = 1e-9
@@ -325,13 +327,13 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
 
     rate = [w / prices[k] for w, k in zip(bids, link_carrier)]
     by_carrier = [i for idx in carrier_links for i in idx]
-    totals = {ue.id: sum(rate[span]) for ue, span in zip(ues, spans)}
+    totals = [sum(rate[span]) for span in spans]
     result = AllocationResult(
         rates={links[i]: rate[i] for i in by_carrier},
         bids={links[i]: bids[i] for i in by_carrier},
         prices=dict(zip(cids, prices)),
-        totals=totals,
-        objective=sum(log_utility(ue.utility, totals[ue.id]) for ue in ues),
+        totals={ue.id: t for ue, t in zip(ues, totals)},
+        objective=float(log_utilities(params, np.array(totals)).sum()),
         rounds=rounds,
         converged=converged,
         max_bid_delta=round_delta,

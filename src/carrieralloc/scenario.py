@@ -30,11 +30,13 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
 import yaml
 
 from .oracle import KKTReport, OracleError, OracleSolution, kkt_check, solve_central
 from .protocol import AllocationResult, EngineConfig, NonConvergenceError, run
-from .utility import LogarithmicUtility, SigmoidalUtility, UtilityFunction, log_utility
+from .utility import LogarithmicUtility, SigmoidalUtility, UtilityFunction
+from .utility import log_utilities, parameter_arrays
 
 __all__ = [
     "ScenarioError",
@@ -406,18 +408,18 @@ def compare_to_oracle(
     """Objective and per-UE total deltas, plus the protocol KKT certificate.
 
     The protocol's allocation is feasible, so 0 <= P(T*) - P(T) <= its gap, up
-    to rounding: both objectives sum M users' scalar ln U, each from terms no
-    larger than s_i = |ln U| + 2 a (T + b) + 2 (logarithmic: |ln U| +
-    2 |ln ln(1 + k r_max)| + 2) rounded a few times, and the gap adds prices
-    times rates up to 2 sum_l p_l R_l; so each of the three is within
-    (M + 8) u (sum_i s_i + 2 sum_l p_l R_l), s_i taken at both totals.
+    to rounding: both objectives sum M users' ln U (utility.log_utilities),
+    each from terms no larger than s_i = |ln U| + 2 a max(0, b - T) + 2
+    (logarithmic: |ln U| + 2 |ln ln(1 + k r_max)| + 2) rounded a few times,
+    and the gap adds prices times rates up to 2 sum_l p_l R_l; so each of the
+    three is within (M + 8) u (sum_i s_i + 2 sum_l p_l R_l), s_i taken at
+    both totals.
     """
+    sig, a, b, k, r_max = params = parameter_arrays([ue.utility for ue in scenario.ues])
+    totals = np.array([[t.totals[ue.id] for ue in scenario.ues] for t in (result, oracle_solution)])
+    terms = np.where(sig, a * np.maximum(0.0, b - totals), np.abs(np.log(np.log1p(k * r_max))))
     scale = 2.0 * sum(result.prices[c.id] * c.capacity for c in scenario.carriers)
-    for ue in scenario.ues:
-        u = ue.utility
-        c = u.a * u.b if isinstance(u, SigmoidalUtility) else abs(math.log(math.log1p(u.k * u.r_max)))
-        for t in (result.totals[ue.id], oracle_solution.totals[ue.id]):
-            scale += abs(log_utility(u, t)) + 2.0 * (getattr(u, "a", 0.0) * t + c + 1.0)
+    scale += float((np.abs(log_utilities(params, totals)) + 2.0 * (terms + 1.0)).sum())
     budget = 2.0 * (len(scenario.ues) + 8) * 2.0**-53 * scale
     gain = oracle_solution.objective - result.objective
     ref = oracle_solution.totals

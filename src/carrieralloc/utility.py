@@ -14,8 +14,14 @@ The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
 price is well defined and invertible by bisection.
 
-``marginals``, ``demands`` and ``dual_gap`` work on many users at once; the
-protocol's user step keeps the scalar ``marginal``.
+ln U has one expression, ``log_utilities``, free of cancellation; the
+objectives, ``dual_gap`` and the verification budget call it once over all
+users.  ``marginals``, ``demands`` and ``dual_gap`` work on many users at
+once.  What stays scalar: the ``log_utility`` methods restate the
+``log_utilities`` expression in ``math``, because a one-user array call costs
+about 30 times as much; ``evaluate`` is exp(log_utility); and the protocol's
+user step keeps the scalar ``marginal`` and ``solve_rate_for_price``, whose
+last bits its round counts depend on.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -23,7 +29,7 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,6 +44,7 @@ __all__ = [
     "log_utility",
     "marginal",
     "parameter_arrays",
+    "log_utilities",
     "marginals",
     "demands",
     "dual_gap",
@@ -56,59 +63,27 @@ class RootFindingError(RuntimeError):
     """Raised when the bisection inverter fails to meet its tolerance."""
 
 
-def _softplus(x: float) -> float:
-    """Numerically stable ln(1 + exp(x))."""
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
-def _log_expm1(y: float) -> float:
-    """Numerically stable ln(exp(y) - 1) for y > 0."""
-    if y > 33.0:
-        # expm1(y) would overflow long before y ~ 710; ln(e^y - 1) = y + ln(1 - e^-y)
-        return y + math.log1p(-math.exp(-y))
-    return math.log(math.expm1(y))
-
-
 @dataclass(frozen=True)
 class SigmoidalUtility:
-    """S-shaped normalized utility with steepness a and inflection rate b.
-
-    The normalization constants c and d are derived so that U(0) = 0 and
-    U(inf) = 1; they are stored but all evaluation goes through
-    overflow-safe expressions (a*b = 50 already overwhelms exp(a*b) paths).
-    """
+    """S-shaped normalized utility with steepness a and inflection rate b."""
 
     a: float
     b: float
-    c: float = field(init=False)
-    d: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise UtilityDomainError(f"sigmoidal steepness a must be > 0, got {self.a}")
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise UtilityDomainError(f"sigmoidal inflection b must be > 0, got {self.b}")
-        # c = (1 + e^{ab}) / e^{ab} = 1 + e^{-ab}, d = 1 / (1 + e^{ab}) =
-        # e^{-ab} / (1 + e^{-ab}); these stay finite for arbitrarily large a*b.
-        ex = math.exp(-self.a * self.b)
-        object.__setattr__(self, "c", 1.0 + ex)
-        object.__setattr__(self, "d", ex / (1.0 + ex))
 
     def log_utility(self, r: float) -> float:
         _check_rate(r)
-        if r == 0.0:
+        # log_utilities' sigmoidal expression in math
+        y = -math.expm1(-self.a * r)
+        if y == 0.0:  # r = 0, or a*r underflowed: the r -> 0+ limit
             return NEG_INF
-        a, b = self.a, self.b
-        # ln U = -a*b + ln(e^{a r} - 1) - ln(1 + e^{a (r - b)})
-        return -a * b + _log_expm1(a * r) - _softplus(a * (r - b))
-
-    def evaluate(self, r: float) -> float:
-        _check_rate(r)
-        if r == 0.0:
-            return 0.0
-        return math.exp(self.log_utility(r))
+        x = self.a * (r - self.b)
+        return math.log(y) - math.log1p(math.exp(-abs(x))) + min(x, 0.0)
 
     def marginal(self, r: float) -> float:
         if not (r > 0.0):
@@ -141,15 +116,13 @@ class LogarithmicUtility:
         if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
             raise UtilityDomainError(f"logarithmic r_max must be > 0, got {self.r_max}")
 
-    def evaluate(self, r: float) -> float:
-        _check_rate(r)
-        return math.log1p(self.k * r) / math.log1p(self.k * self.r_max)
-
     def log_utility(self, r: float) -> float:
         _check_rate(r)
-        if r == 0.0:
+        # log_utilities' logarithmic expression in math
+        ln1p = math.log1p(self.k * r)
+        if ln1p == 0.0:  # r = 0, or k*r underflowed: the r -> 0+ limit
             return NEG_INF
-        return math.log(math.log1p(self.k * r)) - math.log(math.log1p(self.k * self.r_max))
+        return math.log(ln1p) - math.log(math.log1p(self.k * self.r_max))
 
     def marginal(self, r: float) -> float:
         if not (r > 0.0):
@@ -171,12 +144,13 @@ def _check_rate(r: float) -> None:
 
 
 def evaluate(u: UtilityFunction, r_total: float) -> float:
-    """Utility value U(r_total), in [0, 1) for sigmoidal inputs.
+    """Utility value U(r_total) = exp(ln U), in [0, 1] for sigmoidal inputs.
 
-    Logarithmic inputs may exceed r_max, in which case the value exceeds 1;
-    protocol paths never produce such inputs.
+    A sigmoidal U rounds to exactly 1 once ln U underflows.  Logarithmic
+    inputs may exceed r_max, in which case the value exceeds 1; protocol
+    paths never produce such inputs.
     """
-    return u.evaluate(r_total)
+    return math.exp(u.log_utility(r_total))
 
 
 def log_utility(u: UtilityFunction, r_total: float) -> float:
@@ -244,9 +218,26 @@ def solve_rate_for_price(u: UtilityFunction, p: float, r_cap: float) -> float:
 
 
 def parameter_arrays(utilities: Sequence[UtilityFunction]) -> Tuple[np.ndarray, ...]:
-    """(sigmoidal, a, b, k): each user's family and parameters (1 where unused)."""
+    """(sigmoidal, a, b, k, r_max): each user's family and parameters (1 where unused)."""
     sig = np.array([isinstance(u, SigmoidalUtility) for u in utilities], dtype=bool)
-    return (sig, *(np.array([getattr(u, name, 1.0) for u in utilities]) for name in "abk"))
+    names = ("a", "b", "k", "r_max")
+    return (sig, *(np.array([getattr(u, name, 1.0) for u in utilities]) for name in names))
+
+
+def log_utilities(params: Tuple[np.ndarray, ...], r: np.ndarray) -> np.ndarray:
+    """ln U for every user of ``params`` at its rate r; -inf at r = 0.
+
+    Sigmoidal: ln(-expm1(-a r)) - log1p(e^-|x|) + min(x, 0), x = a (r - b),
+    which is ln[(1 - e^-ar) / (1 + e^-x)] = ln[c (sigmoid(x) - d)].  No term
+    is positive, so none is larger than |ln U| and nothing cancels: U <= 1.
+    Logarithmic: ln ln(1 + k r) - ln ln(1 + k r_max).
+    """
+    sig, a, b, k, r_max = params
+    x = a * (r - b)
+    with np.errstate(divide="ignore"):
+        ln_sig = np.log(-np.expm1(-a * r)) - np.log1p(np.exp(-np.abs(x))) + np.minimum(x, 0.0)
+        ln_log = np.log(np.log1p(k * r)) - np.log(np.log1p(k * r_max))
+    return np.where(sig, ln_sig, ln_log)
 
 
 def marginals(params: Tuple[np.ndarray, ...], r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,7 +248,7 @@ def marginals(params: Tuple[np.ndarray, ...], r: np.ndarray) -> Tuple[np.ndarray
     b + 37/a), underflow to 0 only past b + 745/a.  Logarithmic:
     m = k/((1 + k r) ln(1 + k r)) and -m^2 (1 + ln(1 + k r)).  +inf at r = 0.
     """
-    sig, a, b, k = params
+    sig, a, b, k, _ = params
     with np.errstate(over="ignore", divide="ignore"):
         e = 1.0 / np.expm1(a * r)
         z = np.exp(-np.abs(a * (r - b)))  # S is 1/(1 + z) below b, z/(1 + z) above
@@ -317,16 +308,12 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices) -> float
     unsold capacity.  One ``demands`` call, from T_i and capped at C_i, finds
     every best T (C_i at pi_i = 0).  +inf while a user holds no rate.
     """
-    sig, a, b, k = params
     totals = rates.sum(axis=0)
     if not (totals > 0.0).all():
         return math.inf
     pi = np.where(mask, prices[:, None], np.inf).min(axis=0)
     r = np.stack([demands(params, pi, caps @ mask, totals)[0], totals])
-    x = a * (r - b)
-    with np.errstate(divide="ignore"):  # ln U; less ln ln(1 + k r_max) if logarithmic
-        ln_sig = np.log(-np.expm1(-a * r)) - np.log1p(np.exp(-np.abs(x))) + np.minimum(x, 0.0)
-        ln_u = np.where(sig, ln_sig, np.log(np.log1p(k * r)))
+    ln_u = log_utilities(params, r)
     missed = ln_u[0] - ln_u[1] - pi * (r[0] - r[1])
     unsold = np.where(mask.any(axis=1), prices * (caps - rates.sum(axis=1)), 0.0)
     return float(missed.sum() + ((prices[:, None] - pi) * rates).sum() + unsold.sum())

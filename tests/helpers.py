@@ -52,8 +52,9 @@ def random_utilities(rng, n):
 def ln_u_roundoff(u, r: float, h: float) -> float:
     """Absolute FP error bound of one ln U evaluation near r.
 
-    The sigmoidal ln U is assembled from terms of magnitude ~a*r and a*b, so
-    its absolute error scales with those even where the value itself is O(1).
+    The sigmoidal scale counts terms of magnitude ~a*r and a*b, as a form of
+    ln U that cancelled them had; no term of the library's form is larger
+    than |ln U|, so for it this bound is loose.
     """
     if isinstance(u, SigmoidalUtility):
         scale = 1.0 + u.a * (r + h) + u.a * u.b

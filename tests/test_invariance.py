@@ -57,7 +57,7 @@ def _rounding_budget(scenario, sol):
     """
     ues = sorted(scenario.ues, key=lambda ue: ue.id)
     params = parameter_arrays([ue.utility for ue in ues])
-    sig, a, b, k = params
+    sig, a, b, k, _ = params
     totals = np.array([sol.totals[ue.id] for ue in ues])
     m, dm = marginals(params, totals)
     elasticity = m / (totals * -dm)

@@ -348,7 +348,7 @@ def test_price_regimes_change_at_r1_50_and_200():
         s = build_paper_scenario(exact)
         sol = solve_central(s)
         params = parameter_arrays([ue.utility for ue in s.ues])
-        sig, a, b, k = params
+        sig, a, b, k, _ = params
         t = np.array([sol.totals[ue.id] for ue in s.ues])
         m, dm = marginals(params, t)
         eps = U * (8.0 * np.where(sig, a * (t + b), k * t) + 16.0)

@@ -1,6 +1,7 @@
 """Utility families: reference values, derivatives, inversion, properties."""
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from helpers import (
     random_utilities,
     second_diff_tolerance,
     sig_demand_closed_form,
-    sigmoid_reference,
     sigmoidal_marginal_reference,
     solve_rate_for_price_reference,
 )
@@ -24,6 +24,7 @@ from carrieralloc.utility import (
     UtilityDomainError,
     demands,
     evaluate,
+    log_utilities,
     log_utility,
     marginal,
     marginals,
@@ -42,17 +43,8 @@ def central_diff(f, r: float, h: float) -> float:
 # construction
 
 
-def test_sigmoidal_normalization_constants():
-    u = SigmoidalUtility(a=1.0, b=5.0)
-    eab = math.exp(1.0 * 5.0)
-    assert u.c == pytest.approx((1.0 + eab) / eab, rel=1e-15)
-    assert u.d == pytest.approx(1.0 / (1.0 + eab), rel=1e-15)
-
-
-def test_sigmoidal_constants_survive_large_ab():
+def test_sigmoidal_survives_large_ab():
     u = SigmoidalUtility(a=10.0, b=50.0)  # exp(500) overflows a double
-    assert u.c == pytest.approx(1.0, rel=1e-15)
-    assert 0.0 <= u.d < 1e-200
     assert math.isfinite(u.marginal(50.0))
     assert math.isfinite(u.log_utility(1.0))
 
@@ -128,6 +120,125 @@ def test_log_utility_matches_log_of_evaluate():
             assert log_utility(u, r) == pytest.approx(math.log(evaluate(u, r)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "u", [SigmoidalUtility(a=0.05, b=10.0), LogarithmicUtility(k=1e-3, r_max=100.0)]
+)
+def test_log_utility_where_the_rate_product_underflows_is_neg_inf(u):
+    # a*r (k*r) is 0 at the smallest subnormal rate: the r -> 0+ limit
+    assert log_utility(u, 5e-324) == NEG_INF
+    assert evaluate(u, 5e-324) == 0.0
+    assert log_utilities(parameter_arrays([u]), np.array([5e-324]))[0] == NEG_INF
+
+
+def _steep_sigmoidal(rng, n):
+    """Sigmoidal users with a*b from 50 to 5e4."""
+    out = []
+    for _ in range(n):
+        b = float(rng.uniform(20.0, 250.0))
+        a = float(10.0 ** rng.uniform(math.log10(50.0 / b), math.log10(5e4 / b)))
+        out.append(SigmoidalUtility(a=a, b=b))
+    return out
+
+
+def _paper_samples():
+    rng = np.random.default_rng(71)
+    out = []
+    for u in random_utilities(rng, 200):
+        scale = u.b if isinstance(u, SigmoidalUtility) else u.r_max
+        out += [(u, f * scale) for f in (0.01, 0.3, 0.9, 1.0, 1.1, 3.0, 10.0)]
+    steps = (-700.0, -37.0, -5.0, -0.5, -1e-3, 1e-3, 0.5, 5.0, 30.0, 37.0, 100.0, 700.0)
+    for u in _steep_sigmoidal(rng, 40):  # rates on both sides of b
+        out += [(u, u.b + t / u.a) for t in steps if u.b + t / u.a > 0.0]
+        out += [(u, f * u.b) for f in (0.01, 0.5, 0.99, 1.0, 2.0, 10.0)]
+    # a form that cancels terms of size a*b gives +1.99e-13 (U > 1) and 0.0 here
+    out += [(SigmoidalUtility(a=14.779, b=287.91), 290.0), (SigmoidalUtility(a=5.0, b=10.0), 30.0)]
+    return out
+
+
+def _paper_ln_u_and_budget(u, r):
+    """ln U(r) from the paper's formula, and the rounding budget of the
+    library's expression, both in 80-digit decimal arithmetic.
+
+    Sigmoidal: ln[c (sigmoid(x) - d)], c = (1 + e^ab) / e^ab, d = 1 / (1 +
+    e^ab), x = a (r - b).  The library sums the non-positive terms A =
+    ln(1 - e^-ar), -B = -ln(1 + e^-|x|) and C = min(x, 0) (A, B, C exact
+    here), each libm result within an ulp:
+      * a r rounds, and 1 - e^-ar rounds to a double: ln of it moves by at
+        most EPS, and by no more than its distance |A| from 0 when it rounds
+        to 1; twice min(EPS, |A|);
+      * the log of it: EPS |A|;
+      * x (two roundings) moves C by EPS |C| and B by EPS |x| B; exp and
+        log1p add 2 EPS B; a subnormal e^-|x| adds 2^-1074;
+      * the two sums round by EPS/2 of at most |A| + B + |C| each.
+    Logarithmic: ln ln(1 + k r) - ln ln(1 + k r_max) = D - E: k r and log1p
+    move each log by at most 1.5 EPS, log rounds EPS |D| (|E|), and the
+    difference EPS/2 |D - E|.  The reference itself is exact to about 1e-79
+    of U; 1e-75 covers it.
+    """
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 80, MIN_EMIN, MAX_EMAX
+        eps, r = Decimal(EPS), Decimal(r)
+        if isinstance(u, SigmoidalUtility):
+            a, b = Decimal(u.a), Decimal(u.b)
+            e_ab, x = (a * b).exp(), a * (r - b)
+            c, d, sigmoid = (1 + e_ab) / e_ab, 1 / (1 + e_ab), 1 / (1 + (-x).exp())
+            ln_u = (c * (sigmoid - d)).ln()
+            big_a, big_b = abs((1 - (-a * r).exp()).ln()), (1 + (-abs(x)).exp()).ln()
+            big_c = abs(min(x, 0))
+            budget = eps * (2 * big_a + (3 + abs(x)) * big_b + 2 * big_c) + 2 * min(eps, big_a)
+            budget += Decimal(2.0**-1074)
+        else:
+            k, r_max = Decimal(u.k), Decimal(u.r_max)
+            big_d, big_e = abs((1 + k * r).ln().ln()), abs((1 + k * r_max).ln().ln())
+            ln_u = ((1 + k * r).ln() / (1 + k * r_max).ln()).ln()
+            budget = eps * (2 * big_d + 2 * big_e + 3)
+        return ln_u, budget + Decimal("1e-75")
+
+
+def test_log_utility_matches_the_papers_formula_in_decimal():
+    samples = _paper_samples()
+    utilities, rates = zip(*samples)
+    kernel = log_utilities(parameter_arrays(utilities), np.array(rates))
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 80, MIN_EMIN, MAX_EMAX
+        for (u, r), vector in zip(samples, kernel):
+            want, budget = _paper_ln_u_and_budget(u, r)
+            for got in (log_utility(u, r), float(vector)):
+                err = abs(Decimal(got) - want)
+                assert err <= budget, (u, r, got, want)
+                worst = max(worst, float(err / budget))
+            if isinstance(u, SigmoidalUtility):
+                assert evaluate(u, r) <= 1.0
+    assert worst > 1e-3  # the budget is not vacuous
+
+
+def test_scalar_and_array_log_utility_agree():
+    """The methods restate log_utilities in math; each side's exp and log may
+    round an ulp apart from the other's (numpy may use its own), so the two
+    agree within 4 EPS of the sum of the terms' magnitudes, plus 2^-1072 for
+    subnormal terms."""
+    rng = np.random.default_rng(72)
+    utilities = random_utilities(rng, 200) + _steep_sigmoidal(rng, 20)
+    params = parameter_arrays(utilities)
+    scale = np.array([u.b if isinstance(u, SigmoidalUtility) else u.r_max for u in utilities])
+    points = [np.full(scale.shape, r) for r in (0.0, 5e-324)]
+    points += [f * scale for f in (0.01, 0.5, 1.0, 1.5, 10.0)]
+    for r in points:
+        for u, x, vector in zip(utilities, r, log_utilities(params, r)):
+            scalar = log_utility(u, float(x))
+            if scalar == NEG_INF:
+                assert vector == NEG_INF
+                continue
+            if isinstance(u, SigmoidalUtility):
+                z = u.a * (x - u.b)
+                terms = abs(math.log(-math.expm1(-u.a * x)))
+                terms += math.log1p(math.exp(-abs(z))) - min(z, 0.0)
+            else:
+                terms = abs(math.log(math.log1p(u.k * x))) + abs(math.log(math.log1p(u.k * u.r_max)))
+            assert abs(scalar - vector) <= 4.0 * EPS * terms + 2.0**-1072, (u, x)
+
+
 # ---------------------------------------------------------------------------
 # marginal
 
@@ -161,7 +272,7 @@ def test_marginal_at_smallest_subnormal_rate_is_inf(u):
 
 
 def test_sigmoidal_marginal_bitwise_matches_reference():
-    """The inlined sigmoid and the constants c, d keep their old bits."""
+    """The inlined sigmoid keeps its old bits."""
     rng = np.random.default_rng(11)
     # x = a (r - b) on both sides of 0, where the sigmoid's sign split
     # switches form, plus rates near 0
@@ -171,8 +282,6 @@ def test_sigmoidal_marginal_bitwise_matches_reference():
     for u in random_utilities(rng, 400):
         if not isinstance(u, SigmoidalUtility):
             continue
-        assert u.c == 1.0 + math.exp(-u.a * u.b)
-        assert u.d == sigmoid_reference(-u.a * u.b)
         rates = [u.b + float(x) / u.a for x in xs]
         rates += [u.b * float(f) for f in np.geomspace(1e-9, 0.5, 10)]
         for r in rates:
