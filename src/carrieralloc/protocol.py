@@ -1,10 +1,10 @@
 """Round-based engine coupling user bidding with carrier pricing.
 
 Rounds are synchronous: every carrier turns the bids it currently holds into
-a shadow price p_l = sum_i w_li / R_l (floored away from zero), then every
-user answers the fresh prices with new bids.  Final rates are
-r_li = w_li / p_l, which by construction exhausts each carrier's capacity
-exactly whenever its price is above the floor.
+a shadow price p_l = sum_i w_li / R_l, then every user answers the fresh
+prices with new bids.  Final rates are r_li = w_li / p_l, which by
+construction exhausts the capacity of each carrier holding a positive bid.
+PRICE_FLOOR is only a division guard, for a carrier whose bids are all zero.
 
 The round state is two flat lists over the (carrier, user) links, the bids
 w_li and the users' anchor rates q_li, ordered user-major with each user's
@@ -75,8 +75,10 @@ __all__ = [
 # that, so 10^3 users held far below a steep inflection (a * (b - T) = 500)
 # add up to ~5e-11.
 GAP_TOL = 1e-9
-# Lowest shadow price: keeps every rate w / p finite while a carrier holds no bids.
-PRICE_FLOOR = 1e-9
+# Division guard, the smallest positive normal double: keeps every rate
+# w / p finite while a carrier holds no positive bid, and binds on no other
+# price short of a subnormal sum(w) / R.
+PRICE_FLOOR = float(np.finfo(float).tiny)
 # Anderson mixing: past rounds used, plain rounds before mixing starts, the
 # Tikhonov weight (relative to the largest Gram diagonal entry) that keeps
 # its normal equations solvable when recent steps are collinear, and the
@@ -147,8 +149,9 @@ class NonConvergenceError(RuntimeError):
 
 
 def carrier_step(bids: Sequence[float], capacity: float) -> float:
-    """Shadow price p = max(PRICE_FLOOR, sum(w)/R) of the bids a carrier holds.
+    """Shadow price p = sum(w)/R of the bids a carrier holds.
 
+    PRICE_FLOOR guards the users' division w / p where no bid is positive.
     Raises ProtocolError on a negative or non-finite bid.
     """
     for w in bids:

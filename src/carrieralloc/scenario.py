@@ -164,6 +164,11 @@ class SweepSpec:
             raise ScenarioError(
                 f"sweep range is empty: from {self.start} to {self.stop}"
             )
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ScenarioError(
+                f"sweep from {self.start} to {self.stop} in steps of {self.step} "
+                "has no finite point count"
+            )
 
     def values(self) -> List[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1

@@ -77,6 +77,11 @@ def test_sweep_flag_validation(paper_file, capsys):
         capsys.readouterr()
         assert main(base + ["--from", "20", "--to", "40", "--step", "10"] + flags) == 1
         assert f"sweep {field} must be finite" in capsys.readouterr().err
+    # a vanishing step is refused before any point runs, not with a traceback
+    capsys.readouterr()
+    assert main(base + ["--from", "20", "--to", "300", "--step", "1e-320"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "no finite point count" in err
 
 
 def test_sweep_small_range_passes(paper_file, tmp_path):

@@ -73,6 +73,8 @@ def test_projection_applies_simplex_threshold():
 def test_projection_zero_is_fixed_point():
     out = project_carrier_block(np.zeros(2), 10.0)
     assert np.allclose(out, 0.0)
+    with pytest.raises(OracleError, match="R > 0"):
+        project_carrier_block(np.zeros(2), 0.0)
 
 
 def test_projection_variational_inequality():

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from carrieralloc.oracle import solve_central
 from carrieralloc.protocol import (
     GAP_TOL,
+    PRICE_FLOOR,
     EngineConfig,
     NonConvergenceError,
     _AndersonMixer,
@@ -49,8 +51,8 @@ def test_carrier_price_is_bid_sum_over_capacity():
 
 
 def test_carrier_all_zero_bids_hits_price_floor_without_stopping():
-    assert carrier_step([0.0, 0.0], 100.0) == 1e-9
-    assert carrier_step([], 100.0) == 1e-9
+    assert carrier_step([0.0, 0.0], 100.0) == PRICE_FLOOR
+    assert carrier_step([], 100.0) == PRICE_FLOOR
     # Every initial bid (R / M = 5e-4) moves by less than delta in round 1,
     # against a previous round of zeros, and the allocation is already
     # optimal; still only round 2, with a previous round, may stop.
@@ -136,6 +138,22 @@ def test_single_ue_absorbs_whole_capacity():
     res = run(s, EngineConfig())
     assert res.converged
     assert res.totals[1] == pytest.approx(100.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("capacity", [20.0, 30.0, 60.0, 150.0])
+def test_satiated_carrier_certifies(capacity):
+    # One sigmoidal user (user 6 of bench/synthetic.py scenario 0-8-3) alone
+    # on a carrier it cannot fill at a marginal above ~1e-9: the optimum
+    # gives it all of R at price m(R), 3.4e-12 at R = 20 and 0 at R = 150.
+    # The carrier price must follow sum(w)/R down there: a price held at
+    # 1e-9 leaves R - 19.35 units unsold, each counting 1e-9 in the gap.
+    s = small_scenario(
+        UESpec(id=1, utility=SigmoidalUtility(a=8.72, b=16.72), carriers=(1,)),
+        carriers=((1, capacity),),
+    )
+    res = run(s, EngineConfig())
+    assert res.converged and res.duality_gap <= GAP_TOL
+    assert res.totals[1] == pytest.approx(solve_central(s).totals[1], rel=5e-4)
 
 
 def test_two_identical_ues_split_evenly():

@@ -82,6 +82,15 @@ def test_scenario_rejects_duplicates_and_empty_reach():
             carriers=(CarrierSpec(id=1, capacity=10.0),),
             ues=(UESpec(id=1, utility=u, carriers=()),),
         )
+    one_carrier = (CarrierSpec(id=1, capacity=10.0),)
+    for carriers, ues, match in (
+        ((), (UESpec(id=1, utility=u, carriers=(1,)),), "at least one carrier"),
+        (one_carrier, (), "at least one UE"),
+        (one_carrier, (UESpec(id=1, utility=u, carriers=(1,)),) * 2, "duplicate UE ids"),
+        (one_carrier, (UESpec(id=1, utility=u, carriers=(1, 1)),), "duplicate carriers"),
+    ):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario(carriers=carriers, ues=ues)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +225,15 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
     bad.write_text("ues: []\n")
     with pytest.raises(ScenarioError, match="carriers"):
         load_scenario(bad)
+    # the wrong shape at each level of the document
+    for text, match in (
+        ("- carriers: []\n", "top level must be a mapping"),
+        ("carriers: {id: 1}\nues: []\n", "must be lists"),
+        ("carriers: [7]\nues: []\n", r"carriers\[0\]: must be a mapping"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(bad)
     bad.write_text("carriers: [\n")
     # the two parsers word the error differently, but both give its mark
     with pytest.raises(ScenarioError, match="not valid YAML") as info:
@@ -297,6 +315,10 @@ def test_sweep_spec_validation():
         SweepSpec(carrier_id=1, start=10.0, stop=5.0, step=1.0)
     with pytest.raises(ScenarioError):
         SweepSpec(carrier_id=1, start=10.0, stop=20.0, step=0.0)
+    # a step so small (or a range so wide) that the point count overflows
+    for start, stop, step in ((20.0, 300.0, 1e-320), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ScenarioError, match="no finite point count"):
+            SweepSpec(carrier_id=1, start=start, stop=stop, step=step)
     for field, value in (("start", math.nan), ("stop", math.inf), ("step", math.nan),
                          ("step", math.inf), ("start", -math.inf)):
         bounds = {"start": 10.0, "stop": 20.0, "step": 1.0, field: value}

@@ -14,7 +14,7 @@ from helpers import (
     staged_demand_reference,
 )
 from carrieralloc import subproblem
-from carrieralloc.subproblem import _anchored_demand, ue_step
+from carrieralloc.subproblem import ProtocolError, _anchored_demand, ue_step
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -62,6 +62,9 @@ def test_damping_mixes_raw_with_last_bids():
     assert bids[0] == pytest.approx(0.7 * raw + 0.3 * 1.0, rel=1e-12)
     # the new anchor is the rate the damped bid buys
     assert anchor == [bids[0] / 0.05]
+    for damping in (0.0, 1.5):
+        with pytest.raises(ProtocolError, match="damping"):
+            ue_step(LOG_HALF, [0.05], [1.0], None, 100.0, damping)
 
 
 def test_fixed_point_is_preserved_for_any_damping():
