@@ -155,9 +155,15 @@ def _cmd_points(args) -> int:
                 f"oracle objective={rec.oracle.objective:.9g} "
                 f"(protocol {rec.result.objective:.9g}, delta {cmp.objective_delta:.3g})"
             )
-            print(f"max per-UE total deviation {cmp.max_total_rel_delta:.3g} (UE {cmp.worst_ue_id})")
             print(
-                f"kkt tol={kkt.tol:g} stationarity={kkt.stationarity_active:.3g}/"
+                f"certificate: P(T*) - P(T) = {rec.oracle.objective - rec.result.objective:.3g}"
+                f" in [-{cmp.budget:.3g}, gap {rec.result.duality_gap:.3g} + {cmp.budget:.3g}]"
+                f" => {'pass' if cmp.passed else 'FAIL'}"
+            )
+            print(f"diagnostic: max per-UE total deviation {cmp.max_total_rel_delta:.3g}"
+                  f" (UE {cmp.worst_ue_id})")
+            print(
+                f"diagnostic: kkt tol={kkt.tol:g} stationarity={kkt.stationarity_active:.3g}/"
                 f"{kkt.stationarity_inactive:.3g} comp_slack={kkt.complementary_slackness:.3g} "
                 f"=> {'pass' if kkt.passed else 'FAIL'}"
             )

@@ -16,12 +16,11 @@ price is well defined and invertible by bisection.
 
 ln U has one expression, ``log_utilities``, free of cancellation; the
 objectives, ``dual_gap`` and the verification budget call it once over all
-users.  ``marginals``, ``demands`` and ``dual_gap`` work on many users at
-once.  What stays scalar: the ``log_utility`` methods restate the
-``log_utilities`` expression in ``math``, because a one-user array call costs
-about 30 times as much; ``evaluate`` is exp(log_utility); and the protocol's
-user step keeps the scalar ``marginal`` and ``solve_rate_for_price``, whose
-last bits its round counts depend on.
+users, and the ``log_utility`` methods (so ``evaluate``, exp(log_utility))
+call it for one user.  ``marginals``, ``demands`` and ``dual_gap`` work on
+many users at once.  What stays scalar: the protocol's user step keeps the
+scalar ``marginal`` and ``solve_rate_for_price``, whose last bits its round
+counts depend on.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -51,7 +50,6 @@ __all__ = [
     "solve_rate_for_price",
 ]
 
-NEG_INF = float("-inf")
 _LN_MIN_RATE = math.log(5e-324)  # the smallest positive rate; 1/r, so every marginal, is +inf
 
 
@@ -61,6 +59,12 @@ class UtilityDomainError(ValueError):
 
 class RootFindingError(RuntimeError):
     """Raised when the bisection inverter fails to meet its tolerance."""
+
+
+def log_utility(u: "UtilityFunction", r_total: float) -> float:
+    """ln U(r_total), ``log_utilities`` for one user; -inf at r_total = 0 rather than raising."""
+    _check_rate(r_total)
+    return float(log_utilities(parameter_arrays([u]), np.array([r_total], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -76,14 +80,7 @@ class SigmoidalUtility:
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise UtilityDomainError(f"sigmoidal inflection b must be > 0, got {self.b}")
 
-    def log_utility(self, r: float) -> float:
-        _check_rate(r)
-        # log_utilities' sigmoidal expression in math
-        y = -math.expm1(-self.a * r)
-        if y == 0.0:  # r = 0, or a*r underflowed: the r -> 0+ limit
-            return NEG_INF
-        x = self.a * (r - self.b)
-        return math.log(y) - math.log1p(math.exp(-abs(x))) + min(x, 0.0)
+    log_utility = log_utility  # in the class namespace, where bench/tracer.py counts calls
 
     def marginal(self, r: float) -> float:
         if not (r > 0.0):
@@ -116,13 +113,7 @@ class LogarithmicUtility:
         if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
             raise UtilityDomainError(f"logarithmic r_max must be > 0, got {self.r_max}")
 
-    def log_utility(self, r: float) -> float:
-        _check_rate(r)
-        # log_utilities' logarithmic expression in math
-        ln1p = math.log1p(self.k * r)
-        if ln1p == 0.0:  # r = 0, or k*r underflowed: the r -> 0+ limit
-            return NEG_INF
-        return math.log(ln1p) - math.log(math.log1p(self.k * self.r_max))
+    log_utility = log_utility  # in the class namespace, where bench/tracer.py counts calls
 
     def marginal(self, r: float) -> float:
         if not (r > 0.0):
@@ -151,11 +142,6 @@ def evaluate(u: UtilityFunction, r_total: float) -> float:
     paths never produce such inputs.
     """
     return math.exp(u.log_utility(r_total))
-
-
-def log_utility(u: UtilityFunction, r_total: float) -> float:
-    """ln U(r_total); returns -inf at r_total = 0 rather than raising."""
-    return u.log_utility(r_total)
 
 
 def marginal(u: UtilityFunction, r_total: float) -> float:

@@ -1,6 +1,7 @@
 """Shared test oracles: independent inverters and FD noise bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import lambertw
@@ -212,6 +213,21 @@ def flat_stretch_scenario():
             UESpec(id=2, utility=SigmoidalUtility(a=44.5, b=385.5), carriers=(1,)),
         ),
         name="flat-stretch",
+    )
+
+
+def in_units(scenario, s):
+    """``scenario`` with rates in units 1/s: capacities times s, sigmoidal
+    (a, b) -> (a/s, b*s), logarithmic (k, r_max) -> (k/s, r_max*s)."""
+    def scaled(u):
+        if isinstance(u, SigmoidalUtility):
+            return SigmoidalUtility(a=u.a / s, b=u.b * s)
+        return LogarithmicUtility(k=u.k / s, r_max=u.r_max * s)
+
+    return replace(
+        scenario,
+        carriers=tuple(replace(c, capacity=c.capacity * s) for c in scenario.carriers),
+        ues=tuple(replace(ue, utility=scaled(ue.utility)) for ue in scenario.ues),
     )
 
 

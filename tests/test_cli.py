@@ -196,6 +196,21 @@ def test_verify_command(paper_file, capsys):
     assert "verification pass" in out
 
 
+def test_verify_passes_an_optimum_whose_kkt_diagnostic_fails(tmp_path, capsys):
+    # One logarithmic user alone on a carrier it fills at any price above 0:
+    # the protocol stops at price 1 with gap 0 and the oracle's objective, the
+    # oracle prices the carrier at the user's marginal, 8.80.  The KKT
+    # residual 7.8 is reported; the certificate decides.
+    path = tmp_path / "one.yaml"
+    path.write_text("carriers: [{id: 1, capacity: 0.1}]\n"
+                    "ues: [{id: 1, utility: {type: logarithmic, k: 3, r_max: 100}, carriers: [1]}]\n")
+    assert main(["verify", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert " kkt=FAIL verify=pass" in out
+    assert "certificate: P(T*) - P(T) = 0 in [" in out
+    assert out.splitlines()[-1] == "verification pass"
+
+
 def test_verify_reports_protocol_non_convergence(paper_file, capsys):
     assert main(["verify", "--scenario", str(paper_file), "--max-rounds", "1"]) == EXIT_NUMERIC
     captured = capsys.readouterr()
@@ -275,7 +290,8 @@ def test_utility_curve_validation(capsys):
     for bad in ("{type: sigmoidal, b: 30}", "{type: logarithmic, k: 3}",
                 "{type: logarithmic, k: -3, r_max: 100}", "{type: sigmoidal, a: 1",
                 "[1, 2]", "{type: logarithmic, k: 3, r_max: 100, a: 1}",
-                "{type: sigmoidal, a: true, b: 30}", "{type: sig, a: 1, b: 30}"):
+                "{type: sigmoidal, a: true, b: 30}", "{type: sig, a: 1, b: 30}",
+                '{type: logarithmic, k: "3", r_max: 100}'):
         capsys.readouterr()
         assert main(["utility-curve", "--utility", bad]) == 1, bad
         captured = capsys.readouterr()

@@ -20,9 +20,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import in_units
 from carrieralloc.oracle import solve_central
 from carrieralloc.scenario import CarrierSpec, build_paper_scenario
-from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility, marginals, parameter_arrays
+from carrieralloc.utility import marginals, parameter_arrays
 
 POINTS = (20.0, 50.0, 60.0, 100.0, 300.0)
 U = 2.0**-53  # unit roundoff
@@ -76,19 +77,6 @@ def _rounding_budget(scenario, sol):
     return total_rtol, price_rtol
 
 
-def _in_units(scenario, s):
-    def scaled(u):
-        if isinstance(u, SigmoidalUtility):
-            return SigmoidalUtility(a=u.a / s, b=u.b * s)
-        return LogarithmicUtility(k=u.k / s, r_max=u.r_max * s)
-
-    return replace(
-        scenario,
-        carriers=tuple(replace(c, capacity=c.capacity * s) for c in scenario.carriers),
-        ues=tuple(replace(ue, utility=scaled(ue.utility)) for ue in scenario.ues),
-    )
-
-
 def _relabelled(scenario, new_id):
     return replace(scenario, ues=tuple(replace(ue, id=new_id[ue.id]) for ue in scenario.ues))
 
@@ -124,7 +112,7 @@ def point(request):
 @pytest.mark.parametrize("s", (1e-3, 1e3))
 def test_units_scale_totals_by_s_and_prices_by_1_over_s(point, s):
     scenario, sol, (total_rtol, price_rtol) = point
-    other = solve_central(_in_units(scenario, s))
+    other = solve_central(in_units(scenario, s))
     _assert_within({uid: t / s for uid, t in other.totals.items()}, sol.totals, total_rtol, "total")
     _assert_within({cid: p * s for cid, p in other.prices.items()}, sol.prices, price_rtol, "price")
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from helpers import in_units
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
 from carrieralloc.oracle import OracleError, solve_central
@@ -217,7 +218,7 @@ def test_document_engine_and_sweep_sections(yaml_classes, tmp_path):
         load_scenario_document(path)
 
 
-def test_load_errors_carry_context(yaml_classes, tmp_path):
+def test_load_errors_carry_context(yaml_classes, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("carriers:\n  - id: 1\n    capacity: 0.0\nues:\n  - id: 1\n    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n")
     with pytest.raises(ScenarioError, match="capacity"):
@@ -265,11 +266,23 @@ def test_load_errors_carry_context(yaml_classes, tmp_path):
     )
     bad.write_text(good)
     load_scenario_document(bad)
-    # numbers PyYAML reads as strings (1e3 has no dot) are still numbers
-    bad.write_text(good.replace("capacity: 10.0", "capacity: 1e3")
-                   .replace("carriers: [1]", 'carriers: ["1"]'))
-    quoted = load_scenario(bad)
-    assert quoted.carriers[0].capacity == 1000.0 and quoted.ues[0].carriers == (1,)
+    # a number written as a string is refused, whether quoted or one that
+    # YAML 1.1 reads as a string (1e3 has no dot); the CLI exits 1 on it
+    for old, new, where in (
+        ("id: 1\n    capacity", 'id: "1"\n    capacity', r"carriers\[0\]: id must be int, got '1'"),
+        ("capacity: 10.0", 'capacity: "10.0"', r"carriers\[0\]: capacity must be float"),
+        ("capacity: 10.0", "capacity: 1e3", r"carriers\[0\]: capacity must be float, got '1e3'"),
+        ("carriers: [1]", 'carriers: ["1"]', r"ues\[0\]: carriers must be int"),
+        ("k: 1.0", 'k: "1.0"', r"ues\[0\]: k must be float"),
+        ("step: 5", "step: '5'", "sweep: step must be float"),
+    ):
+        bad.write_text(good.replace(old, new))
+        with pytest.raises(ScenarioError, match=where):
+            load_scenario_document(bad)
+        capsys.readouterr()
+        assert main(["run", "--scenario", str(bad)]) == 1, new
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be" in captured.err, new
     for old, new, where in (
         ("capacity: 10.0", "capacity: true", r"carriers\[0\]: capacity"),
         ("id: 1\n    capacity", "id: 2.7\n    capacity", r"carriers\[0\]: id"),
@@ -343,18 +356,42 @@ def paper_300():
     return s, run(s), solve_central(s)
 
 
+def _one_total_times(res, scenario, uid, factor):
+    """``res`` with user ``uid``'s rates, total and objective times ``factor``."""
+    rates = {k: r * factor if k[1] == uid else r for k, r in res.rates.items()}
+    totals = {**res.totals, uid: res.totals[uid] * factor}
+    utility = {ue.id: ue.utility for ue in scenario.ues}
+    objective = sum(log_utility(utility[i], t) for i, t in totals.items())
+    return replace(res, rates=rates, totals=totals, objective=objective)
+
+
 @pytest.mark.parametrize("uid", range(1, 19))
 def test_verify_catches_one_total_short_by_half_a_percent(paper_300, uid):
-    # A 0.5% shortfall is inside the totals' 1e-2 and the KKT rule's 10 * delta
-    # for some users; the objective then leaves the protocol's duality gap.
+    # A feasible point 0.5% short for one user: P(T*) - P(T) exceeds the
+    # protocol's gap plus the budget, the interval's upper end.
     s, res, sol = paper_300
     assert compare_to_oracle(res, sol, s, EngineConfig().delta).passed
-    rates = {k: r * 0.995 if k[1] == uid else r for k, r in res.rates.items()}
-    totals = {**res.totals, uid: res.totals[uid] * 0.995}
-    utility = {ue.id: ue.utility for ue in s.ues}
-    objective = sum(log_utility(utility[i], t) for i, t in totals.items())
-    short = replace(res, rates=rates, totals=totals, objective=objective)
+    short = _one_total_times(res, s, uid, 0.995)
     assert not compare_to_oracle(short, sol, s, EngineConfig().delta).passed
+
+
+@pytest.mark.parametrize("uid", range(1, 19))
+def test_verify_catches_one_total_over_by_half_a_percent(paper_300, uid):
+    # 0.5% over for one user overloads a carrier, and the objective rises
+    # above the oracle's: the oracle's lies below -budget, the lower end.
+    s, res, sol = paper_300
+    over = _one_total_times(res, s, uid, 1.005)
+    report = compare_to_oracle(over, sol, s, EngineConfig().delta)
+    assert sol.objective - over.objective < -report.budget and not report.passed
+
+
+def test_verify_passes_the_paper_point_in_small_units():
+    # In units s = 1e-6 every rate is below the 0.01 that splits the KKT
+    # check's active links from its inactive ones, so the residuals fail the
+    # diagnostic at 10 * delta; the protocol's gap (2e-11) still certifies.
+    s = in_units(build_paper_scenario(300.0), 1e-6)
+    report = compare_to_oracle(run(s), solve_central(s), s, EngineConfig().delta)
+    assert report.passed and not report.kkt.passed
 
 
 # The paper sweep's rounds and rates, pinned bit for bit.  Round counts are
@@ -398,8 +435,11 @@ def test_run_sweep_records_per_point_failures(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(records)
     for row, rec in zip(rows, records):
-        assert None not in row and len(row) == 12
+        assert None not in row and len(row) == 14
         assert row["error"] == rec.error
+        # the protocol's final gap is written even without a verdict
+        gap = "" if rec.result is None else repr(rec.result.duality_gap)
+        assert (row["duality_gap"], row["verified"]) == (gap, "")
 
 
 def test_run_point_joins_protocol_and_oracle_errors(monkeypatch):
@@ -450,6 +490,11 @@ def test_write_results_headers_and_counts(tmp_path):
     summary_lines = paths["summary"].read_text().splitlines()
     assert summary_lines[0] == SUMMARY_HEADER
     assert len(summary_lines) == 1 + len(records)
+    with open(paths["summary"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row, rec in zip(rows, records):
+        assert float(row["duality_gap"]) == rec.result.duality_gap
+        assert row["verified"] == str(rec.comparison.passed) == "True"
 
 
 def test_write_results_round_trip_exact(tmp_path):

@@ -207,32 +207,6 @@ def test_log_utility_matches_the_papers_formula_in_decimal():
     assert worst > 1e-3  # the budget is not vacuous
 
 
-def test_scalar_and_array_log_utility_agree():
-    """The methods restate log_utilities in math; each side's exp and log may
-    round an ulp apart from the other's (numpy may use its own), so the two
-    agree within 4 EPS of the sum of the terms' magnitudes, plus 2^-1072 for
-    subnormal terms."""
-    rng = np.random.default_rng(72)
-    utilities = random_utilities(rng, 200) + _steep_sigmoidal(rng, 20)
-    params = parameter_arrays(utilities)
-    scale = np.array([u.b if isinstance(u, SigmoidalUtility) else u.r_max for u in utilities])
-    points = [np.full(scale.shape, r) for r in (0.0, 5e-324)]
-    points += [f * scale for f in (0.01, 0.5, 1.0, 1.5, 10.0)]
-    for r in points:
-        for u, x, vector in zip(utilities, r, log_utilities(params, r)):
-            scalar = log_utility(u, float(x))
-            if scalar == NEG_INF:
-                assert vector == NEG_INF
-                continue
-            if isinstance(u, SigmoidalUtility):
-                z = u.a * (x - u.b)
-                terms = abs(math.log(-math.expm1(-u.a * x)))
-                terms += math.log1p(math.exp(-abs(z))) - min(z, 0.0)
-            else:
-                terms = abs(math.log(math.log1p(u.k * x))) + abs(math.log(math.log1p(u.k * u.r_max)))
-            assert abs(scalar - vector) <= 4.0 * EPS * terms + 2.0**-1072, (u, x)
-
-
 # ---------------------------------------------------------------------------
 # marginal
 
