@@ -32,9 +32,10 @@ whose stiffness grows as 1 / (anchor total).  The fixed points are those of
 the plain rounds, and runs that stop within the warm-up are the plain
 protocol exactly.
 
-Users and carriers are stepped in ascending id order and all state,
-including the mixer's small least-squares solve, is plain floats, so two
-runs on identical inputs produce bit-identical results.
+Users and carriers are stepped in ascending id order over plain floats, and
+the mixer fixes the order of its float64 array arithmetic (see
+_AndersonMixer) and solves its small least-squares system in plain floats,
+so two runs on identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -161,84 +162,104 @@ def carrier_step(bids: Sequence[float], capacity: float) -> float:
 
 
 class _AndersonMixer:
-    """Type-II Anderson mixing of a fixed-point map, in plain floats.
+    """Type-II Anderson mixing of a fixed-point map over float64 arrays.
 
     Given the state x entering a round and the state g the round maps it to,
     step returns g - dG gamma, where gamma minimizes ||f - dF gamma|| over
     the last ``depth`` differences of residuals f = g - x (dF) and of map
-    outputs (dG).  The Gram matrix dF^T dF is kept up to date one column at
-    a time and solved by Cholesky, so a step costs O(depth * len(x)).
+    outputs (dG), kept oldest first as the rows of two depth x n arrays.
+    The Gram matrix dF^T dF is kept up to date one row at a time and solved
+    by Cholesky, so a step costs O(depth * n).
+
+    The arithmetic is fixed operation by operation, so runs repeat bit for
+    bit on any numpy: every dot product is a strict left-to-right sum
+    (_dots), g - dG gamma subtracts one row at a time, oldest first, and the
+    small Cholesky solve runs in Python floats.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
-        self.last_f: Optional[List[float]] = None
-        self.last_g: Optional[List[float]] = None
-        self.df: List[List[float]] = []
-        self.dg: List[List[float]] = []
+        self.size = 0  # rows of df and dg in use
+        self.df = self.dg = np.empty((depth, 0))
+        self.last_f: Optional[np.ndarray] = None
+        self.last_g: Optional[np.ndarray] = None
+        # lower triangle: row i holds the products of row i of df with rows
+        # 0..i, all that _solve reads
         self.gram: List[List[float]] = []
 
-    def step(self, x: List[float], g: List[float]) -> List[float]:
-        f = [gi - xi for gi, xi in zip(g, x)]
+    def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        f = g - x
         if self.last_f is not None:
-            self._push(
-                [a - b for a, b in zip(f, self.last_f)],
-                [a - b for a, b in zip(g, self.last_g)],
-            )
+            self._push(f - self.last_f, g - self.last_g)
         self.last_f, self.last_g = f, g
-        if not self.df:
-            return list(g)
-        gamma = self._solve([_dot(col, f) for col in self.df])
+        gamma = self._solve(_dots(self.df[: self.size], f)) if self.size else None
         if gamma is None:
-            return list(g)
-        out = list(g)
-        for c, col in zip(gamma, self.dg):
-            for i, v in enumerate(col):
-                out[i] -= c * v
-        return out
+            return g.copy()
+        # g - c_0 dg_0 - c_1 dg_1 - ..., one row at a time, oldest first
+        terms = np.concatenate((g[None], np.array(gamma)[:, None] * self.dg[: self.size]))
+        return np.subtract.accumulate(terms)[-1]
 
-    def _push(self, df: List[float], dg: List[float]) -> None:
-        if len(self.df) == self.depth:
-            del self.df[0], self.dg[0], self.gram[0]
-            for row in self.gram:
-                del row[0]
-        # gram is stored as its lower triangle: row i holds the products of
-        # column i with columns 0..i, all that _solve reads.
-        self.gram.append([_dot(col, df) for col in self.df] + [_dot(df, df)])
-        self.df.append(df)
-        self.dg.append(dg)
+    def _push(self, df: np.ndarray, dg: np.ndarray) -> None:
+        if self.size == 0:
+            self.df, self.dg = np.empty((self.depth, df.size)), np.empty((self.depth, dg.size))
+        if self.size == self.depth:
+            self.df[:-1], self.dg[:-1] = self.df[1:], self.dg[1:]
+            self.gram = [row[1:] for row in self.gram[1:]]
+            self.size -= 1
+        self.df[self.size], self.dg[self.size] = df, dg
+        self.size += 1
+        self.gram.append(_dots(self.df[: self.size], df))
 
     def _solve(self, rhs: List[float]) -> Optional[List[float]]:
         """(G + lam I) gamma = rhs by Cholesky; None if G is degenerate."""
-        n = len(rhs)
-        scale = max(self.gram[i][i] for i in range(n))
+        gram = self.gram
+        scale = max([row[-1] for row in gram])
         if not (scale > 0.0 and math.isfinite(scale)):
             return None
         lam = ANDERSON_REGULARIZATION * scale
-        low = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                acc = self.gram[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
-                if i == j:
-                    acc += lam
-                    if not acc > 0.0:
-                        return None
-                    low[i][i] = math.sqrt(acc)
-                else:
-                    low[i][j] = acc / low[j][j]
-        y = [0.0] * n
-        for i in range(n):
-            y[i] = (rhs[i] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i]
+        # every sum below starts at 0.0 and adds its terms in index order
+        low: List[List[float]] = []
+        for i, row in enumerate(gram):
+            li: List[float] = []
+            for j in range(i):
+                lj, acc = low[j], 0.0
+                for k in range(j):
+                    acc += li[k] * lj[k]
+                li.append((row[j] - acc) / lj[j])
+            acc = 0.0
+            for v in li:
+                acc += v * v
+            acc = row[i] - acc + lam
+            if not acc > 0.0:
+                return None
+            li.append(math.sqrt(acc))
+            low.append(li)
+        y: List[float] = []
+        for li, b in zip(low, rhs):
+            acc = 0.0
+            for v, w in zip(li, y):
+                acc += v * w
+            y.append((b - acc) / li[-1])
+        n = len(rhs)
         gamma = [0.0] * n
         for i in reversed(range(n)):
-            gamma[i] = (y[i] - sum(low[k][i] * gamma[k] for k in range(i + 1, n))) / low[i][i]
+            acc = 0.0
+            for k in range(i + 1, n):
+                acc += low[k][i] * gamma[k]
+            gamma[i] = (y[i] - acc) / low[i][i]
         if not all(math.isfinite(c) for c in gamma):
             return None
         return gamma
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(map(operator.mul, a, b))
+def _dots(rows: np.ndarray, v: np.ndarray) -> List[float]:
+    """Each row's dot product with v, summed from 0.0 in index order.
+
+    np.add.accumulate adds strictly left to right, where np.dot and np.sum
+    may reorder; the 0.0 + turns a sum of -0.0 terms into 0.0 as a sum from
+    0.0 does.
+    """
+    return (0.0 + np.add.accumulate(rows * v, axis=1)[:, -1]).tolist()
 
 
 def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
@@ -283,48 +304,52 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     # the bids the carriers priced in the previous round
     seen = [0.0] * len(links)
 
+    # what each user's step reads besides the round state
+    users = list(zip([ue.utility for ue in ues], spans, r_caps))
+    link_index = np.array(link_carrier)
     mixer = _AndersonMixer(ANDERSON_DEPTH)
+    delta, damping, max_rounds = config.delta, config.damping, config.max_rounds
     converged = False
     gap = math.nan
     rounds = 0
-    for n in range(1, config.max_rounds + 1):
+    for n in range(1, max_rounds + 1):
         rounds = n
         prices = [
             carrier_step([bids[i] for i in idx], cap)
             for idx, cap in zip(carrier_links, caps)
         ]
-        round_delta = max(abs(w - v) for w, v in zip(bids, seen))
+        round_delta = max(map(abs, map(operator.sub, bids, seen)))
         seen = bids
-        stable = n > 1 and round_delta < config.delta
-        if stable or n == config.max_rounds:
+        stable = n > 1 and round_delta < delta
+        if stable or n == max_rounds:
             price = np.array(prices)
             rates = np.zeros(mask.shape)
-            rates.T[mask.T] = np.array(bids) / price[link_carrier]
+            rates.T[mask.T] = np.array(bids) / price[link_index]
             gap = dual_gap(params, mask, cap_array, rates, price)
             if stable and gap <= GAP_TOL:
                 converged = True
                 break
-        if n < config.max_rounds:
+        if n < max_rounds:
             link_prices = [prices[k] for k in link_carrier]
             new_bids: List[float] = []
             new_anchors: List[float] = []
-            for ue, span, r_cap in zip(ues, spans, r_caps):
+            for utility, span, r_cap in users:
                 w, q = ue_step(
-                    ue.utility,
+                    utility,
                     link_prices[span],
                     bids[span],
                     None if anchors is None else anchors[span],
                     r_cap,
-                    config.damping,
+                    damping,
                 )
                 new_bids += w
                 new_anchors += q
             if n > ANDERSON_WARMUP:
-                plain = new_bids + new_anchors
-                mixed = [
-                    max(MIX_FLOOR * p, m)
-                    for p, m in zip(plain, mixer.step(bids + anchors, plain))
-                ]
+                plain = np.array(new_bids + new_anchors)
+                mixed = mixer.step(np.array(bids + anchors), plain)
+                # max(MIX_FLOOR * plain, mixed) entry by entry, the floor on ties
+                floor = MIX_FLOOR * plain
+                mixed = np.where(mixed > floor, mixed, floor).tolist()
                 new_bids, new_anchors = mixed[: len(links)], mixed[len(links):]
             bids, anchors = new_bids, new_anchors
 

@@ -30,6 +30,7 @@ all in the same order: the user's reachable carriers by ascending id.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from .utility import UtilityFunction, solve_rate_for_price
@@ -59,6 +60,11 @@ def _total(links: List[Tuple[float, float]], rho: float, nu: float) -> float:
     return t
 
 
+def _rates(links: List[Tuple[float, float]], rho: float, nu: float) -> List[float]:
+    # max(0, q + (nu - p)/rho) per link
+    return [r if (r := q + (nu - p) / rho) > 0.0 else 0.0 for q, p in links]
+
+
 def _nu_at_ceiling(
     links: List[Tuple[float, float]], rho: float, r_cap: float, lo: float, hi: float
 ) -> float:
@@ -83,66 +89,104 @@ def _anchored_demand(
     KKT gives r_l(nu) = max(0, q_l + (nu - p_l)/rho) with nu = marginal(T);
     T(nu) is nondecreasing and the marginal is strictly decreasing, so the
     scalar root is unique and bracketed by bisection.  The total is capped
-    at r_cap like the unanchored inversion.  A secant search first finds
+    at r_cap like the unanchored inversion.  A Newton search first finds
     probes around the root whose test outcome is certain; the bisection then
     evaluates only the midpoints between them, with the same result bits.
+
+    Every probe at nu computes T(nu) (one link: q + (nu - p)/rho; more:
+    _total), then the excess m - nu with m = marginal(T), and the margin
+    _MARGIN (m + 2a) past which the excess's sign is certain; a T <= 0 has
+    excess +inf (marginal(0+) = +inf exceeds any finite nu).
     """
     marginal = utility.marginal
-    links = list(zip(anchor, prices))
-    single, (q1, p1) = len(links) == 1, links[0]
-    nu_min = p1 - rho * q1 if single else min(p - rho * q for q, p in links)  # total 0
-    lo = nu_min
+    a = getattr(utility, "a", 0.0)  # 0 for the logarithmic family
+    k, a2, inf = 0.0 if a else utility.k, 2.0 * a, math.inf
+    q1, p1 = anchor[0], prices[0]
+    single = len(prices) == 1
+    links = [(q1, p1)] if single else list(zip(anchor, prices))
+    # T(nu) has a knot at each p - rho q, where its link starts to buy
+    knots = [p1 - rho * q1] if single else sorted([p - rho * q for q, p in links])
+    lo = nu_min = knots[0]  # T(nu_min) = 0
     hi = (p1 + rho * q1 if single else max(prices) + rho * max(anchor)) + 1.0
-    a2, inf = 2.0 * getattr(utility, "a", 0.0), math.inf
 
-    def probe(nu: float) -> Tuple[float, float, float, float]:
-        """The bisection's excess at nu, the margin past which it is certain, T, m."""
-        t = q1 + (nu - p1) / rho if single else _total(links, rho, nu)
-        if not t > 0.0:
-            return inf, 0.0, t, inf
-        m = marginal(t)
-        return m - nu, _MARGIN * (m + a2), t, m
-
-    # Search from the nu at which T(nu) is the anchor total: one Newton step
-    # in ln T taking d ln m / d ln T = -1 - T (a - m)+, then secants.
+    # Newton steps in u = ln T from the nu at which T(nu) is the anchor total.
+    # T is piecewise linear in nu, so nu = x + tn expm1(u) with tn = T rho / n
+    # over the n links that buy at x (the knots below x); d ln m / d ln T is
+    # the family's: -a^2 T (g (g - 1) + s (1 - s)) / m with g = 1/(1 - e^-aT)
+    # and s = g - m/a, or -kT/(1 + kT) - T m.
     known_lo, known_hi, x = -inf, inf, p1
     if not single:
-        knots, s, t0 = sorted(p - rho * q for q, p in links), 0.0, rho * sum(anchor)
+        s, t0 = 0.0, rho * sum(anchor)
         for n, knot in enumerate(knots, 1):
             s += knot
             x = (t0 + s) / n
             if n == len(knots) or x <= knots[n]:
                 break
-    d, step, px, pe, floor = 0.0, 0.0, 0.0, inf, 1.25e-15 * max(1.0, abs(x))
+    # d: how far off the root a probe is certain (0 until known), no less
+    # than floor; last: the previous Newton step, 0 after any other step
+    floor = 1.25e-15 * (x if x > 1.0 else -x if x < -1.0 else 1.0)
+    d, last = 0.0, 0.0
     for _ in range(12):
-        e, margin, t, m = probe(x)
-        if -margin <= e <= margin:
-            d = max(2.0 * margin, floor)
-            break
-        known_lo, known_hi = (x, known_hi) if e > 0.0 else (known_lo, x)
-        new = inf
-        if pe < inf and e < inf and e != pe:
-            slope = (e - pe) / (x - px)
-            new = x - e / slope
-            d = 2.0 * margin / (-slope if slope < -1.0 else 1.0)  # certain this far off
-        elif 0.0 < m < inf and x > 0.0:
-            tn = t * rho / (1 if single else sum(q + (x - p) / rho > 0.0 for q, p in links))
-            slope = -1.0 - (t * (0.5 * a2 - m) if 0.5 * a2 > m else 0.0)  # d ln m / d ln T
-            du = (math.log(x) - math.log(m)) / (slope - tn / x)
-            new = x + tn * math.expm1(du if du < 700.0 else 700.0)
-        d = d if d > floor else floor
-        if (new - x) * (new - x) <= 8.0 * d * step:  # the error the next secant leaves
-            x = new
-            break
-        if not known_lo < new < known_hi:
-            new = 0.5 * (max(known_lo, lo) + min(known_hi, hi))
-        px, pe, step, x = x, e, new - x if new > x else x - new, new
+        t = q1 + (x - p1) / rho if single else _total(links, rho, x)
+        if not t > 0.0:
+            known_lo = x
+        else:
+            m = marginal(t)
+            e, margin = m - x, _MARGIN * (m + a2)
+            if -margin <= e <= margin:
+                d = d or max(2.0 * margin, floor)  # no slope seen yet: de/dnu <= -1
+                break
+            if e > 0.0:
+                known_lo = x
+            else:
+                known_hi = x
+            if m > 0.0:
+                if a:
+                    g = -1.0 / math.expm1(-a * t)
+                    s = g - m / a
+                    slope = -a * a * t * (g * (g - 1.0) + s * (1.0 - s)) / m
+                else:
+                    kt = k * t
+                    slope = -kt / (1.0 + kt) - t * m
+                tn = t * rho if single else t * rho / (bisect_left(knots, x) or 1)
+                d = 2.0 * margin * tn / (tn - m * slope)  # the excess is certain this far off
+                d = d if d > floor else floor
+                if x > 0.0:
+                    du = math.log1p(-e / m) / (slope - tn / x)
+                    new = x + tn * math.expm1(du if -3.0 < du < 3.0 else math.copysign(3.0, du))
+                    step = new - x if new > x else x - new
+                    # Newton's error is about c step^2, c estimated from the last two steps
+                    if step <= d or step * step * step <= 0.25 * d * last * last:
+                        x = new
+                        break
+                else:  # Newton in nu: de/dnu = m slope / tn - 1
+                    new, step = x - e * tn / (m * slope - tn), 0.0
+            else:  # a marginal flat at 0: the excess -x vanishes at 0
+                new, step = 0.0, 0.0
+            if known_lo < new < known_hi:
+                x, last = new, step
+                continue
+        # else bisect what is known (with hi for a missing upper end), or
+        # move past hi as far again from nu_min
+        if known_hi < inf or known_lo < hi:
+            x = 0.5 * (max(known_lo, lo) + (known_hi if known_hi < inf else hi))
+        else:
+            x = 2.0 * known_lo - lo
+        last = 0.0
     # Straddle the estimate: a certain probe on each side not yet within 4 d.
+    d = d or floor
     for y in (x - d, x + d):
-        while known_lo < y < known_hi and abs((known_lo if y < x else known_hi) - x) > 4.0 * d:
-            e, margin, _, _ = probe(y)
-            if not -margin <= e <= margin:
-                known_lo, known_hi = (y, known_hi) if e > 0.0 else (known_lo, y)
+        while known_lo < y < known_hi and (x - known_lo if y < x else known_hi - x) > 4.0 * d:
+            t = q1 + (y - p1) / rho if single else _total(links, rho, y)
+            if not t > 0.0:
+                known_lo = y
+            else:
+                m = marginal(t)
+                e, margin = m - y, _MARGIN * (m + a2)
+                if e > margin:
+                    known_lo = y
+                elif e < -margin:
+                    known_hi = y
             y = x + 4.0 * (y - x)
     if not known_hi <= hi:  # else the excess at hi is certainly not positive
         t = _total(links, rho, hi)
@@ -153,7 +197,7 @@ def _anchored_demand(
         if t >= r_cap and marginal(t) - hi > 0.0:
             # demand hits the ceiling: pick nu with total == r_cap instead
             nu = _nu_at_ceiling(links, rho, r_cap, lo, hi)
-            return [max(0.0, q + (nu - p) / rho) for q, p in links]
+            return _rates(links, rho, nu)
     # Replay the bisection (test: excess(mid) > 0).  T(nu) is nondecreasing
     # in floating point, term by term and sum by sum; the computed marginal is
     # within E = _MARGIN/2 (m + 2a) of the exact one, and m - E and m + E
@@ -161,20 +205,49 @@ def _anchored_demand(
     # probe whose excess exceeds its margin, and not positive above one below
     # minus its margin: a midpoint outside (known_lo, known_hi) goes the way
     # its evaluation would, and lo and hi follow the full bisection exactly.
-    cap = 1e-14 * max(1.0, -lo, hi)  # no tolerance below is larger
-    for _ in range(200):
+    cap = -lo if -lo > 1.0 else 1.0
+    cap = 1e-14 * (hi if hi > cap else cap)  # 1e-14 max(1, -lo, hi): no tolerance below is larger
+    # Each halving leaves at least half the width less a rounding of its
+    # midpoint, under 2^-53 max(-lo, hi) < cap / 80; so while the first width
+    # is 1.04 cap 2^n or more, n halvings leave more than cap and cannot stop.
+    # They run without the stop test until a midpoint needs evaluating.
+    quick = (hi - lo) / (1.04 * cap)
+    quick = math.frexp(quick)[1] - 1 if 1.0 < quick < inf else 0
+    for done in range(quick):
         mid = 0.5 * (lo + hi)
-        if mid <= known_lo or mid < known_hi and probe(mid)[0] > 0.0:
+        if mid <= known_lo:
             lo = mid
-        else:
+        elif not mid < known_hi:
             hi = mid
+        else:
+            break
+    else:
+        done = quick
+    for _ in range(200 - done):
+        mid = 0.5 * (lo + hi)
+        if mid <= known_lo:
+            lo = mid
+        elif not mid < known_hi:
+            hi = mid
+        else:
+            t = q1 + (mid - p1) / rho if single else _total(links, rho, mid)
+            if not t > 0.0 or marginal(t) - mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
         # hi - lo <= 1e-14 * max(1.0, abs(hi))
         if hi - lo <= cap and hi - lo <= 1e-14 * (hi if hi > 1.0 else -hi if hi < -1.0 else 1.0):
             break
     nu = 0.5 * (lo + hi)
-    if _total(links, rho, nu) > r_cap:
-        nu = _nu_at_ceiling(links, rho, r_cap, nu_min, nu)
-    return [max(0.0, q + (nu - p) / rho) for q, p in links]
+    if single:  # _total and the rates below, for one link
+        r = q1 + (nu - p1) / rho
+        r = r if r > 0.0 else 0.0
+        if not r > r_cap:
+            return [r]
+    elif not _total(links, rho, nu) > r_cap:
+        return _rates(links, rho, nu)
+    nu = _nu_at_ceiling(links, rho, r_cap, nu_min, nu)
+    return _rates(links, rho, nu)
 
 
 def ue_step(
@@ -197,13 +270,20 @@ def ue_step(
     if not (0.0 < damping <= 1.0):
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
 
+    if len(prices) == 1 and anchor is not None:  # most users reach one carrier
+        p, w = prices[0], last_bids[0]
+        t_prev, t_min = anchor[0], 1e-12 * r_cap
+        rho = ANCHOR_GAIN * p / (t_min if t_min > t_prev else t_prev)
+        (r,) = _anchored_demand(utility, prices, anchor, rho, r_cap)
+        w = damping * (p * r) + (1.0 - damping) * w
+        return [w], [w / p]
     if anchor is None:
         rates = [0.0] * len(prices)
         cheapest = min(range(len(prices)), key=prices.__getitem__)  # lowest index on ties
         rates[cheapest] = solve_rate_for_price(utility, prices[cheapest], r_cap)
     else:
-        t_prev = sum(anchor)
-        rho = ANCHOR_GAIN * min(prices) / max(t_prev, 1e-12 * r_cap)
+        t_prev, t_min = sum(anchor), 1e-12 * r_cap
+        rho = ANCHOR_GAIN * min(prices) / (t_min if t_min > t_prev else t_prev)
         rates = _anchored_demand(utility, prices, anchor, rho, r_cap)
 
     bids = [

@@ -7,6 +7,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from carrieralloc.oracle import KKT_TOL, OracleError, duality_gap, solve_central
+from carrieralloc.protocol import ANDERSON_REGULARIZATION
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
     LogarithmicUtility,
@@ -184,6 +185,91 @@ def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
     return split(nu)
 
 
+def _sum_from_zero(terms):
+    """The builtin sum() of floats up to Python 3.11: left to right from 0."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+class anderson_mixer_reference:
+    """protocol._AndersonMixer as it stood in plain floats, on lists.
+
+    Its dot products and Cholesky sums were builtin sum() calls, which add
+    left to right up to Python 3.11 and compensate from 3.12 on; here they
+    are written out, so the reference keeps the 3.11 bits on any Python.
+    """
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.last_f = None
+        self.last_g = None
+        self.df = []
+        self.dg = []
+        self.gram = []
+
+    def step(self, x, g):
+        f = [gi - xi for gi, xi in zip(g, x)]
+        if self.last_f is not None:
+            self._push(
+                [a - b for a, b in zip(f, self.last_f)],
+                [a - b for a, b in zip(g, self.last_g)],
+            )
+        self.last_f, self.last_g = f, g
+        if not self.df:
+            return list(g)
+        gamma = self._solve([_dot(col, f) for col in self.df])
+        if gamma is None:
+            return list(g)
+        out = list(g)
+        for c, col in zip(gamma, self.dg):
+            for i, v in enumerate(col):
+                out[i] -= c * v
+        return out
+
+    def _push(self, df, dg):
+        if len(self.df) == self.depth:
+            del self.df[0], self.dg[0], self.gram[0]
+            for row in self.gram:
+                del row[0]
+        self.gram.append([_dot(col, df) for col in self.df] + [_dot(df, df)])
+        self.df.append(df)
+        self.dg.append(dg)
+
+    def _solve(self, rhs):
+        n = len(rhs)
+        scale = max(self.gram[i][i] for i in range(n))
+        if not (scale > 0.0 and math.isfinite(scale)):
+            return None
+        lam = ANDERSON_REGULARIZATION * scale
+        low = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                acc = self.gram[i][j] - _sum_from_zero(low[i][k] * low[j][k] for k in range(j))
+                if i == j:
+                    acc += lam
+                    if not acc > 0.0:
+                        return None
+                    low[i][i] = math.sqrt(acc)
+                else:
+                    low[i][j] = acc / low[j][j]
+        y = [0.0] * n
+        for i in range(n):
+            y[i] = (rhs[i] - _sum_from_zero(low[i][k] * y[k] for k in range(i))) / low[i][i]
+        gamma = [0.0] * n
+        for i in reversed(range(n)):
+            acc = _sum_from_zero(low[k][i] * gamma[k] for k in range(i + 1, n))
+            gamma[i] = (y[i] - acc) / low[i][i]
+        if not all(math.isfinite(c) for c in gamma):
+            return None
+        return gamma
+
+
+def _dot(a, b):
+    return _sum_from_zero(x * y for x, y in zip(a, b))
+
+
 def staged_demand_reference(utility, prices, r_cap):
     """A user's first step as subproblem._staged_demand once computed it.
 
@@ -339,11 +425,13 @@ class RecordingUtility:
     def __init__(self, utility):
         self.utility = utility
         self.args = []
+        self.calls = 0  # every call, repeats included
 
     def __getattr__(self, name):
         return getattr(self.utility, name)  # the family's parameters
 
     def marginal(self, r: float) -> float:
+        self.calls += 1
         bits = float(r).hex()
         if not self.args or self.args[-1] != bits:
             self.args.append(bits)

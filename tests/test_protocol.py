@@ -1,11 +1,20 @@
 """Round engine: pricing, stop rule, convergence, conservation, determinism."""
 
+import hashlib
 import math
+import random
+import struct
+import sys
 
+import numpy as np
 import pytest
+
+from helpers import anderson_mixer_reference, random_utilities
 
 from carrieralloc.oracle import solve_central
 from carrieralloc.protocol import (
+    ANDERSON_DEPTH,
+    ANDERSON_WARMUP,
     GAP_TOL,
     PRICE_FLOOR,
     EngineConfig,
@@ -98,35 +107,67 @@ def test_carrier_rejects_bad_bids():
 
 
 def test_anderson_mixer_solves_affine_contraction():
-    a = [[0.5, 0.2, 0.0], [0.1, 0.6, 0.2], [0.0, 0.3, 0.4]]
-    c = [1.0, -2.0, 0.5]
+    a = np.array([[0.5, 0.2, 0.0], [0.1, 0.6, 0.2], [0.0, 0.3, 0.4]])
+    c = np.array([1.0, -2.0, 0.5])
 
     def g(x):
-        return [sum(a_ij * x_j for a_ij, x_j in zip(row, x)) + c_i for row, c_i in zip(a, c)]
+        return a @ x + c
 
     # the fixed point solves (I - A) x = c; iterate the plain map to it
-    fixed = [0.0, 0.0, 0.0]
+    fixed = np.zeros(3)
     for _ in range(2000):
         fixed = g(fixed)
 
     for depth in (3, 5):
         mixer = _AndersonMixer(depth)
-        x = [0.0, 0.0, 0.0]
+        x = np.zeros(3)
         first = g(x)
         x = mixer.step(x, first)
-        assert x == first
+        assert np.array_equal(x, first)
         for _ in range(depth + 1):
             x = mixer.step(x, g(x))
-        assert max(abs(u - v) for u, v in zip(x, fixed)) < 1e-10
+        assert np.max(np.abs(x - fixed)) < 1e-10
 
 
 def test_anderson_mixer_degenerate_gram_returns_g():
     mixer = _AndersonMixer(3)
-    x = [1.0, 2.0, 3.0]
-    assert mixer.step(x, list(x)) == x
+    x = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(mixer.step(x, x.copy()), x)
     # the residual and its difference from the last one are zero: the Gram
     # matrix is [[0]], which has no Cholesky factor
-    assert mixer.step(x, list(x)) == x
+    assert np.array_equal(mixer.step(x, x.copy()), x)
+
+
+def test_anderson_mixer_matches_list_reference_bit_for_bit():
+    """The array mixer repeats the list mixer's every output bit.
+
+    Each sequence feeds both the same states over three windows' worth of
+    rounds; some steps repeat a residual direction (collinear columns,
+    where only the regularization keeps the Gram matrix solvable) or hand
+    back the state unchanged (a zero residual).
+    """
+    rng = random.Random(2611)
+    mixed = 0
+    for case in range(60):
+        n = rng.choice((1, 2, 5, 12, 48))
+        ref, mixer = anderson_mixer_reference(ANDERSON_DEPTH), _AndersonMixer(ANDERSON_DEPTH)
+        x = [rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(n)]
+        direction = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        for _ in range(3 * ANDERSON_DEPTH):
+            style = rng.random()
+            if style < 0.2:  # the same residual direction as before
+                size = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-9.0, 2.0)
+                g = [xi + size * di for xi, di in zip(x, direction)]
+            elif style < 0.3:  # a fixed point: zero residual
+                g = list(x)
+            else:  # a contraction towards a moving target, with noise
+                g = [0.6 * xi + rng.gauss(0.0, 1.0) for xi in x]
+            want = ref.step(x, g)
+            got = mixer.step(np.array(x), np.array(g)).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want], (case, n)
+            mixed += want != g
+            x = want
+    assert mixed > 600  # most steps are corrected, not handed back plain
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +273,50 @@ def test_runs_are_bit_identical():
     assert a.prices == b.prices
     assert a.rounds == b.rounds
     assert a.objective == b.objective
+
+
+def multi_carrier_scenario(seed, n_carriers, n_users):
+    """Users of both families on 1-3 of n_carriers, drawn from ``seed``."""
+    rng = random.Random(seed)
+    carriers = tuple(
+        CarrierSpec(id=c, capacity=rng.uniform(50.0, 300.0)) for c in range(1, n_carriers + 1)
+    )
+    reach = range(1, n_carriers + 1)
+    ues = tuple(
+        UESpec(id=j + 1, utility=u, carriers=tuple(sorted(rng.sample(reach, rng.randint(1, 3)))))
+        for j, u in enumerate(random_utilities(rng, n_users))
+    )
+    return Scenario(carriers=carriers, ues=ues, name=f"multi-{seed}")
+
+
+# (seed, carriers, users) -> rounds and the SHA-256 of the final bids and
+# prices, pinned bit for bit like the paper sweep in test_scenario.py; every
+# run mixes from round ANDERSON_WARMUP + 1 on, and the first ends at the
+# round limit with its partial result
+MULTI_CARRIER_PINS = {
+    (7, 3, 8): (300, "3892f46f18c72e5f32ae14d318b37bb17bccdca396a15f6e14130f935a42bc68"),
+    (2, 4, 12): (185, "2aa708b1756f3921f2ae9c32ca1721107343b19239ec9262104ad9ab0e54f976"),
+    (1, 5, 16): (71, "5c38f3e4028d287a5ad698ff608980e8c058dc984b12e30f68602201f61e7e1f"),
+}
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the pinned bits are CPython 3.11's",
+)
+@pytest.mark.parametrize("key", sorted(MULTI_CARRIER_PINS))
+def test_multi_carrier_runs_are_pinned(key):
+    try:
+        res = run(multi_carrier_scenario(*key), EngineConfig(max_rounds=300))
+    except NonConvergenceError as exc:
+        res = exc.result
+    digest = hashlib.sha256()
+    for link in sorted(res.bids):
+        digest.update(struct.pack("<d", res.bids[link]))
+    for cid in sorted(res.prices):
+        digest.update(struct.pack("<d", res.prices[cid]))
+    assert res.rounds > ANDERSON_WARMUP
+    assert (res.rounds, digest.hexdigest()) == MULTI_CARRIER_PINS[key]
 
 
 def test_non_convergence_carries_partial_result():

@@ -246,3 +246,21 @@ def test_anchored_demand_bitwise_matches_reference(monkeypatch):
     assert zero_anchor_cases >= 500
     assert ceilings >= 50
     assert negative_nu_min >= 300
+
+
+def test_anchored_demand_search_stays_cheap():
+    """The Newton search keeps the user step's marginal evaluations few.
+
+    A search that degrades towards the full bisection keeps every result
+    bit, so only its cost shows it: over the bitwise cases above it makes
+    12.4 marginal evaluations a call, where the full bisection of
+    anchored_demand_reference makes 54.3.
+    """
+    rng = random.Random(20141)
+    calls = cases = 0
+    for utility, prices, anchor, rho, r_cap in anchored_cases(rng):
+        seen = RecordingUtility(utility)
+        _anchored_demand(seen, prices, anchor, rho, r_cap)
+        calls += seen.calls
+        cases += 1
+    assert calls / cases <= 12.5
