@@ -68,7 +68,9 @@ def _rates(links: List[Tuple[float, float]], rho: float, nu: float) -> List[floa
 def _nu_at_ceiling(
     links: List[Tuple[float, float]], rho: float, r_cap: float, lo: float, hi: float
 ) -> float:
-    for _ in range(200):
+    # bisecting between two doubles reaches such a fixed point within about
+    # 2,100 halvings, the exponent range plus the mantissa
+    for _ in range(2200):
         mid = 0.5 * (lo + hi)
         halved = (mid, hi) if _total(links, rho, mid) < r_cap else (lo, mid)
         if halved == (lo, hi):
@@ -152,7 +154,7 @@ def _anchored_demand(
                 d = 2.0 * margin * tn / (tn - m * slope)  # the excess is certain this far off
                 d = d if d > floor else floor
                 if x > 0.0:
-                    du = math.log1p(-e / m) / (slope - tn / x)
+                    du = (math.log(x) - math.log(m)) / (slope - tn / x)
                     new = x + tn * math.expm1(du if -3.0 < du < 3.0 else math.copysign(3.0, du))
                     step = new - x if new > x else x - new
                     # Newton's error is about c step^2, c estimated from the last two steps
@@ -207,23 +209,7 @@ def _anchored_demand(
     # its evaluation would, and lo and hi follow the full bisection exactly.
     cap = -lo if -lo > 1.0 else 1.0
     cap = 1e-14 * (hi if hi > cap else cap)  # 1e-14 max(1, -lo, hi): no tolerance below is larger
-    # Each halving leaves at least half the width less a rounding of its
-    # midpoint, under 2^-53 max(-lo, hi) < cap / 80; so while the first width
-    # is 1.04 cap 2^n or more, n halvings leave more than cap and cannot stop.
-    # They run without the stop test until a midpoint needs evaluating.
-    quick = (hi - lo) / (1.04 * cap)
-    quick = math.frexp(quick)[1] - 1 if 1.0 < quick < inf else 0
-    for done in range(quick):
-        mid = 0.5 * (lo + hi)
-        if mid <= known_lo:
-            lo = mid
-        elif not mid < known_hi:
-            hi = mid
-        else:
-            break
-    else:
-        done = quick
-    for _ in range(200 - done):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= known_lo:
             lo = mid
@@ -270,13 +256,6 @@ def ue_step(
     if not (0.0 < damping <= 1.0):
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
 
-    if len(prices) == 1 and anchor is not None:  # most users reach one carrier
-        p, w = prices[0], last_bids[0]
-        t_prev, t_min = anchor[0], 1e-12 * r_cap
-        rho = ANCHOR_GAIN * p / (t_min if t_min > t_prev else t_prev)
-        (r,) = _anchored_demand(utility, prices, anchor, rho, r_cap)
-        w = damping * (p * r) + (1.0 - damping) * w
-        return [w], [w / p]
     if anchor is None:
         rates = [0.0] * len(prices)
         cheapest = min(range(len(prices)), key=prices.__getitem__)  # lowest index on ties

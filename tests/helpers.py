@@ -156,12 +156,15 @@ def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
         return utility.marginal(t) - nu
 
     def nu_at_ceiling(cap_lo: float, cap_hi: float) -> float:
-        for _ in range(200):
+        # halve until neither end moves: at most about 2,100 halvings
+        for _ in range(2200):
             mid = 0.5 * (cap_lo + cap_hi)
             if total(mid) < r_cap:
-                cap_lo = mid
+                cap_lo, moved = mid, mid != cap_lo
             else:
-                cap_hi = mid
+                cap_hi, moved = mid, mid != cap_hi
+            if not moved:
+                break
         return 0.5 * (cap_lo + cap_hi)
 
     lo = min(p - rho * q for q, p in links)  # total(lo) == 0

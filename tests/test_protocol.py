@@ -242,6 +242,24 @@ def test_kkt_stationarity_at_convergence():
                 assert m <= res.prices[cid] + 10.0 * DELTA
 
 
+@pytest.mark.parametrize(
+    "utility",
+    [SigmoidalUtility(a=1.0, b=5.0), SigmoidalUtility(a=1.0, b=30.0), LogarithmicUtility(k=1.0, r_max=100.0)],
+)
+def test_shared_user_certifies_at_full_damping(utility):
+    # At damping 1 the user's first step buys only on carrier 1 (a tie at
+    # price 1), so carrier 2 holds no bid and is priced at PRICE_FLOOR: the
+    # next step anchors with rho ~ 7e-309 and its demand on carrier 2 hits
+    # the ceiling at a nu of ~1e-307.
+    s = small_scenario(
+        UESpec(id=1, utility=utility, carriers=(1, 2)), carriers=((1, 100.0), (2, 100.0))
+    )
+    res = run(s, EngineConfig(damping=1.0))
+    assert res.converged and res.duality_gap <= GAP_TOL
+    assert all(r >= 0.0 for r in res.rates.values())
+    assert res.totals[1] <= 200.0 * (1.0 + 1e-12)
+
+
 def test_equal_price_coupling_for_shared_users():
     res = run(build_paper_scenario(100.0), EngineConfig())
     shared_on_both = [

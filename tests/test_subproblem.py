@@ -14,7 +14,8 @@ from helpers import (
     staged_demand_reference,
 )
 from carrieralloc import subproblem
-from carrieralloc.subproblem import ProtocolError, _anchored_demand, ue_step
+from carrieralloc.protocol import PRICE_FLOOR
+from carrieralloc.subproblem import ANCHOR_GAIN, ProtocolError, _anchored_demand, ue_step
 from carrieralloc.utility import (
     LogarithmicUtility,
     SigmoidalUtility,
@@ -246,6 +247,33 @@ def test_anchored_demand_bitwise_matches_reference(monkeypatch):
     assert zero_anchor_cases >= 500
     assert ceilings >= 50
     assert negative_nu_min >= 300
+
+
+def test_anchored_demand_at_the_price_floor():
+    """A carrier priced at PRICE_FLOOR: rho and the root are ~1e-308.
+
+    A Newton probe there lies within half an ulp of the marginal, and the
+    ceiling's bisection needs ~1,000 halvings to come down to the root.
+    """
+    rho = ANCHOR_GAIN * PRICE_FLOOR / 0.5
+    cases = [
+        ([0.5, PRICE_FLOOR], [0.5, 0.0], rho, 200.0),
+        ([PRICE_FLOOR, 0.5], [0.0, 0.5], rho, 200.0),
+        ([PRICE_FLOOR], [0.5], rho, 100.0),
+        ([PRICE_FLOOR, PRICE_FLOOR], [100.0, 0.0], ANCHOR_GAIN * PRICE_FLOOR / 100.0, 200.0),
+    ]
+    utilities = (
+        SigmoidalUtility(a=1.0, b=5.0),
+        SigmoidalUtility(a=23.0, b=40.0),
+        LogarithmicUtility(k=15.0, r_max=100.0),
+    )
+    for utility in utilities:
+        for prices, anchor, rho, r_cap in cases:
+            got = outcome(_anchored_demand, utility, prices, anchor, rho, r_cap)
+            want = outcome(anchored_demand_reference, utility, prices, anchor, rho, r_cap)
+            assert got == want, (utility, prices, anchor)
+            assert isinstance(got, list), got
+            assert sum(map(float.fromhex, got)) <= r_cap * (1.0 + 1e-12), got
 
 
 def test_anchored_demand_search_stays_cheap():
