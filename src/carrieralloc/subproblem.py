@@ -68,7 +68,7 @@ def _rates(links: List[Tuple[float, float]], rho: float, nu: float) -> List[floa
 def _nu_at_ceiling(
     links: List[Tuple[float, float]], rho: float, r_cap: float, lo: float, hi: float
 ) -> float:
-    # bisecting between two doubles reaches such a fixed point within about
+    # halves until neither end moves: between two doubles at most about
     # 2,100 halvings, the exponent range plus the mantissa
     for _ in range(2200):
         mid = 0.5 * (lo + hi)
