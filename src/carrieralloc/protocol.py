@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .subproblem import ProtocolError, ue_step
+from .subproblem import PRICE_FLOOR, ProtocolError, ue_step
 from .utility import dual_gap, log_utilities, parameter_arrays
 
 __all__ = [
@@ -76,10 +76,6 @@ __all__ = [
 # that, so 10^3 users held far below a steep inflection (a * (b - T) = 500)
 # add up to ~5e-11.
 GAP_TOL = 1e-9
-# Division guard, the smallest positive normal double: keeps every rate
-# w / p finite while a carrier holds no positive bid, and binds on no other
-# price short of a subnormal sum(w) / R.
-PRICE_FLOOR = float(np.finfo(float).tiny)
 # Anderson mixing: past rounds used, plain rounds before mixing starts, the
 # Tikhonov weight (relative to the largest Gram diagonal entry) that keeps
 # its normal equations solvable when recent steps are collinear, and the
@@ -289,8 +285,9 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     carrier_links: List[List[int]] = [[] for _ in carriers]
     for i, k in enumerate(link_carrier):
         carrier_links[k].append(i)
-    # no UE can be allocated more than its reachable carriers hold
-    r_caps = [sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
+    # the capacity each UE reaches: a scale for its user step, not a ceiling
+    # (the carriers' prices bound every total)
+    reach = [sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
     # the stop test's arrays; mask.T lists the links in their user-major order
     params = parameter_arrays([ue.utility for ue in ues])
     mask = np.array([[cid in ue.carriers for ue in ues] for cid in cids])
@@ -305,7 +302,7 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
     seen = [0.0] * len(links)
 
     # what each user's step reads besides the round state
-    users = list(zip([ue.utility for ue in ues], spans, r_caps))
+    users = list(zip([ue.utility for ue in ues], spans, reach))
     link_index = np.array(link_carrier)
     mixer = _AndersonMixer(ANDERSON_DEPTH)
     delta, damping, max_rounds = config.delta, config.damping, config.max_rounds
@@ -333,13 +330,13 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
             link_prices = [prices[k] for k in link_carrier]
             new_bids: List[float] = []
             new_anchors: List[float] = []
-            for utility, span, r_cap in users:
+            for utility, span, r_reach in users:
                 w, q = ue_step(
                     utility,
                     link_prices[span],
                     bids[span],
                     None if anchors is None else anchors[span],
-                    r_cap,
+                    r_reach,
                     damping,
                 )
                 new_bids += w

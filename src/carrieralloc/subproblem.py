@@ -2,10 +2,11 @@
 
 Each round a user receives the current shadow prices of its reachable
 carriers, computes the rate it wants at those prices, and answers with one
-money bid w = p * r per carrier.  A user's first step sends its whole
-demand at the cheapest price, found by inverting the marginal utility, to
-the cheapest carrier (ties broken by carrier id).  Demand does not grow
-with price, so no dearer carrier could add to it.
+money bid w = p * r per carrier.  Its demand answers the prices alone: the
+carriers' capacities reach it only through them.  A user's first step sends
+its whole demand at the cheapest price, found by inverting the marginal
+utility, to the cheapest carrier (ties broken by carrier id).  Demand does
+not grow with price, so no dearer carrier could add to it.
 
 That all-or-nothing routing is a fixed-point map with two failure modes when
 iterated: it flip-flops between carriers whose prices are nearly equal, and
@@ -23,6 +24,10 @@ them is damped.  Bids are additionally smoothed as theta*raw + (1-theta)*last.
 The round engine's stop test prices the resulting allocation with
 utility.dual_gap, which writes out the dual function.
 
+A carrier priced at PRICE_FLOOR holds no bid, and its price says nothing
+about its load.  A user that reaches one scales rho by the prices that
+carry bids and bids on it at its own marginal, which gives it a price.
+
 ue_step is pure and takes one user's per-carrier values as lists,
 all in the same order: the user's reachable carriers by ascending id.
 """
@@ -30,6 +35,7 @@ all in the same order: the user's reachable carriers by ascending id.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,6 +46,10 @@ __all__ = [
     "ue_step",
 ]
 
+# Division guard, the smallest positive normal double: keeps every rate
+# w / p finite while a carrier holds no positive bid, and binds on no other
+# price short of a subnormal sum(w) / R.
+PRICE_FLOOR = sys.float_info.min
 # Scale of the proximal anchor weight rho, relative to p_min / T_prev.
 ANCHOR_GAIN = 0.3
 # Twice a bound on the scalar marginal's rounding error per unit of m + 2a
@@ -65,35 +75,21 @@ def _rates(links: List[Tuple[float, float]], rho: float, nu: float) -> List[floa
     return [r if (r := q + (nu - p) / rho) > 0.0 else 0.0 for q, p in links]
 
 
-def _nu_at_ceiling(
-    links: List[Tuple[float, float]], rho: float, r_cap: float, lo: float, hi: float
-) -> float:
-    # halves until neither end moves: between two doubles at most about
-    # 2,100 halvings, the exponent range plus the mantissa
-    for _ in range(2200):
-        mid = 0.5 * (lo + hi)
-        halved = (mid, hi) if _total(links, rho, mid) < r_cap else (lo, mid)
-        if halved == (lo, hi):
-            break  # a fixed point: no later halving moves either end
-        lo, hi = halved
-    return 0.5 * (lo + hi)
-
-
 def _anchored_demand(
     utility: UtilityFunction,
     prices: Sequence[float],
     anchor: Sequence[float],
     rho: float,
-    r_cap: float,
 ) -> List[float]:
     """Rates maximizing ln U(T) - sum p r - (rho/2)||r - q||^2 over r >= 0.
 
     KKT gives r_l(nu) = max(0, q_l + (nu - p_l)/rho) with nu = marginal(T);
     T(nu) is nondecreasing and the marginal is strictly decreasing, so the
-    scalar root is unique and bracketed by bisection.  The total is capped
-    at r_cap like the unanchored inversion.  A Newton search first finds
-    probes around the root whose test outcome is certain; the bisection then
-    evaluates only the midpoints between them, with the same result bits.
+    scalar root is unique and bracketed by bisection, whose upper end
+    doubles until the excess there is not positive.  A Newton search first
+    finds probes around the root whose test outcome is certain; the
+    bisection then evaluates only the midpoints between them, with the same
+    result bits.
 
     Every probe at nu computes T(nu) (one link: q + (nu - p)/rho; more:
     _total), then the excess m - nu with m = marginal(T), and the margin
@@ -108,7 +104,7 @@ def _anchored_demand(
     links = [(q1, p1)] if single else list(zip(anchor, prices))
     # T(nu) has a knot at each p - rho q, where its link starts to buy
     knots = [p1 - rho * q1] if single else sorted([p - rho * q for q, p in links])
-    lo = nu_min = knots[0]  # T(nu_min) = 0
+    lo = knots[0]  # T(lo) = 0
     hi = (p1 + rho * q1 if single else max(prices) + rho * max(anchor)) + 1.0
 
     # Newton steps in u = ln T from the nu at which T(nu) is the anchor total.
@@ -169,7 +165,7 @@ def _anchored_demand(
                 x, last = new, step
                 continue
         # else bisect what is known (with hi for a missing upper end), or
-        # move past hi as far again from nu_min
+        # move past hi as far again from lo
         if known_hi < inf or known_lo < hi:
             x = 0.5 * (max(known_lo, lo) + (known_hi if known_hi < inf else hi))
         else:
@@ -193,13 +189,9 @@ def _anchored_demand(
     if not known_hi <= hi:  # else the excess at hi is certainly not positive
         t = _total(links, rho, hi)
         # marginal(0+) = +inf exceeds any finite nu, so t <= 0 counts as excess
-        while t < r_cap and (t <= 0.0 or marginal(t) - hi > 0.0):
+        while t <= 0.0 or marginal(t) - hi > 0.0:
             hi *= 2.0
             t = _total(links, rho, hi)
-        if t >= r_cap and marginal(t) - hi > 0.0:
-            # demand hits the ceiling: pick nu with total == r_cap instead
-            nu = _nu_at_ceiling(links, rho, r_cap, lo, hi)
-            return _rates(links, rho, nu)
     # Replay the bisection (test: excess(mid) > 0).  T(nu) is nondecreasing
     # in floating point, term by term and sum by sum; the computed marginal is
     # within E = _MARGIN/2 (m + 2a) of the exact one, and m - E and m + E
@@ -225,14 +217,9 @@ def _anchored_demand(
         if hi - lo <= cap and hi - lo <= 1e-14 * (hi if hi > 1.0 else -hi if hi < -1.0 else 1.0):
             break
     nu = 0.5 * (lo + hi)
-    if single:  # _total and the rates below, for one link
+    if single:  # _rates, for one link
         r = q1 + (nu - p1) / rho
-        r = r if r > 0.0 else 0.0
-        if not r > r_cap:
-            return [r]
-    elif not _total(links, rho, nu) > r_cap:
-        return _rates(links, rho, nu)
-    nu = _nu_at_ceiling(links, rho, r_cap, nu_min, nu)
+        return [r if r > 0.0 else 0.0]
     return _rates(links, rho, nu)
 
 
@@ -241,17 +228,19 @@ def ue_step(
     prices: Sequence[float],
     last_bids: Sequence[float],
     anchor: Optional[Sequence[float]],
-    r_cap: float,
+    r_reach: float,
     damping: float,
 ) -> Tuple[List[float], List[float]]:
     """One bidding round of one user: its new bids and anchor rates.
 
     ``anchor`` is the rate vector the user held after its previous step, or
-    None before its first step (which uses the unanchored rule).  ``r_cap``
-    caps the user's total rate.  ``damping`` is theta in
+    None before its first step (which uses the unanchored rule).  ``r_reach``,
+    the capacity the user reaches, is no ceiling: it starts the first step's
+    bracket, doubled until the marginal there is at most the price, and
+    scales T_prev's floor 1e-12 * r_reach.  ``damping`` is theta in
     new = theta*raw + (1-theta)*last.  The proximal weight is
     rho = ANCHOR_GAIN * p_min / T_prev.  The new anchor is the rate each new
-    bid buys at the current price.
+    bid buys at the price it was bid at (module docstring).
     """
     if not (0.0 < damping <= 1.0):
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
@@ -259,11 +248,21 @@ def ue_step(
     if anchor is None:
         rates = [0.0] * len(prices)
         cheapest = min(range(len(prices)), key=prices.__getitem__)  # lowest index on ties
-        rates[cheapest] = solve_rate_for_price(utility, prices[cheapest], r_cap)
+        p, hi = prices[cheapest], r_reach
+        while utility.marginal(hi) > p:
+            hi *= 2.0
+        rates[cheapest] = solve_rate_for_price(utility, p, hi)
     else:
-        t_prev, t_min = sum(anchor), 1e-12 * r_cap
-        rho = ANCHOR_GAIN * min(prices) / (t_min if t_min > t_prev else t_prev)
-        rates = _anchored_demand(utility, prices, anchor, rho, r_cap)
+        t_prev, t_min = sum(anchor), 1e-12 * r_reach
+        p_min = min(prices)
+        floored = p_min <= PRICE_FLOOR
+        if floored:  # rho from the prices that carry bids
+            p_min = min([p for p in prices if p > PRICE_FLOOR] or prices)
+        rho = ANCHOR_GAIN * p_min / (t_min if t_min > t_prev else t_prev)
+        rates = _anchored_demand(utility, prices, anchor, rho)
+        if floored and (t := sum(rates)) > 0.0:  # bid at the marginal instead
+            nu = utility.marginal(t)
+            prices = [nu if p <= PRICE_FLOOR < nu else p for p in prices]
 
     bids = [
         damping * (p * r) + (1.0 - damping) * w

@@ -139,7 +139,7 @@ def solve_rate_for_price_reference(u, p: float, r_cap: float) -> float:
     )
 
 
-def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
+def anchored_demand_reference(utility, prices, anchor, rho):
     """subproblem._anchored_demand built from closures over the links."""
     links = list(zip(anchor, prices))
 
@@ -155,25 +155,10 @@ def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
             return 1.0  # marginal(0+) = +inf exceeds any finite nu
         return utility.marginal(t) - nu
 
-    def nu_at_ceiling(cap_lo: float, cap_hi: float) -> float:
-        # halve until neither end moves: at most about 2,100 halvings
-        for _ in range(2200):
-            mid = 0.5 * (cap_lo + cap_hi)
-            if total(mid) < r_cap:
-                cap_lo, moved = mid, mid != cap_lo
-            else:
-                cap_hi, moved = mid, mid != cap_hi
-            if not moved:
-                break
-        return 0.5 * (cap_lo + cap_hi)
-
     lo = min(p - rho * q for q, p in links)  # total(lo) == 0
     hi = max(prices) + rho * max(anchor) + 1.0
-    while excess(hi) > 0.0 and total(hi) < r_cap:
+    while excess(hi) > 0.0:
         hi *= 2.0
-    if total(hi) >= r_cap and excess(hi) > 0.0:
-        # demand hits the ceiling: pick nu with total == r_cap instead
-        return split(nu_at_ceiling(lo, hi))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
@@ -182,10 +167,7 @@ def anchored_demand_reference(utility, prices, anchor, rho, r_cap):
             hi = mid
         if hi - lo <= 1e-14 * max(1.0, abs(hi)):
             break
-    nu = 0.5 * (lo + hi)
-    if total(nu) > r_cap:
-        nu = nu_at_ceiling(min(p - rho * q for q, p in links), nu)
-    return split(nu)
+    return split(0.5 * (lo + hi))
 
 
 def _sum_from_zero(terms):
@@ -273,16 +255,20 @@ def _dot(a, b):
     return _sum_from_zero(x * y for x, y in zip(a, b))
 
 
-def staged_demand_reference(utility, prices, r_cap):
+def staged_demand_reference(utility, prices, r_reach):
     """A user's first step as subproblem._staged_demand once computed it.
 
-    Cheapest-first staged rates: stage m claims max(0, D_m - claimed).
+    Cheapest-first staged rates: stage m claims max(0, D_m - claimed), with
+    each demand bracketed from r_reach up, doubling, as ue_step does.
     """
     order = sorted(range(len(prices)), key=lambda c: (prices[c], c))
     rates = [0.0] * len(prices)
     claimed = 0.0
     for c in order:
-        demand = solve_rate_for_price(utility, prices[c], r_cap)
+        hi = r_reach
+        while utility.marginal(hi) > prices[c]:
+            hi *= 2.0
+        demand = solve_rate_for_price(utility, prices[c], hi)
         increment = demand - claimed
         if increment < 0.0:
             increment = 0.0

@@ -197,13 +197,14 @@ def test_verify_command(paper_file, capsys):
 
 
 def test_verify_passes_an_optimum_whose_kkt_diagnostic_fails(tmp_path, capsys):
-    # One logarithmic user alone on a carrier it fills at any price above 0:
-    # the protocol stops at price 1 with gap 0 and the oracle's objective, the
-    # oracle prices the carrier at the user's marginal, 8.80.  The KKT
-    # residual 7.8 is reported; the certificate decides.
+    # One logarithmic user alone on a carrier it fills at any price above 0,
+    # in units where its price is about 880: the protocol stops at 879.28
+    # with the oracle's objective, the oracle prices the carrier at the
+    # user's marginal, 879.58.  The KKT residual 0.3 fails 10 * delta and is
+    # reported; the certificate decides.
     path = tmp_path / "one.yaml"
-    path.write_text("carriers: [{id: 1, capacity: 0.1}]\n"
-                    "ues: [{id: 1, utility: {type: logarithmic, k: 3, r_max: 100}, carriers: [1]}]\n")
+    path.write_text("carriers: [{id: 1, capacity: 0.001}]\n"
+                    "ues: [{id: 1, utility: {type: logarithmic, k: 300, r_max: 1}, carriers: [1]}]\n")
     assert main(["verify", "--scenario", str(path)]) == 0
     out = capsys.readouterr().out
     assert " kkt=FAIL verify=pass" in out

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import anderson_mixer_reference, random_utilities
+from helpers import anderson_mixer_reference, flat_stretch_scenario, random_utilities
 
 from carrieralloc.oracle import solve_central
 from carrieralloc.protocol import (
@@ -30,7 +30,12 @@ from carrieralloc.scenario import (
     build_paper_scenario,
 )
 from carrieralloc.subproblem import ProtocolError
-from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility, marginal
+from carrieralloc.utility import (
+    LogarithmicUtility,
+    SigmoidalUtility,
+    marginal,
+    solve_rate_for_price,
+)
 
 DELTA = 1e-3
 
@@ -43,12 +48,8 @@ def small_scenario(*ues, carriers=((1, 100.0),)):
     )
 
 
-def capped_user(capacity):
-    # at rates up to 0.1 the marginal is at least 100 / (11 ln 11) ~ 3.8, above
-    # the first-round price of 1, so the user's demand stays at its ceiling,
-    # the whole capacity
-    u = LogarithmicUtility(k=100.0, r_max=100.0)
-    return small_scenario(UESpec(id=1, utility=u, carriers=(1,)), carriers=((1, capacity),))
+def lone_user(utility, capacity):
+    return small_scenario(UESpec(id=1, utility=utility, carriers=(1,)), carriers=((1, capacity),))
 
 
 # ---------------------------------------------------------------------------
@@ -62,23 +63,52 @@ def test_carrier_price_is_bid_sum_over_capacity():
 def test_carrier_all_zero_bids_hits_price_floor_without_stopping():
     assert carrier_step([0.0, 0.0], 100.0) == PRICE_FLOOR
     assert carrier_step([], 100.0) == PRICE_FLOOR
-    # Every initial bid (R / M = 5e-4) moves by less than delta in round 1,
-    # against a previous round of zeros, and the allocation is already
-    # optimal; still only round 2, with a previous round, may stop.
+    # A steep sigmoidal user alone on the capacity it demands at the
+    # first-round price of 1: its initial bid (R / M = 6e-4) moves by less
+    # than delta in round 1, against a previous round of zeros, and round 1's
+    # gap is within GAP_TOL; still only round 2, with a previous round, may
+    # stop.
+    u = SigmoidalUtility(a=2e4, b=1e-4)
+    s = lone_user(u, solve_rate_for_price(u, 1.0, 1.0))
     with pytest.raises(NonConvergenceError) as info:
-        run(capped_user(capacity=5e-4), EngineConfig(damping=1.0, max_rounds=1))
+        run(s, EngineConfig(damping=1.0, max_rounds=1))
     assert info.value.result.max_bid_delta < DELTA
-    res = run(capped_user(capacity=5e-4), EngineConfig(damping=1.0))
-    assert res.rounds == 2
+    assert info.value.result.duality_gap <= GAP_TOL
+    assert run(s, EngineConfig(damping=1.0)).rounds == 2
 
 
-def test_carrier_stops_on_two_identical_rounds():
-    res = run(capped_user(capacity=0.1), EngineConfig(damping=1.0))
-    assert res.converged
-    assert res.rounds == 2
-    assert res.max_bid_delta == 0.0
-    # the user bids its whole ceiling, 0.1 at price 1, in both rounds
-    assert res.bids == {(1, 1): 0.1}
+def test_lone_user_bids_its_price_up_to_its_marginal():
+    # At rates up to 0.1 the marginal is at least 100 / (11 ln 11) ~ 3.8,
+    # above the first-round price of 1: the user's demand exceeds the whole
+    # capacity, so its bid, and the price, rise until m(R) = p.
+    u = LogarithmicUtility(k=100.0, r_max=100.0)
+    for capacity, rounds, price in ((0.1, 8, 3.7791), (5e-4, 13, 1951.3)):
+        res = run(lone_user(u, capacity), EngineConfig(damping=1.0))
+        assert res.rounds == rounds
+        assert res.prices[1] == pytest.approx(price, rel=1e-4)
+        assert res.prices[1] == pytest.approx(marginal(u, capacity), rel=5e-3)
+        assert res.totals[1] == pytest.approx(capacity, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "utility, capacity", [(SigmoidalUtility(a=5.0, b=10.0), 5.0), (SigmoidalUtility(a=1.0, b=30.0), 10.0)]
+)
+def test_lone_user_is_priced_as_the_oracle_prices_it(utility, capacity):
+    # the user fills the carrier at any price below m(R): only its demand,
+    # answering the price, tells the carrier that the price is too low
+    s = lone_user(utility, capacity)
+    res = run(s, EngineConfig())
+    assert res.prices[1] == pytest.approx(solve_central(s).prices[1], rel=1e-6)
+
+
+def test_flat_stretch_certifies():
+    # two sigmoidal users on flat stretches of their marginals share one
+    # carrier; the optimal price, 44.5, is next to the second one's steepness
+    s = flat_stretch_scenario()
+    res = run(s, EngineConfig())
+    assert res.converged and res.duality_gap <= GAP_TOL
+    for uid, total in solve_central(s).totals.items():
+        assert res.totals[uid] == pytest.approx(total, abs=5e-4)
 
 
 def test_carrier_stop_respects_delta():
@@ -248,9 +278,10 @@ def test_kkt_stationarity_at_convergence():
 )
 def test_shared_user_certifies_at_full_damping(utility):
     # At damping 1 the user's first step buys only on carrier 1 (a tie at
-    # price 1), so carrier 2 holds no bid and is priced at PRICE_FLOOR: the
-    # next step anchors with rho ~ 7e-309 and its demand on carrier 2 hits
-    # the ceiling at a nu of ~1e-307.
+    # price 1), so carrier 2 holds no bid and is priced at PRICE_FLOOR.  A
+    # rho scaled by that price (~7e-309) asks for ~4e293 units there, and the
+    # next round's rho underflows to 0; the user takes rho from carrier 1's
+    # price and bids on carrier 2 at its own marginal.
     s = small_scenario(
         UESpec(id=1, utility=utility, carriers=(1, 2)), carriers=((1, 100.0), (2, 100.0))
     )
@@ -309,10 +340,10 @@ def multi_carrier_scenario(seed, n_carriers, n_users):
 
 # (seed, carriers, users) -> rounds and the SHA-256 of the final bids and
 # prices, pinned bit for bit like the paper sweep in test_scenario.py; every
-# run mixes from round ANDERSON_WARMUP + 1 on, and the first ends at the
-# round limit with its partial result
+# run mixes from round ANDERSON_WARMUP + 1 on and certifies (the first ended
+# at the round limit while the user step capped each user's total)
 MULTI_CARRIER_PINS = {
-    (7, 3, 8): (300, "3892f46f18c72e5f32ae14d318b37bb17bccdca396a15f6e14130f935a42bc68"),
+    (7, 3, 8): (163, "3f1520d6ce292742e21ec028d5c42bd32020c6e61dea9ddaa258b6c83361aca2"),
     (2, 4, 12): (185, "2aa708b1756f3921f2ae9c32ca1721107343b19239ec9262104ad9ab0e54f976"),
     (1, 5, 16): (71, "5c38f3e4028d287a5ad698ff608980e8c058dc984b12e30f68602201f61e7e1f"),
 }

@@ -25,9 +25,9 @@ from carrieralloc.utility import (
 LOG_HALF = LogarithmicUtility(k=0.5, r_max=100.0)
 
 
-def first_step(utility, prices, r_cap=100.0, damping=1.0):
+def first_step(utility, prices, r_reach=100.0, damping=1.0):
     """Bids of a user's first step (no anchor yet) from zero last bids."""
-    bids, _ = ue_step(utility, prices, [0.0] * len(prices), None, r_cap, damping)
+    bids, _ = ue_step(utility, prices, [0.0] * len(prices), None, r_reach, damping)
     return bids
 
 
@@ -88,10 +88,18 @@ def test_anchored_step_keeps_stationary_split_across_carriers():
     assert bids[1] == pytest.approx(p * split[1], rel=1e-6)
 
 
-def test_anchored_step_respects_rate_ceiling():
-    bids, anchor = ue_step(LOG_HALF, [1e-9], [9.0], [9.0], 10.0, 1.0)
-    assert bids[0] <= 1e-9 * 10.0 * (1 + 1e-9)
-    assert anchor[0] <= 10.0 * (1 + 1e-9)
+def test_anchored_step_has_no_rate_ceiling():
+    # the capacity the user reaches (10) only scales its step: at price 1e-9
+    # its demand is 5.8e7, and its anchored steps climb there
+    p = 1e-9
+    demand = solve_rate_for_price(LOG_HALF, p, 1e9)
+    bids, anchor = ue_step(LOG_HALF, [p], [9.0], [9.0], 10.0, 1.0)
+    assert anchor[0] > 1e4
+    assert bids[0] == p * anchor[0]
+    for _ in range(20):
+        bids, anchor = ue_step(LOG_HALF, [p], bids, anchor, 10.0, 1.0)
+    # nu is resolved to ~1e-14 absolute, ~1e-5 relative at this price
+    assert anchor[0] == pytest.approx(demand, rel=1e-4)
 
 
 def test_demand_monotonicity_in_prices():
@@ -106,7 +114,7 @@ def test_demand_monotonicity_in_prices():
         raised = [p * rng.uniform(1.0, 3.0) for p in base]
 
         def total_demand(prices):
-            bids = first_step(utility, prices, r_cap=400.0)
+            bids = first_step(utility, prices, r_reach=400.0)
             return sum(w / p for w, p in zip(bids, prices))
 
         assert total_demand(raised) <= total_demand(base) * (1.0 + 1e-9)
@@ -120,7 +128,7 @@ def test_positive_increments_form_cheapest_prefix():
         prices = [10.0 ** rng.uniform(-2, 0.5) for _ in range(3)]
         if rng.random() < 0.5:
             prices[2] = prices[1] = min(prices)
-        bids = first_step(utility, prices, r_cap=300.0)
+        bids = first_step(utility, prices, r_reach=300.0)
         cheapest = prices.index(min(prices))
         assert [c for c, w in enumerate(bids) if w > 0.0] == [cheapest]
         assert all(w == 0.0 for c, w in enumerate(bids) if c != cheapest)
@@ -153,16 +161,16 @@ def test_first_step_bitwise_matches_staged_reference():
     dearer increment at zero; the scalar inversion's demand never grows
     with price, so those increments are all exactly 0.0.
     """
-    for utility, prices, r_cap in first_step_cases(random.Random(11)):
-        rates = staged_demand_reference(utility, prices, r_cap)
-        bids = first_step(utility, prices, r_cap=r_cap)
+    for utility, prices, r_reach in first_step_cases(random.Random(11)):
+        rates = staged_demand_reference(utility, prices, r_reach)
+        bids = first_step(utility, prices, r_reach=r_reach)
         assert [w.hex() for w in bids] == [(p * r).hex() for p, r in zip(prices, rates)], (
-            utility, prices, r_cap)
+            utility, prices, r_reach)
 
 
 def test_total_demand_strictly_positive():
     for prices in ([1e6, 1e6], [0.5, 80.0]):
-        bids = first_step(SigmoidalUtility(a=5.0, b=10.0), prices, r_cap=200.0)
+        bids = first_step(SigmoidalUtility(a=5.0, b=10.0), prices, r_reach=200.0)
         assert sum(bids) > 0.0
 
 
@@ -180,8 +188,9 @@ def anchored_cases(rng):
         else:
             anchor = [rng.uniform(0.0, 60.0) for _ in range(n)]
         rho = 10.0 ** rng.uniform(-9.0, 6.0)
-        r_cap = 10.0 ** rng.uniform(-1.0, 1.5) if case % 5 == 0 else 100.0 * n
-        yield utility, prices, anchor, rho, r_cap
+        # the ceiling the user step once had, drawn to keep the stream
+        old_cap = 10.0 ** rng.uniform(-1.0, 1.5) if case % 5 == 0 else 100.0 * n
+        yield utility, prices, anchor, rho, old_cap
     # steep sigmoids, tied prices, extreme anchor weights, negative nu_min
     utilities = (
         SigmoidalUtility(a=50.0, b=5.0),
@@ -227,25 +236,23 @@ def test_anchored_demand_bitwise_matches_reference(monkeypatch):
 
     monkeypatch.setattr(subproblem, "_total", checked_total)
     rng = random.Random(20141)
-    cases = ceilings = zero_anchor_cases = negative_nu_min = 0
-    for utility, prices, anchor, rho, r_cap in anchored_cases(rng):
+    cases = above_old_cap = zero_anchor_cases = negative_nu_min = 0
+    for utility, prices, anchor, rho, old_cap in anchored_cases(rng):
         cases += 1
         zero_anchor_cases += not any(anchor)
         negative_nu_min += min(p - rho * q for q, p in zip(anchor, prices)) < 0.0
         del sums[:]
         seen = RecordingUtility(utility)
-        got = outcome(_anchored_demand, seen, prices, anchor, rho, r_cap)
-        want = outcome(
-            anchored_demand_reference, utility, prices, anchor, rho, r_cap
-        )
-        assert got == want, (utility, prices, anchor, rho, r_cap)
+        got = outcome(_anchored_demand, seen, prices, anchor, rho)
+        want = outcome(anchored_demand_reference, utility, prices, anchor, rho)
+        assert got == want, (utility, prices, anchor, rho)
         if len(prices) > 1:
-            assert set(seen.args) <= set(sums), (utility, prices, anchor, rho, r_cap)
-        if isinstance(got, list) and sum(map(float.fromhex, got)) >= r_cap * (1 - 1e-9):
-            ceilings += 1
+            assert set(seen.args) <= set(sums), (utility, prices, anchor, rho)
+        if isinstance(got, list) and sum(map(float.fromhex, got)) > old_cap:
+            above_old_cap += 1
     assert cases == 2848
     assert zero_anchor_cases >= 500
-    assert ceilings >= 50
+    assert above_old_cap >= 300
     assert negative_nu_min >= 300
 
 
@@ -253,14 +260,14 @@ def test_anchored_demand_at_the_price_floor():
     """A carrier priced at PRICE_FLOOR: rho and the root are ~1e-308.
 
     A Newton probe there lies within half an ulp of the marginal, and the
-    ceiling's bisection needs ~1,000 halvings to come down to the root.
+    rates, with no ceiling, reach ~1e305.
     """
     rho = ANCHOR_GAIN * PRICE_FLOOR / 0.5
     cases = [
-        ([0.5, PRICE_FLOOR], [0.5, 0.0], rho, 200.0),
-        ([PRICE_FLOOR, 0.5], [0.0, 0.5], rho, 200.0),
-        ([PRICE_FLOOR], [0.5], rho, 100.0),
-        ([PRICE_FLOOR, PRICE_FLOOR], [100.0, 0.0], ANCHOR_GAIN * PRICE_FLOOR / 100.0, 200.0),
+        ([0.5, PRICE_FLOOR], [0.5, 0.0], rho),
+        ([PRICE_FLOOR, 0.5], [0.0, 0.5], rho),
+        ([PRICE_FLOOR], [0.5], rho),
+        ([PRICE_FLOOR, PRICE_FLOOR], [100.0, 0.0], ANCHOR_GAIN * PRICE_FLOOR / 100.0),
     ]
     utilities = (
         SigmoidalUtility(a=1.0, b=5.0),
@@ -268,12 +275,29 @@ def test_anchored_demand_at_the_price_floor():
         LogarithmicUtility(k=15.0, r_max=100.0),
     )
     for utility in utilities:
-        for prices, anchor, rho, r_cap in cases:
-            got = outcome(_anchored_demand, utility, prices, anchor, rho, r_cap)
-            want = outcome(anchored_demand_reference, utility, prices, anchor, rho, r_cap)
+        for prices, anchor, rho in cases:
+            got = outcome(_anchored_demand, utility, prices, anchor, rho)
+            want = outcome(anchored_demand_reference, utility, prices, anchor, rho)
             assert got == want, (utility, prices, anchor)
             assert isinstance(got, list), got
-            assert sum(map(float.fromhex, got)) <= r_cap * (1.0 + 1e-12), got
+            rates = list(map(float.fromhex, got))
+            assert all(math.isfinite(r) and r >= 0.0 for r in rates), got
+
+
+def test_step_bids_on_a_floor_priced_carrier_at_its_marginal():
+    # Carrier 2 holds no bid, so it is priced at PRICE_FLOOR.  The step
+    # scales rho by carrier 1's price, and bids on carrier 2 at the user's
+    # marginal, so carrier 2 gets a price that answers its load.
+    for utility in (
+        SigmoidalUtility(a=1.0, b=5.0),
+        SigmoidalUtility(a=23.0, b=40.0),
+        LogarithmicUtility(k=15.0, r_max=100.0),
+    ):
+        bids, anchor = ue_step(utility, [0.5, PRICE_FLOOR], [0.25, 0.0], [0.5, 0.0], 200.0, 1.0)
+        assert all(math.isfinite(x) and x >= 0.0 for x in bids + anchor), (bids, anchor)
+        assert anchor[1] > 0.0
+        assert bids[1] == pytest.approx(utility.marginal(sum(anchor)) * anchor[1], rel=1e-12)
+        assert bids[0] == 0.5 * anchor[0]
 
 
 def test_anchored_demand_search_stays_cheap():
@@ -286,9 +310,9 @@ def test_anchored_demand_search_stays_cheap():
     """
     rng = random.Random(20141)
     calls = cases = 0
-    for utility, prices, anchor, rho, r_cap in anchored_cases(rng):
+    for utility, prices, anchor, rho, _ in anchored_cases(rng):
         seen = RecordingUtility(utility)
-        _anchored_demand(seen, prices, anchor, rho, r_cap)
+        _anchored_demand(seen, prices, anchor, rho)
         calls += seen.calls
         cases += 1
     assert calls / cases <= 12.5
