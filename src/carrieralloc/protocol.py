@@ -19,7 +19,8 @@ round after the first where no bid moved by delta or more since the
 previous round *and* the duality gap of its prices and rates
 (utility.dual_gap), which needs no oracle, is at most GAP_TOL.  The gap is
 evaluated only in such rounds and in the last, where a run that has not
-stopped raises NonConvergenceError.
+stopped raises NonConvergenceError; before the last round, a gap whose pay
+and unsold parts already exceed GAP_TOL skips its demand solve.
 
 Acceleration.  After ANDERSON_WARMUP plain rounds, the state a round hands
 to the next one -- every bid and every user's anchor rates -- is
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .subproblem import PRICE_FLOOR, ProtocolError, ue_step
+from .subproblem import PRICE_FLOOR, ProtocolError, _left_sum, ue_step
 from .utility import dual_gap, log_utilities, parameter_arrays
 
 __all__ = [
@@ -154,7 +155,7 @@ def carrier_step(bids: Sequence[float], capacity: float) -> float:
     for w in bids:
         if not (math.isfinite(w) and w >= 0.0):
             raise ProtocolError(f"carrier got bad bid {w}: bids must be finite and >= 0")
-    return max(PRICE_FLOOR, sum(bids) / capacity)
+    return max(PRICE_FLOOR, _left_sum(bids) / capacity)
 
 
 class _AndersonMixer:
@@ -287,7 +288,7 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         carrier_links[k].append(i)
     # the capacity each UE reaches: a scale for its user step, not a ceiling
     # (the carriers' prices bound every total)
-    reach = [sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
+    reach = [_left_sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
     # the stop test's arrays; mask.T lists the links in their user-major order
     params = parameter_arrays([ue.utility for ue in ues])
     mask = np.array([[cid in ue.carriers for ue in ues] for cid in cids])
@@ -322,7 +323,10 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
             price = np.array(prices)
             rates = np.zeros(mask.shape)
             rates.T[mask.T] = np.array(bids) / price[link_index]
-            gap = dual_gap(params, mask, cap_array, rates, price)
+            # short of the last round, a gap whose cheap parts put it above
+            # GAP_TOL is left unfinished (utility.dual_gap's tol)
+            tol = GAP_TOL if n < max_rounds else None
+            gap = dual_gap(params, mask, cap_array, rates, price, tol)
             if stable and gap <= GAP_TOL:
                 converged = True
                 break
@@ -352,7 +356,7 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
 
     rate = [w / prices[k] for w, k in zip(bids, link_carrier)]
     by_carrier = [i for idx in carrier_links for i in idx]
-    totals = [sum(rate[span]) for span in spans]
+    totals = [_left_sum(rate[span]) for span in spans]
     result = AllocationResult(
         rates={links[i]: rate[i] for i in by_carrier},
         bids={links[i]: bids[i] for i in by_carrier},

@@ -36,7 +36,7 @@ import yaml
 from .oracle import KKTReport, OracleError, OracleSolution, kkt_check, solve_central
 from .protocol import AllocationResult, EngineConfig, NonConvergenceError, run
 from .utility import LogarithmicUtility, SigmoidalUtility, UtilityFunction
-from .utility import log_utilities, parameter_arrays
+from .utility import log_utility_scales, parameter_arrays
 
 __all__ = [
     "ScenarioError",
@@ -219,7 +219,7 @@ _PARAMS = {family: [f.name for f in fields(family) if f.init] for family in _FAM
 def _utility_to_dict(u: UtilityFunction) -> Dict[str, object]:
     for kind, family in _FAMILIES.items():
         if isinstance(u, family):
-            return {"type": kind, **{name: getattr(u, name) for name in _PARAMS[family]}}
+            return {"type": kind, **vars(u)}
     raise ScenarioError(f"unknown utility object {u!r}")
 
 
@@ -418,17 +418,15 @@ def compare_to_oracle(
     and the KKT residuals at VERIFY_KKT_FACTOR * delta are only reported.
 
     The budget: both objectives sum M users' ln U (utility.log_utilities),
-    each from terms no larger than s_i = |ln U| + 2 a max(0, b - T) + 2
-    (logarithmic: |ln U| + 2 |ln ln(1 + k r_max)| + 2) rounded a few times,
+    each within a few roundings of its scale s_i (utility.log_utility_scales),
     and the gap adds prices times rates up to 2 sum_l p_l R_l; so each of the
     three is within (M + 8) u (sum_i s_i + 2 sum_l p_l R_l), s_i taken at
     both totals.
     """
-    sig, a, b, k, r_max = params = parameter_arrays([ue.utility for ue in scenario.ues])
+    params = parameter_arrays([ue.utility for ue in scenario.ues])
     totals = np.array([[t.totals[ue.id] for ue in scenario.ues] for t in (result, oracle_solution)])
-    terms = np.where(sig, a * np.maximum(0.0, b - totals), np.abs(np.log(np.log1p(k * r_max))))
     scale = 2.0 * sum(result.prices[c.id] * c.capacity for c in scenario.carriers)
-    scale += float((np.abs(log_utilities(params, totals)) + 2.0 * (terms + 1.0)).sum())
+    scale += float(log_utility_scales(params, totals).sum())
     budget = 2.0 * (len(scenario.ues) + 8) * 2.0**-53 * scale
     gain = oracle_solution.objective - result.objective
     ref = oracle_solution.totals

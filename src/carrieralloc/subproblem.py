@@ -30,6 +30,8 @@ carry bids and bids on it at its own marginal, which gives it a price.
 
 ue_step is pure and takes one user's per-carrier values as lists,
 all in the same order: the user's reachable carriers by ascending id.
+It reads no utility family's parameters: the marginal, its log-slope and
+its rounding margin are the utility's methods (utility.py).
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .utility import UtilityFunction, solve_rate_for_price
@@ -52,17 +56,21 @@ __all__ = [
 PRICE_FLOOR = sys.float_info.min
 # Scale of the proximal anchor weight rho, relative to p_min / T_prev.
 ANCHOR_GAIN = 0.3
-# Twice a bound on the scalar marginal's rounding error per unit of m + 2a
-# (a = 0 for the logarithmic family), as tests/test_utility.py checks.
-_MARGIN = 10.0 * 2.0**-52
 
 
 class ProtocolError(ValueError):
     """Raised on malformed bids or engine parameters."""
 
 
+def _left_sum(values) -> float:
+    """The values added left to right from 0.0, as the builtin sum() does up to
+    Python 3.11 (3.12 compensates it), so the protocol's bits do not depend on
+    the Python version."""
+    return reduce(add, values, 0.0)
+
+
 def _total(links: List[Tuple[float, float]], rho: float, nu: float) -> float:
-    t = 0.0  # left to right, as the builtin sum() does up to Python 3.11
+    t = 0.0  # left to right, as _left_sum adds
     for q, p in links:
         r = q + (nu - p) / rho
         if r > 0.0:
@@ -92,13 +100,12 @@ def _anchored_demand(
     result bits.
 
     Every probe at nu computes T(nu) (one link: q + (nu - p)/rho; more:
-    _total), then the excess m - nu with m = marginal(T), and the margin
-    _MARGIN (m + 2a) past which the excess's sign is certain; a T <= 0 has
+    _total), then the excess m - nu with m = marginal(T), and the utility's
+    rounding_margin(m) past which the excess's sign is certain; a T <= 0 has
     excess +inf (marginal(0+) = +inf exceeds any finite nu).
     """
-    marginal = utility.marginal
-    a = getattr(utility, "a", 0.0)  # 0 for the logarithmic family
-    k, a2, inf = 0.0 if a else utility.k, 2.0 * a, math.inf
+    marginal, inf = utility.marginal, math.inf
+    log_slope, rounding = utility.log_slope, utility.rounding_margin
     q1, p1 = anchor[0], prices[0]
     single = len(prices) == 1
     links = [(q1, p1)] if single else list(zip(anchor, prices))
@@ -109,12 +116,11 @@ def _anchored_demand(
 
     # Newton steps in u = ln T from the nu at which T(nu) is the anchor total.
     # T is piecewise linear in nu, so nu = x + tn expm1(u) with tn = T rho / n
-    # over the n links that buy at x (the knots below x); d ln m / d ln T is
-    # the family's: -a^2 T (g (g - 1) + s (1 - s)) / m with g = 1/(1 - e^-aT)
-    # and s = g - m/a, or -kT/(1 + kT) - T m.
+    # over the n links that buy at x (the knots below x); the utility's
+    # log_slope is d ln m / d ln T.
     known_lo, known_hi, x = -inf, inf, p1
     if not single:
-        s, t0 = 0.0, rho * sum(anchor)
+        s, t0 = 0.0, rho * _left_sum(anchor)
         for n, knot in enumerate(knots, 1):
             s += knot
             x = (t0 + s) / n
@@ -130,7 +136,7 @@ def _anchored_demand(
             known_lo = x
         else:
             m = marginal(t)
-            e, margin = m - x, _MARGIN * (m + a2)
+            e, margin = m - x, rounding(m)
             if -margin <= e <= margin:
                 d = d or max(2.0 * margin, floor)  # no slope seen yet: de/dnu <= -1
                 break
@@ -139,13 +145,7 @@ def _anchored_demand(
             else:
                 known_hi = x
             if m > 0.0:
-                if a:
-                    g = -1.0 / math.expm1(-a * t)
-                    s = g - m / a
-                    slope = -a * a * t * (g * (g - 1.0) + s * (1.0 - s)) / m
-                else:
-                    kt = k * t
-                    slope = -kt / (1.0 + kt) - t * m
+                slope = log_slope(t, m)
                 tn = t * rho if single else t * rho / (bisect_left(knots, x) or 1)
                 d = 2.0 * margin * tn / (tn - m * slope)  # the excess is certain this far off
                 d = d if d > floor else floor
@@ -164,12 +164,8 @@ def _anchored_demand(
             if known_lo < new < known_hi:
                 x, last = new, step
                 continue
-        # else bisect what is known (with hi for a missing upper end), or
-        # move past hi as far again from lo
-        if known_hi < inf or known_lo < hi:
-            x = 0.5 * (max(known_lo, lo) + (known_hi if known_hi < inf else hi))
-        else:
-            x = 2.0 * known_lo - lo
+        # else bisect what is known (with hi for a missing upper end)
+        x = 0.5 * (max(known_lo, lo) + (known_hi if known_hi < inf else hi))
         last = 0.0
     # Straddle the estimate: a certain probe on each side not yet within 4 d.
     d = d or floor
@@ -180,7 +176,7 @@ def _anchored_demand(
                 known_lo = y
             else:
                 m = marginal(t)
-                e, margin = m - y, _MARGIN * (m + a2)
+                e, margin = m - y, rounding(m)
                 if e > margin:
                     known_lo = y
                 elif e < -margin:
@@ -194,7 +190,7 @@ def _anchored_demand(
             t = _total(links, rho, hi)
     # Replay the bisection (test: excess(mid) > 0).  T(nu) is nondecreasing
     # in floating point, term by term and sum by sum; the computed marginal is
-    # within E = _MARGIN/2 (m + 2a) of the exact one, and m - E and m + E
+    # within E = rounding_margin(m)/2 of the exact one, and m - E and m + E
     # decrease in T as m does.  So the excess is positive at every nu below a
     # probe whose excess exceeds its margin, and not positive above one below
     # minus its margin: a midpoint outside (known_lo, known_hi) goes the way
@@ -253,14 +249,14 @@ def ue_step(
             hi *= 2.0
         rates[cheapest] = solve_rate_for_price(utility, p, hi)
     else:
-        t_prev, t_min = sum(anchor), 1e-12 * r_reach
+        t_prev, t_min = _left_sum(anchor), 1e-12 * r_reach
         p_min = min(prices)
         floored = p_min <= PRICE_FLOOR
         if floored:  # rho from the prices that carry bids
             p_min = min([p for p in prices if p > PRICE_FLOOR] or prices)
         rho = ANCHOR_GAIN * p_min / (t_min if t_min > t_prev else t_prev)
         rates = _anchored_demand(utility, prices, anchor, rho)
-        if floored and (t := sum(rates)) > 0.0:  # bid at the marginal instead
+        if floored and (t := _left_sum(rates)) > 0.0:  # bid at the marginal instead
             nu = utility.marginal(t)
             prices = [nu if p <= PRICE_FLOOR < nu else p for p in prices]
 

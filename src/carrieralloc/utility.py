@@ -12,15 +12,18 @@ receives, both normalized so that U(0) = 0:
 
 The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
-price is well defined and invertible by bisection.
+price is well defined and invertible by bisection.  Each family's formulas
+are written here alone; the other modules read no family parameter.
 
 ln U has one expression, ``log_utilities``, free of cancellation; the
 objectives, ``dual_gap`` and the verification budget call it once over all
 users, and the ``log_utility`` methods (so ``evaluate``, exp(log_utility))
 call it for one user.  ``marginals``, ``demands`` and ``dual_gap`` work on
-many users at once.  What stays scalar: the protocol's user step keeps the
-scalar ``marginal`` and ``solve_rate_for_price``, whose last bits its round
-counts depend on.
+many users at once, and ``log_utility_scales`` bounds the rounding of
+ln U.  What stays scalar: the protocol's user step keeps the scalar
+``marginal`` and ``solve_rate_for_price``, whose last bits its round counts
+depend on, and the methods its search reads beside ``marginal``:
+``log_slope``, d ln m / d ln r, and ``rounding_margin``.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -44,6 +47,7 @@ __all__ = [
     "marginal",
     "parameter_arrays",
     "log_utilities",
+    "log_utility_scales",
     "marginals",
     "demands",
     "dual_gap",
@@ -51,6 +55,9 @@ __all__ = [
 ]
 
 _LN_MIN_RATE = math.log(5e-324)  # the smallest positive rate; 1/r, so every marginal, is +inf
+# Twice a bound on the scalar marginal's rounding error per unit of m + 2a
+# (a = 0 for the logarithmic family), as tests/test_utility.py checks.
+_MARGIN = 10.0 * 2.0**-52
 
 
 class UtilityDomainError(ValueError):
@@ -99,6 +106,18 @@ class SigmoidalUtility:
         except ZeroDivisionError:  # a*r underflowed to 0: the r -> 0+ limit
             return math.inf
 
+    def log_slope(self, r: float, m: float) -> float:
+        """d ln m / d ln r at r from m = marginal(r) > 0 and finite:
+        -a^2 r (g (g - 1) + s (1 - s)) / m, g = 1/(1 - e^-ar), s = g - m/a."""
+        a = self.a
+        g = -1.0 / math.expm1(-a * r)
+        s = g - m / a
+        return -a * a * r * (g * (g - 1.0) + s * (1.0 - s)) / m
+
+    def rounding_margin(self, m: float) -> float:
+        """_MARGIN (m + 2a): twice a bound on the rounding of a marginal m."""
+        return _MARGIN * (m + 2.0 * self.a)
+
 
 @dataclass(frozen=True)
 class LogarithmicUtility:
@@ -124,6 +143,15 @@ class LogarithmicUtility:
             return self.k / ((1.0 + kr) * math.log1p(kr))
         except ZeroDivisionError:  # k*r underflowed to 0: the r -> 0+ limit
             return math.inf
+
+    def log_slope(self, r: float, m: float) -> float:
+        """d ln m / d ln r at r from m = marginal(r): -kr/(1 + kr) - r m."""
+        kr = self.k * r
+        return -kr / (1.0 + kr) - r * m
+
+    def rounding_margin(self, m: float) -> float:
+        """_MARGIN m: twice a bound on the rounding of a marginal m."""
+        return _MARGIN * m
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]
@@ -226,6 +254,17 @@ def log_utilities(params: Tuple[np.ndarray, ...], r: np.ndarray) -> np.ndarray:
     return np.where(sig, ln_sig, ln_log)
 
 
+def log_utility_scales(params: Tuple[np.ndarray, ...], r: np.ndarray) -> np.ndarray:
+    """|ln U| + 2 (t + 1) for every user of ``params`` at its rate r, with t
+    the size of ln U's largest term: a max(0, b - r) for a sigmoidal user,
+    |ln ln(1 + k r_max)| for a logarithmic one.  ``log_utilities`` is within
+    a few roundings of this scale.
+    """
+    sig, a, b, k, r_max = params
+    terms = np.where(sig, a * np.maximum(0.0, b - r), np.abs(np.log(np.log1p(k * r_max))))
+    return np.abs(log_utilities(params, r)) + 2.0 * (terms + 1.0)
+
+
 def marginals(params: Tuple[np.ndarray, ...], r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """d/dr ln U and its derivative for every user of ``params`` at its rate r.
 
@@ -281,7 +320,7 @@ def demands(
     raise RootFindingError("Newton inverter failed to converge")
 
 
-def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices) -> float:
+def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None) -> float:
     """D(p) - sum_i ln U_i(T_i) of ``rates`` (carriers x users, T_i a column's
     sum) at carrier prices p >= 0; ``mask[l, i]``: user i reaches carrier l.
 
@@ -293,13 +332,26 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices) -> float
     misses at pi_i and its pay above pi_i; per reached carrier, p_l times its
     unsold capacity.  One ``demands`` call, from T_i and capped at C_i, finds
     every best T (C_i at pi_i = 0).  +inf while a user holds no rate.
+
+    With ``tol``, a gap whose pay and unsold parts alone exceed tol plus a
+    bound on the missed surplus's rounding is certainly above tol: their sum
+    is returned then, and no demand is solved.  That bound: a user's missed
+    surplus is ln U at T_i and at its best T, each within a few roundings of
+    its ``log_utility_scales`` s, less pi_i times rates up to C_i; ln U - pi_i T
+    is larger at the best T, so s there is below 5 s(T_i) + 3 pi_i C_i.
     """
     totals = rates.sum(axis=0)
     if not (totals > 0.0).all():
         return math.inf
     pi = np.where(mask, prices[:, None], np.inf).min(axis=0)
-    r = np.stack([demands(params, pi, caps @ mask, totals)[0], totals])
+    reach = caps @ mask
+    paid = ((prices[:, None] - pi) * rates).sum()
+    unsold = np.where(mask.any(axis=1), prices * (caps - rates.sum(axis=1)), 0.0).sum()
+    if tol is not None:
+        scale = (log_utility_scales(params, totals) + pi * reach).sum()
+        if paid + unsold > tol + 16.0 * (totals.size + 8) * 2.0**-53 * scale:
+            return float(paid + unsold)
+    r = np.stack([demands(params, pi, reach, totals)[0], totals])
     ln_u = log_utilities(params, r)
     missed = ln_u[0] - ln_u[1] - pi * (r[0] - r[1])
-    unsold = np.where(mask.any(axis=1), prices * (caps - rates.sum(axis=1)), 0.0)
-    return float(missed.sum() + ((prices[:, None] - pi) * rates).sum() + unsold.sum())
+    return float(missed.sum() + paid + unsold)

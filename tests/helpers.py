@@ -147,7 +147,7 @@ def anchored_demand_reference(utility, prices, anchor, rho):
         return [max(0.0, q + (nu - p) / rho) for q, p in links]
 
     def total(nu: float) -> float:
-        return sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
+        return _sum_from_zero(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
 
     def excess(nu: float) -> float:
         t = total(nu)

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import anderson_mixer_reference, flat_stretch_scenario, random_utilities
 
+from carrieralloc import protocol
 from carrieralloc.oracle import solve_central
 from carrieralloc.protocol import (
     ANDERSON_DEPTH,
@@ -124,6 +125,30 @@ def test_carrier_stop_respects_delta():
     strict = run(s, EngineConfig(delta=last))
     assert strict.rounds > loose.rounds
     assert strict.max_bid_delta < last
+
+
+def test_gap_screen_never_changes_the_stop_decision(monkeypatch):
+    """Short of the last round the stop test passes GAP_TOL to dual_gap,
+    which skips its demand solve when the gap's pay and unsold parts alone
+    put it above GAP_TOL: each skipped gap is above GAP_TOL in full too, and
+    a gap that is not skipped comes back bit for bit."""
+    real = protocol.dual_gap
+    seen = {"screened": 0, "full": 0}
+
+    def checked(params, mask, caps, rates, prices, tol=None):
+        full = real(params, mask, caps, rates, prices)
+        got = real(params, mask, caps, rates, prices, tol)
+        if got == full:
+            seen["full"] += 1
+        else:
+            assert tol is not None and got > tol and full > tol, (got, full)
+            seen["screened"] += 1
+        return got
+
+    monkeypatch.setattr(protocol, "dual_gap", checked)
+    for r1 in (20.0, 50.0, 300.0):
+        assert run(build_paper_scenario(r1)).converged
+    assert seen["screened"] >= 10 and seen["full"] >= 3, seen
 
 
 def test_carrier_rejects_bad_bids():

@@ -17,8 +17,8 @@ from helpers import (
     sigmoidal_marginal_reference,
     solve_rate_for_price_reference,
 )
-from carrieralloc.subproblem import _MARGIN
 from carrieralloc.utility import (
+    _MARGIN,
     LogarithmicUtility,
     SigmoidalUtility,
     UtilityDomainError,
@@ -378,6 +378,33 @@ def test_marginals_match_scalar_where_it_does_not_cancel():
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
                 checked += 1
     assert checked >= 8000
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_slope_matches_marginals():
+    """Each family's log_slope, d ln m / d ln r at the scalar marginal, is
+    r m'/m from ``marginals`` to within 8 roundings of its size.  A sigmoidal
+    slope also carries the rounding of s = g - m/a, which cancels as the
+    scalar marginal does: a few roundings of g + 2 in s, so of
+    a^2 r (g + 2) / m in the slope."""
+    rng = np.random.default_rng(63)
+    utilities = random_utilities(rng, 300)
+    params = parameter_arrays(utilities)
+    checked = relative = 0
+    for r in _rates_per_user(utilities, np.geomspace(1e-6, 2.0, 40)):
+        m, dm = marginals(params, r)
+        for u, x, want in zip(utilities, r.tolist(), (r * dm / m).tolist()):
+            scalar = u.marginal(x)
+            if not scalar > 0.0:  # the scalar sigmoidal marginal is 0 past b + 37/a
+                continue
+            scale = abs(want)
+            if isinstance(u, SigmoidalUtility):
+                g = -1.0 / math.expm1(-u.a * x)
+                scale += u.a * u.a * x * (g + 2.0) / scalar
+            assert abs(u.log_slope(x, scalar) - want) <= 8.0 * EPS * scale, (u, x)
+            checked += 1
+            relative += scale <= 2.0 * abs(want)
+    assert checked >= 11000 and relative >= 9000
 
 
 @pytest.mark.filterwarnings("error")
