@@ -156,11 +156,19 @@ def _clear_price(
     bracket on y = ln p.  Newton steps in x = ln r and y solve m_i(r_i) = p
     with sum r_i = capacity (each user's step capped at a factor e, a y out
     of the bracket replaced by its midpoint).  A bracket that has not halved
-    in _BISECT_EVERY steps, or with every user on a flat stretch (no
-    negative slope), is halved by moving every user to its demand at the
-    midpoint.  y stays above the smallest normal double.  A final
-    linearised step y + dy, r + (dr/dy) dy sums the totals to capacity.  A
-    demand inversion that fails raises OracleError naming the users.
+    in _BISECT_EVERY steps, or with every marginal underflowed (no negative
+    slope), is halved by moving every user to its demand at the midpoint.
+    y stays above the smallest normal double.  A final linearised step
+    y + dy, r + (dr/dy) dy sums the totals to capacity.
+
+    A user whose marginal is flat to machine precision (a steep sigmoidal
+    one below its inflection) has a vertical demand, dr/dy = -inf, and pins
+    the price: a Newton step puts y at its marginal.  At the final step a
+    user is also vertical when one resolvable step of y (1e-15 max(1, |y|))
+    moves its demand by 1e-12 of the capacity; the group is then priced at
+    the first vertical user's own marginal, and the vertical users share, in
+    proportion to their rates, what the others leave.  A demand inversion
+    that fails raises OracleError naming the users.
     """
     params = tuple(v[users] for v in prob.params)
     r = np.maximum(rates, 1e-12 * capacity)
@@ -169,9 +177,10 @@ def _clear_price(
     widths = [math.inf] * _BISECT_EVERY
     for _ in range(_CLEARING_STEPS):
         m, dm = marginals(params, r)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lm = np.log(m)
-            slope = np.where(dm < 0.0, m / dm, 0.0)  # dr/dy along each demand curve
+            # dr/dy along each demand curve: -inf where the marginal is flat
+            slope = np.where(m > 0.0, m / dm, 0.0)
             spread = lm.max() - lm.min()
         y_lo, y_hi = max(y_lo, lm.min()), max(min(y_hi, lm.max()), _LN_TINY)
         width = y_hi - y_lo
@@ -199,24 +208,39 @@ def _clear_price(
         ref, dev, dy = _price_step(r, lm, slope, capacity)
         if not y_lo - eps <= ref + dy <= y_hi + eps:
             dy = 0.5 * (y_lo + y_hi) - ref
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             # a user whose marginal underflows holds too much at any price
-            r = r * np.exp(np.clip(np.where(slope < 0.0, (dy - dev) * slope / r, -1.0), -1.0, 1.0))
+            step = np.where(slope < 0.0, (dy - dev) * slope / r, -1.0)
+        # nan: 0 * -inf, a vertical user already at the price
+        r = r * np.exp(np.clip(np.nan_to_num(step, nan=0.0), -1.0, 1.0))
         r *= capacity / r.sum()
     else:
         raise OracleError(f"price clearing did not converge in {_CLEARING_STEPS} steps")
+    vertical = slope * eps <= -1e-12 * capacity
+    slope[vertical] = -np.inf
     ref, dev, dy = _price_step(r, lm, slope, capacity)
-    return math.exp(ref + dy), r + slope * (dy - dev)
+    steep = ~vertical
+    r[steep] += slope[steep] * (dy - dev[steep])
+    if not vertical.any():
+        return math.exp(ref + dy), r
+    r[vertical] *= (capacity - r[steep].sum()) / r[vertical].sum()
+    v = [np.argmin(slope)]
+    m, _ = marginals(tuple(p[v] for p in params), r[v])
+    return float(m[0]), r
 
 
 def _price_step(r: np.ndarray, lm: np.ndarray, slope: np.ndarray, capacity: float) -> tuple:
     """(ref, lm - ref, dy): r + slope * (ref + dy - lm) sums to capacity, with ref
-    the flattest user's log-marginal, so that its tiny deviation stays exact."""
+    the flattest user's log-marginal, so that its tiny deviation stays exact.
+    A vertical user (slope -inf) takes any rate at its own marginal: ref is
+    then that marginal and dy is 0."""
     ref = lm[np.argmin(slope)]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         dev = np.where(slope < 0.0, lm - ref, 0.0)
-    total = slope.sum()  # 0 when every user is on a flat stretch: no step
-    dy = (capacity - r.sum() + (slope * dev).sum()) / total if total < 0.0 else 0.0
+        total = slope.sum()  # 0 when every marginal has underflowed: no step
+        if not -np.inf < total < 0.0:
+            return ref, dev, 0.0
+        dy = (capacity - r.sum() + (slope * dev).sum()) / total
     return ref, dev, float(dy)
 
 

@@ -27,7 +27,7 @@ from carrieralloc.oracle import (
     project_carrier_block,
     solve_central,
 )
-from carrieralloc.protocol import EngineConfig, run
+from carrieralloc.protocol import GAP_TOL, EngineConfig, run
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_scenario
 from carrieralloc.utility import (
     LogarithmicUtility,
@@ -568,6 +568,29 @@ def test_flat_stretch_scenario_certifies():
 
 
 @pytest.mark.filterwarnings("error")
+def test_flat_clearing_prices_a_vertical_demand_at_its_own_marginal():
+    # Two users of a steep profile (a*b = 21,728) share one carrier with two
+    # of a profile whose marginal falls through that a.  The first two end on
+    # their flat stretch, where the marginal is a to machine precision: their
+    # demand is vertical there, so the price is a.  Priced 1.7e-12 relative
+    # below a, each would buy about 913 instead of 615, a gap of 2.4e-8 that
+    # KKT residuals of 4e-11 do not see.
+    flat = SigmoidalUtility(a=23.772953595469016, b=913.9907971921706)
+    steep = SigmoidalUtility(a=38.333562084391005, b=1.7796294689159602)
+    s = Scenario(
+        carriers=(CarrierSpec(id=1, capacity=1233.5),),
+        ues=tuple(
+            UESpec(id=i, utility=u, carriers=(1,))
+            for i, u in enumerate((flat, flat, steep, steep), 1)
+        ),
+        name="flat-clearing",
+    )
+    sol = solve_central(s)
+    assert duality_gap(sol, s) <= GAP_TOL
+    assert abs(sol.prices[1] - flat.a) <= 4.0 * math.ulp(flat.a)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_random_scenarios_of_2000_users_on_16_carriers_certify(seed):
     # groups of hundreds of users priced next to their sigmoidal steepness
@@ -577,8 +600,6 @@ def test_random_scenarios_of_2000_users_on_16_carriers_certify(seed):
     assert sol.kkt.passed and sol.kkt.tol == 1e-9
 
 
-# the flat clearing's overflow and invalid-multiply warnings (ROADMAP item 3)
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_wide_range_scenarios_certify_or_raise_oracle_error():
     # Far outside the paper's ranges (helpers.wide_range_scenario): a*b up to
     # 5e4, capacities over seven decades, shared profiles.  Every scenario
