@@ -1,9 +1,9 @@
 """Utility-proportional-fair rate allocation with joint carrier aggregation.
 
 User agents bid for rate across capacity-limited carriers, carrier agents
-answer with shadow prices, and an independent centralized solver certifies
-the distributed fixed point against the KKT conditions of the underlying
-concave program.
+answer with shadow prices, and an independent centralized solver gives the
+optimum to check the distributed fixed point against.  Both answers are
+certified on the duality gap of the underlying concave program.
 """
 
 from .utility import (

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .subproblem import PRICE_FLOOR, ProtocolError, _left_sum, ue_step
-from .utility import dual_gap, log_utilities, parameter_arrays
+from .utility import GAP_TOL, dual_gap, log_utilities, parameter_arrays
 
 __all__ = [
     "EngineConfig",
@@ -62,21 +62,6 @@ __all__ = [
     "PRICE_FLOOR",
 ]
 
-# Duality-gap stop tolerance, in units of ln U.  ln U is dimensionless, so
-# one absolute value serves every capacity scale.  ln U_i is strictly
-# concave, so the optimal totals T* are unique, and for a feasible allocation
-#     (mu / 2) * ||T - T*||^2  <=  P(T*) - P(T)  <=  gap,
-# with mu the least curvature -(ln U_i)'' between T and T*: a stop at gap
-# eps leaves every total within sqrt(2 eps / mu) of the optimum.  A
-# sigmoidal(a, b) marginal is flattest around r = b/2, with mu ~ 2 a^2
-# exp(-a b / 2); for the reference utilities' sigmoidal(1, 30) that is
-# 6e-7, and eps = 1e-9 keeps totals within 0.06 of the optimum, under 1% of
-# any total above 6.  eps also stays well above the rounding in the gap:
-# each user's term is a difference of two ln U values (utility.log_utilities)
-# whose terms are of size up to a * max(0, b - T), rounded to ~1e-16 times
-# that, so 10^3 users held far below a steep inflection (a * (b - T) = 500)
-# add up to ~5e-11.
-GAP_TOL = 1e-9
 # Anderson mixing: past rounds used, plain rounds before mixing starts, the
 # Tikhonov weight (relative to the largest Gram diagonal entry) that keeps
 # its normal equations solvable when recent steps are collinear, and the

@@ -51,6 +51,7 @@ __all__ = [
     "marginals",
     "demands",
     "dual_gap",
+    "GAP_TOL",
     "solve_rate_for_price",
 ]
 
@@ -318,6 +319,29 @@ def demands(
             return np.minimum(np.exp(new), r_cap), np.where(new < cap, slope, 0.0)
         x = new
     raise RootFindingError("Newton inverter failed to converge")
+
+
+# Duality-gap tolerance of every certificate: the protocol's stop test, the
+# oracle's optimum and --verify.  In units of ln U, which is dimensionless,
+# so one absolute value serves every unit of rate and capacity scale.
+# ln U_i is strictly concave, so the optimal totals T* are unique, and for a
+# feasible allocation
+#     (mu / 2) * ||T - T*||^2  <=  P(T*) - P(T)  <=  gap,
+# with mu the least curvature -(ln U_i)'' between T and T*: a gap of eps
+# leaves every total within sqrt(2 eps / mu) of the optimum.  A
+# sigmoidal(a, b) marginal is flattest around r = b/2, with mu ~ 2 a^2
+# exp(-a b / 2); for the reference utilities' sigmoidal(1, 30) that is
+# 6e-7, and eps = 1e-9 keeps totals within 0.06 of the optimum, under 1% of
+# any total above 6.  eps also stays well above the rounding in the gap:
+# each user's term is a difference of two ln U values (log_utilities) whose
+# terms are of size up to a * max(0, b - T), rounded to ~1e-16 times that,
+# so 10^3 users held far below a steep inflection (a * (b - T) = 500) add up
+# to ~5e-11.  The oracle's optima meet it with room: |gap| <= 4.9e-14 on the
+# 29 reference points and under every change of units s = 1e-9 .. 1e9,
+# <= 1.0e-12 on the 201 random scenarios of tests/test_oracle.py, and
+# <= 1.6e-10 on 900 wide-range ones with a * b up to 5e4
+# (tests/helpers.wide_range_scenario, seeds 1-3).
+GAP_TOL = 1e-9
 
 
 def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None) -> float:

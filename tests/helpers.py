@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import lambertw
 
-from carrieralloc.oracle import KKT_TOL, OracleError, duality_gap, solve_central
+from carrieralloc.oracle import OracleError, duality_gap, kkt_check, solve_central
 from carrieralloc.protocol import ANDERSON_REGULARIZATION
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
+    GAP_TOL,
     LogarithmicUtility,
     RootFindingError,
     SigmoidalUtility,
@@ -350,22 +351,23 @@ def wide_range_scenario(rng, name):
     return Scenario(carriers=carriers, ues=tuple(ues), name=name)
 
 
-def oracle_outcome(scenario, gaps=None):
+def oracle_outcome(scenario, certified=None):
     """How the oracle ends on ``scenario``: "certified", "inverter" (an
     OracleError from a failed demand inversion) or "OracleError" (any other).
-    Every other exception propagates.  A certified optimum must have a
-    finite duality gap, computed with numpy's floating-point warnings raised
-    as errors; it is appended to ``gaps`` when given."""
+    Every other exception propagates.  A certified optimum must carry a
+    duality gap of at most GAP_TOL, and ``duality_gap`` of its rates and
+    prices, computed with numpy's floating-point warnings raised as errors,
+    must give that gap back.  When ``certified`` is given, (gap, whether
+    ``kkt_check`` passes at 1e-9) is appended to it."""
     try:
         sol = solve_central(scenario)
     except OracleError as exc:
         return "inverter" if isinstance(exc.__cause__, RootFindingError) else "OracleError"
-    assert sol.kkt.passed and sol.kkt.tol == KKT_TOL, scenario.name
+    assert sol.duality_gap <= GAP_TOL, (scenario.name, sol.duality_gap)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        gap = duality_gap(sol, scenario)
-    assert math.isfinite(gap), (scenario.name, gap)
-    if gaps is not None:
-        gaps.append(gap)
+        assert duality_gap(sol, scenario) == sol.duality_gap, scenario.name
+    if certified is not None:
+        certified.append((sol.duality_gap, kkt_check(sol, scenario, 1e-9).passed))
     return "certified"
 
 

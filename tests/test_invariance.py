@@ -109,7 +109,7 @@ def point(request):
     return scenario, sol, _rounding_budget(scenario, sol)
 
 
-@pytest.mark.parametrize("s", (1e-3, 1e3))
+@pytest.mark.parametrize("s", (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9))
 def test_units_scale_totals_by_s_and_prices_by_1_over_s(point, s):
     scenario, sol, (total_rtol, price_rtol) = point
     other = solve_central(in_units(scenario, s))

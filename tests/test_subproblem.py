@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     RecordingUtility,
+    _sum_from_zero,
     anchored_demand_reference,
     outcome,
     random_utilities,
@@ -221,15 +222,16 @@ def test_anchored_demand_bitwise_matches_reference(monkeypatch):
 
     The replay evaluates only the midpoints its search has not settled, so
     the marginal sees other totals than the reference's.  Every total it
-    sees must still be summed exactly as the reference sums: checked for
-    each total of several links, which all go through ``_total``.
+    sees must still be summed exactly as the reference sums, left to right
+    from 0 on any Python: checked for each total of several links, which all
+    go through ``_total``.
     """
     real_total = subproblem._total
     sums = []
 
     def checked_total(links, rho, nu):
         t = real_total(links, rho, nu)
-        want = sum(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
+        want = _sum_from_zero(r for r in (q + (nu - p) / rho for q, p in links) if r > 0.0)
         assert float(t).hex() == float(want).hex(), (links, rho, nu)
         sums.append(float(t).hex())
         return t
