@@ -9,7 +9,12 @@ PRICE_FLOOR is only a division guard, for a carrier whose bids are all zero.
 The round state is two flat lists over the (carrier, user) links, the bids
 w_li and the users' anchor rates q_li, ordered user-major with each user's
 carriers by ascending id: a user reads and writes one contiguous slice, and
-a carrier reads the links listed for it.
+a carrier reads the links listed for it.  A run is three parts: _Setup, built
+once per scenario (the links, the users and the stop test's arrays); the
+pure round, _prices then _round, which maps a state to the next one and
+changes nothing else; and _drive, the one loop over rounds, which owns the
+stop test, the mixer and the result.  run starts _drive from its first
+bids; the fixed-point tests start it from the oracle's optimum.
 
 Stop rule.  Bid stability alone says the bids are moving slowly, not that
 the allocation is near the optimum: where a sigmoidal marginal is nearly
@@ -244,111 +249,112 @@ def _dots(rows: np.ndarray, v: np.ndarray) -> List[float]:
     return (0.0 + np.add.accumulate(rows * v, axis=1)[:, -1]).tolist()
 
 
-def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
-    """Run the bidding protocol on a scenario until it certifies its optimum.
+class _Setup:
+    """What a run reads besides its round state, built once per scenario:
+    the links and their spans and carrier lists (module docstring), each
+    user's (utility, span, reach), and the stop test's arrays."""
 
-    A run stops by the module docstring's stop rule; from round
-    ANDERSON_WARMUP + 1 on, the state passed to the next round is
-    Anderson-mixed.  The result carries its final round's largest bid move in
-    ``max_bid_delta`` and its gap in ``duality_gap``.  Raises
-    NonConvergenceError (carrying the partial result) when the round limit
-    is reached first.
+    def __init__(self, scenario):
+        carriers = sorted(scenario.carriers, key=lambda c: c.id)
+        self.ues = sorted(scenario.ues, key=lambda u: u.id)
+        self.cids = [c.id for c in carriers]
+        self.caps = [c.capacity for c in carriers]
+        column = {cid: k for k, cid in enumerate(self.cids)}
+        # (carrier, user) links, user-major: user j owns links[spans[j]]
+        self.links: List[Tuple[int, int]] = []
+        self.spans: List[slice] = []
+        for ue in self.ues:
+            start = len(self.links)
+            self.links += [(cid, ue.id) for cid in sorted(ue.carriers)]
+            self.spans.append(slice(start, len(self.links)))
+        self.link_carrier = [column[cid] for cid, _ in self.links]
+        # each carrier's links, in user order
+        self.carrier_links: List[List[int]] = [[] for _ in carriers]
+        for i, k in enumerate(self.link_carrier):
+            self.carrier_links[k].append(i)
+        # the capacity each UE reaches: a scale for its user step, not a
+        # ceiling (the carriers' prices bound every total)
+        reach = [_left_sum(self.caps[column[cid]] for cid in ue.carriers) for ue in self.ues]
+        self.users = list(zip([ue.utility for ue in self.ues], self.spans, reach))
+        # the stop test's arrays; mask.T lists the links in their user-major order
+        self.params = parameter_arrays([ue.utility for ue in self.ues])
+        self.mask = np.array([[cid in ue.carriers for ue in self.ues] for cid in self.cids])
+        self.cap_array, self.link_index = np.array(self.caps), np.array(self.link_carrier)
+
+
+def _prices(setup: _Setup, bids: List[float]) -> List[float]:
+    """Every carrier's price of the bids it holds, by carrier_step."""
+    return [carrier_step([bids[i] for i in idx], cap)
+            for idx, cap in zip(setup.carrier_links, setup.caps)]
+
+
+def _round(setup: _Setup, prices: List[float], bids: List[float],
+           anchors: Optional[List[float]], damping: float) -> Tuple[List[float], List[float]]:
+    """Every user's step against ``prices``: the new bids and anchor rates.
+
+    ``anchors`` is None before the users' first step.  The arguments are
+    only read, so equal arguments give equal lists, bit for bit.
     """
-    carriers = sorted(scenario.carriers, key=lambda c: c.id)
-    ues = sorted(scenario.ues, key=lambda u: u.id)
-    cids = [c.id for c in carriers]
-    caps = [c.capacity for c in carriers]
-    column = {cid: k for k, cid in enumerate(cids)}
-    # (carrier, user) links, user-major: user j owns links[spans[j]]
-    links: List[Tuple[int, int]] = []
-    spans: List[slice] = []
-    for ue in ues:
-        start = len(links)
-        links += [(cid, ue.id) for cid in sorted(ue.carriers)]
-        spans.append(slice(start, len(links)))
-    link_carrier = [column[cid] for cid, _ in links]
-    # each carrier's links, in user order
-    carrier_links: List[List[int]] = [[] for _ in carriers]
-    for i, k in enumerate(link_carrier):
-        carrier_links[k].append(i)
-    # the capacity each UE reaches: a scale for its user step, not a ceiling
-    # (the carriers' prices bound every total)
-    reach = [_left_sum(caps[column[cid]] for cid in ue.carriers) for ue in ues]
-    # the stop test's arrays; mask.T lists the links in their user-major order
-    params = parameter_arrays([ue.utility for ue in ues])
-    mask = np.array([[cid in ue.carriers for ue in ues] for cid in cids])
-    cap_array = np.array(caps)
+    link_prices = [prices[k] for k in setup.link_carrier]
+    new_bids: List[float] = []
+    new_anchors: List[float] = []
+    for utility, span, r_reach in setup.users:
+        anchor = None if anchors is None else anchors[span]
+        w, q = ue_step(utility, link_prices[span], bids[span], anchor, r_reach, damping)
+        new_bids += w
+        new_anchors += q
+    return new_bids, new_anchors
 
-    # Initial bids w(1) = R_l / M_l: scale-free, strictly positive, and give
-    # every carrier a first-round price of exactly 1.
-    bids = [caps[k] / len(carrier_links[k]) for k in link_carrier]
-    # anchor rates exist once every user has stepped, from round 2 on
-    anchors: Optional[List[float]] = None
-    # the bids the carriers priced in the previous round
-    seen = [0.0] * len(links)
 
-    # what each user's step reads besides the round state
-    users = list(zip([ue.utility for ue in ues], spans, reach))
-    link_index = np.array(link_carrier)
+def _drive(setup: _Setup, bids: List[float], anchors: Optional[List[float]],
+           config: EngineConfig) -> AllocationResult:
+    """Rounds from the state (bids, anchors) until the run certifies.
+
+    Each round prices ``bids`` and applies the stop rule; a round that does
+    not stop steps the users, and from round ANDERSON_WARMUP + 1 on the
+    state it passes on is Anderson-mixed.  Raises NonConvergenceError
+    (carrying the partial result) when the round limit is reached first.
+    """
     mixer = _AndersonMixer(ANDERSON_DEPTH)
     delta, damping, max_rounds = config.delta, config.damping, config.max_rounds
-    converged = False
-    gap = math.nan
-    rounds = 0
+    seen = [0.0] * len(bids)  # the bids the carriers priced in the previous round
     for n in range(1, max_rounds + 1):
-        rounds = n
-        prices = [
-            carrier_step([bids[i] for i in idx], cap)
-            for idx, cap in zip(carrier_links, caps)
-        ]
+        prices = _prices(setup, bids)
         round_delta = max(map(abs, map(operator.sub, bids, seen)))
         seen = bids
-        stable = n > 1 and round_delta < delta
-        if stable or n == max_rounds:
+        stable, last = n > 1 and round_delta < delta, n == max_rounds
+        if stable or last:
             price = np.array(prices)
-            rates = np.zeros(mask.shape)
-            rates.T[mask.T] = np.array(bids) / price[link_index]
+            rate = np.array(bids) / price[setup.link_index]
+            rates = np.zeros(setup.mask.shape)
+            rates.T[setup.mask.T] = rate
             # short of the last round, a gap whose cheap parts put it above
             # GAP_TOL is left unfinished (utility.dual_gap's tol)
-            tol = GAP_TOL if n < max_rounds else None
-            gap = dual_gap(params, mask, cap_array, rates, price, tol)
-            if stable and gap <= GAP_TOL:
-                converged = True
+            tol = None if last else GAP_TOL
+            gap = dual_gap(setup.params, setup.mask, setup.cap_array, rates, price, tol)
+            converged = stable and gap <= GAP_TOL
+            if converged or last:
                 break
-        if n < max_rounds:
-            link_prices = [prices[k] for k in link_carrier]
-            new_bids: List[float] = []
-            new_anchors: List[float] = []
-            for utility, span, r_reach in users:
-                w, q = ue_step(
-                    utility,
-                    link_prices[span],
-                    bids[span],
-                    None if anchors is None else anchors[span],
-                    r_reach,
-                    damping,
-                )
-                new_bids += w
-                new_anchors += q
-            if n > ANDERSON_WARMUP:
-                plain = np.array(new_bids + new_anchors)
-                mixed = mixer.step(np.array(bids + anchors), plain)
-                # max(MIX_FLOOR * plain, mixed) entry by entry, the floor on ties
-                floor = MIX_FLOOR * plain
-                mixed = np.where(mixed > floor, mixed, floor).tolist()
-                new_bids, new_anchors = mixed[: len(links)], mixed[len(links):]
-            bids, anchors = new_bids, new_anchors
+        new_bids, new_anchors = _round(setup, prices, bids, anchors, damping)
+        if n > ANDERSON_WARMUP:
+            plain = np.array(new_bids + new_anchors)
+            mixed = mixer.step(np.array(bids + anchors), plain)
+            # max(MIX_FLOOR * plain, mixed) entry by entry, the floor on ties
+            floor = MIX_FLOOR * plain
+            mixed = np.where(mixed > floor, mixed, floor).tolist()
+            new_bids, new_anchors = mixed[: len(bids)], mixed[len(bids):]
+        bids, anchors = new_bids, new_anchors
 
-    rate = [w / prices[k] for w, k in zip(bids, link_carrier)]
-    by_carrier = [i for idx in carrier_links for i in idx]
-    totals = [_left_sum(rate[span]) for span in spans]
+    rate, links = rate.tolist(), setup.links
+    by_carrier = [i for idx in setup.carrier_links for i in idx]
+    totals = [_left_sum(rate[span]) for span in setup.spans]
     result = AllocationResult(
         rates={links[i]: rate[i] for i in by_carrier},
         bids={links[i]: bids[i] for i in by_carrier},
-        prices=dict(zip(cids, prices)),
-        totals={ue.id: t for ue, t in zip(ues, totals)},
-        objective=float(log_utilities(params, np.array(totals)).sum()),
-        rounds=rounds,
+        prices=dict(zip(setup.cids, prices)),
+        totals={ue.id: t for ue, t in zip(setup.ues, totals)},
+        objective=float(log_utilities(setup.params, np.array(totals)).sum()),
+        rounds=n,
         converged=converged,
         max_bid_delta=round_delta,
         duality_gap=gap,
@@ -357,3 +363,17 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
         raise NonConvergenceError(result)
     return result
 
+
+def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
+    """Run the bidding protocol on a scenario until it certifies its optimum.
+
+    _drive runs the rounds, from the initial bids w(1) = R_l / M_l (scale-
+    free, strictly positive, and every carrier's first-round price is
+    exactly 1) and no anchor rates.  The result carries its final round's
+    largest bid move in ``max_bid_delta`` and its gap in ``duality_gap``.
+    Raises NonConvergenceError (carrying the partial result) when the round
+    limit is reached first.
+    """
+    setup = _Setup(scenario)
+    bids = [setup.caps[k] / len(setup.carrier_links[k]) for k in setup.link_carrier]
+    return _drive(setup, bids, None, config)

@@ -1,11 +1,14 @@
 """Shared test oracles: independent inverters and FD noise bounds."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy.special import lambertw
 
+import carrieralloc
 from carrieralloc.oracle import OracleError, duality_gap, kkt_check, solve_central
 from carrieralloc.protocol import ANDERSON_REGULARIZATION
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
@@ -305,6 +308,44 @@ def in_units(scenario, s):
         carriers=tuple(replace(c, capacity=c.capacity * s) for c in scenario.carriers),
         ues=tuple(replace(ue, utility=scaled(ue.utility)) for ue in scenario.ues),
     )
+
+
+def split_carrier(scenario, n):
+    """``scenario`` with carrier 1 cut into carriers 1 and 11, 12, ... of equal
+    capacity, each in the reach of every user that reached carrier 1."""
+    parts = (1,) + tuple(range(11, 10 + n))
+
+    def reach(ue):
+        rest = tuple(cid for cid in ue.carriers if cid != 1)
+        return parts + rest if 1 in ue.carriers else rest
+
+    return replace(
+        scenario,
+        carriers=tuple(CarrierSpec(cid, scenario.carrier(1).capacity / n) for cid in parts)
+        + tuple(c for c in scenario.carriers if c.id != 1),
+        ues=tuple(replace(ue, carriers=reach(ue)) for ue in scenario.ues),
+    )
+
+
+def small_synthetic_scenarios():
+    """The 18 small scenarios, named seed-users-carriers: bench/synthetic.py
+    seeds 0-5 x 8/3, 12/4 and 18/5 users/carriers, the generator loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "synthetic.py"
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+    synthetic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synthetic)
+    return {
+        f"{seed}-{users}-{carriers}": synthetic.generate(carrieralloc, seed, 1, users, carriers)[0]
+        for seed in range(6)
+        for users, carriers in ((8, 3), (12, 4), (18, 5))
+    }
+
+
+def optimum_state(setup, sol):
+    """The protocol's round state (bids, anchor rates) at the oracle's optimum
+    ``sol``: bids p*·r* and anchors r*, in the link order of ``setup``."""
+    anchors = [sol.rates.get(link, 0.0) for link in setup.links]
+    return [sol.prices[cid] * r for (cid, _), r in zip(setup.links, anchors)], anchors
 
 
 def _log_uniform(rng, lo: float, hi: float) -> float:

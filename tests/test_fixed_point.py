@@ -1,0 +1,89 @@
+"""The protocol's round as a function of its state, and the oracle's optimum
+as its fixed point.
+
+At the optimum, bids p*·r* and anchor rates r*, the carriers' prices are p*
+and every user's step gives back its bids and anchors up to rounding.  So
+one round from there moves nothing beyond rounding, and a run started there
+certifies in the second round, the first that may stop.  Checked on the 18
+small synthetic scenarios, the 29 reference points and the same points with
+carrier 1 cut in two.  These include 0-8-3, 3-18-5 and the split points at
+R1 = 40, 50 and 60, where a run from the first bids fails: there the
+failure is in the protocol's path, not in its answer.
+"""
+
+import functools
+
+import pytest
+
+from helpers import optimum_state, small_synthetic_scenarios, split_carrier
+from carrieralloc.oracle import solve_central
+from carrieralloc.protocol import EngineConfig, PRICE_FLOOR, _drive, _prices, _round, _Setup
+from carrieralloc.scenario import build_paper_scenario
+
+POINTS = [20.0 + 10.0 * i for i in range(29)]
+# relative moves that rounding allows; at most 1.7e-12 (bids) and 3.9e-12
+# (prices) are measured
+ROUNDING = 1e-11
+
+
+def _scenarios():
+    named = {f"small {name}": s for name, s in small_synthetic_scenarios().items()}
+    for r1 in POINTS:
+        named[f"paper R1={r1:g}"] = build_paper_scenario(r1)
+        named[f"paper-split R1={r1:g}"] = split_carrier(build_paper_scenario(r1), 2)
+    return named
+
+
+SCENARIOS = _scenarios()
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(name):
+    return _Setup(SCENARIOS[name]), solve_central(SCENARIOS[name])
+
+
+def at_optimum(name):
+    """(set-up, bids, anchors) of the named scenario at the oracle's optimum;
+    the set-up and the solution are built once for both tests."""
+    setup, sol = _solved(name)
+    return (setup, *optimum_state(setup, sol))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_one_round_from_the_optimum_moves_nothing_beyond_rounding(name):
+    setup, bids, anchors = at_optimum(name)
+    prices = _prices(setup, bids)
+    new_bids, _ = _round(setup, prices, bids, anchors, 1.0)
+    for span in setup.spans:
+        pay = sum(bids[span])
+        for old, new in zip(bids[span], new_bids[span]):
+            assert abs(new - old) <= ROUNDING * pay, (span, old, new, pay)
+    for cid, old, new in zip(setup.cids, prices, _prices(setup, new_bids)):
+        if old > PRICE_FLOOR:
+            assert abs(new - old) <= ROUNDING * old, (cid, old, new)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_run_from_the_optimum_certifies_in_two_rounds(name):
+    setup, bids, anchors = at_optimum(name)
+    res = _drive(setup, bids, anchors, EngineConfig())
+    assert res.converged and res.rounds == 2
+
+
+def _bits(*lists):
+    return [None if v is None else [x.hex() for x in v] for v in lists]
+
+
+@pytest.mark.parametrize("name", ["paper R1=50", "small 0-8-3", "paper-split R1=40"])
+def test_the_round_is_pure(name):
+    setup, bids, anchors = at_optimum(name)
+    # a state off the optimum, then the users' first step, which has no anchors
+    bids = [w * (1.0 + 0.01 * (i % 7)) for i, w in enumerate(bids)]
+    for state in ((bids, anchors), (bids, None)):
+        before = _bits(*state)
+        prices = _prices(setup, state[0])
+        first = _round(setup, prices, *state, 0.7)
+        second = _round(setup, prices, *state, 0.7)
+        assert _bits(*first) == _bits(*second)
+        assert _bits(*state) == before
+        assert _bits(prices) == _bits(_prices(setup, state[0]))

@@ -20,9 +20,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import in_units
+from helpers import in_units, split_carrier
 from carrieralloc.oracle import solve_central
-from carrieralloc.scenario import CarrierSpec, build_paper_scenario
+from carrieralloc.scenario import build_paper_scenario
 from carrieralloc.utility import marginals, parameter_arrays
 
 POINTS = (20.0, 50.0, 60.0, 100.0, 300.0)
@@ -81,22 +81,6 @@ def _relabelled(scenario, new_id):
     return replace(scenario, ues=tuple(replace(ue, id=new_id[ue.id]) for ue in scenario.ues))
 
 
-def _split(scenario, n):
-    """Carrier 1 cut into carriers 1 and 11, 12, ... of equal capacity."""
-    parts = (1,) + tuple(range(11, 10 + n))
-
-    def reach(ue):
-        rest = tuple(cid for cid in ue.carriers if cid != 1)
-        return parts + rest if 1 in ue.carriers else rest
-
-    return replace(
-        scenario,
-        carriers=tuple(CarrierSpec(cid, scenario.carrier(1).capacity / n) for cid in parts)
-        + tuple(c for c in scenario.carriers if c.id != 1),
-        ues=tuple(replace(ue, carriers=reach(ue)) for ue in scenario.ues),
-    )
-
-
 def _assert_within(actual, expected, rtol, what):
     for key, value in expected.items():
         assert abs(actual[key] - value) <= rtol[key] * abs(value), (what, key, actual[key], value)
@@ -130,7 +114,7 @@ def test_user_labels_do_not_change_totals(point, seed):
 @pytest.mark.parametrize("n", (2, 3))
 def test_carrier_split_keeps_totals_and_every_part_takes_the_old_price(point, n):
     scenario, sol, (total_rtol, price_rtol) = point
-    other = solve_central(_split(scenario, n))
+    other = solve_central(split_carrier(scenario, n))
     _assert_within(other.totals, sol.totals, total_rtol, "total")
     for cid in (1,) + tuple(range(11, 10 + n)):
         assert abs(other.prices[cid] - sol.prices[1]) <= price_rtol[1] * sol.prices[1], (cid, other.prices)
