@@ -1,17 +1,13 @@
 """Shared test oracles: independent inverters and FD noise bounds."""
 
-import importlib.util
 import math
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 from scipy.special import lambertw
 
-import carrieralloc
+from generators import random_utilities  # noqa: F401 (test_acceptance.py imports it from here)
 from carrieralloc.oracle import OracleError, duality_gap, kkt_check, solve_central
 from carrieralloc.protocol import ANDERSON_REGULARIZATION
-from carrieralloc.scenario import CarrierSpec, Scenario, UESpec
 from carrieralloc.utility import (
     GAP_TOL,
     LogarithmicUtility,
@@ -36,23 +32,6 @@ def sig_demand_closed_form(a: float, b: float, p: float) -> float:
     d = 1.0 / (1.0 + math.exp(min(a * b, 700.0)))
     s = ((a - p) + math.sqrt((a - p) ** 2 + 4.0 * a * p * d)) / (2.0 * a)
     return b + math.log(s / (1.0 - s)) / a
-
-
-def random_utilities(rng, n):
-    """Parameter draws covering both families over the documented ranges."""
-    out = []
-    for _ in range(n):
-        if rng.random() < 0.5:
-            out.append(
-                SigmoidalUtility(a=rng.uniform(0.5, 10.0), b=rng.uniform(5.0, 50.0))
-            )
-        else:
-            out.append(
-                LogarithmicUtility(
-                    k=rng.uniform(0.1, 20.0), r_max=rng.uniform(50.0, 200.0)
-                )
-            )
-    return out
 
 
 def ln_u_roundoff(u, r: float, h: float) -> float:
@@ -281,115 +260,11 @@ def staged_demand_reference(utility, prices, r_reach):
     return rates
 
 
-def flat_stretch_scenario():
-    """One carrier and two sigmoidal users whose marginals are flat to machine
-    precision over most of its capacity; the optimal price lies in
-    [41.6, 44.5], next to the second user's steepness."""
-    return Scenario(
-        carriers=(CarrierSpec(id=1, capacity=181.3),),
-        ues=(
-            UESpec(id=1, utility=SigmoidalUtility(a=41.6, b=14.7), carriers=(1,)),
-            UESpec(id=2, utility=SigmoidalUtility(a=44.5, b=385.5), carriers=(1,)),
-        ),
-        name="flat-stretch",
-    )
-
-
-def in_units(scenario, s):
-    """``scenario`` with rates in units 1/s: capacities times s, sigmoidal
-    (a, b) -> (a/s, b*s), logarithmic (k, r_max) -> (k/s, r_max*s)."""
-    def scaled(u):
-        if isinstance(u, SigmoidalUtility):
-            return SigmoidalUtility(a=u.a / s, b=u.b * s)
-        return LogarithmicUtility(k=u.k / s, r_max=u.r_max * s)
-
-    return replace(
-        scenario,
-        carriers=tuple(replace(c, capacity=c.capacity * s) for c in scenario.carriers),
-        ues=tuple(replace(ue, utility=scaled(ue.utility)) for ue in scenario.ues),
-    )
-
-
-def split_carrier(scenario, n):
-    """``scenario`` with carrier 1 cut into carriers 1 and 11, 12, ... of equal
-    capacity, each in the reach of every user that reached carrier 1."""
-    parts = (1,) + tuple(range(11, 10 + n))
-
-    def reach(ue):
-        rest = tuple(cid for cid in ue.carriers if cid != 1)
-        return parts + rest if 1 in ue.carriers else rest
-
-    return replace(
-        scenario,
-        carriers=tuple(CarrierSpec(cid, scenario.carrier(1).capacity / n) for cid in parts)
-        + tuple(c for c in scenario.carriers if c.id != 1),
-        ues=tuple(replace(ue, carriers=reach(ue)) for ue in scenario.ues),
-    )
-
-
-def small_synthetic_scenarios():
-    """The 18 small scenarios, named seed-users-carriers: bench/synthetic.py
-    seeds 0-5 x 8/3, 12/4 and 18/5 users/carriers, the generator loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "synthetic.py"
-    spec = importlib.util.spec_from_file_location("synthetic", path)
-    synthetic = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synthetic)
-    return {
-        f"{seed}-{users}-{carriers}": synthetic.generate(carrieralloc, seed, 1, users, carriers)[0]
-        for seed in range(6)
-        for users, carriers in ((8, 3), (12, 4), (18, 5))
-    }
-
-
 def optimum_state(setup, sol):
     """The protocol's round state (bids, anchor rates) at the oracle's optimum
     ``sol``: bids p*·r* and anchors r*, in the link order of ``setup``."""
     anchors = [sol.rates.get(link, 0.0) for link in setup.links]
     return [sol.prices[cid] * r for (cid, _), r in zip(setup.links, anchors)], anchors
-
-
-def _log_uniform(rng, lo: float, hi: float) -> float:
-    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-
-def wide_range_scenario(rng, name):
-    """A scenario far outside the paper's ranges, drawn from a numpy Generator.
-
-    2-32 carriers with capacities log-uniform in 1e-3..1e4; 1-100 users, each
-    reaching 1..K carriers.  Sigmoidal users draw a log-uniform in 0.05-50 and
-    b in 0.1-1000, so a*b reaches 5e4 and many marginals are flat to machine
-    precision; logarithmic users draw k log-uniform in 1e-3..1e3.  The users
-    share 1, 2, 4 or M utility profiles, so many of them are identical.
-    """
-    n_carriers = int(rng.integers(2, 33))
-    n_ues = int(rng.integers(1, 101))
-    profiles = []
-    for _ in range(int(rng.choice([1, 2, 4, n_ues]))):
-        if rng.random() < 0.5:
-            profiles.append(
-                SigmoidalUtility(a=_log_uniform(rng, 0.05, 50.0), b=_log_uniform(rng, 0.1, 1000.0))
-            )
-        else:
-            profiles.append(
-                LogarithmicUtility(
-                    k=_log_uniform(rng, 1e-3, 1e3), r_max=_log_uniform(rng, 1.0, 1e3)
-                )
-            )
-    ues = []
-    for j in range(n_ues):
-        size = int(rng.integers(1, n_carriers + 1))
-        reach = rng.choice(n_carriers, size=size, replace=False) + 1
-        ues.append(
-            UESpec(
-                id=j + 1,
-                utility=profiles[int(rng.integers(len(profiles)))],
-                carriers=tuple(sorted(int(c) for c in reach)),
-            )
-        )
-    carriers = tuple(
-        CarrierSpec(id=l, capacity=_log_uniform(rng, 1e-3, 1e4)) for l in range(1, n_carriers + 1)
-    )
-    return Scenario(carriers=carriers, ues=tuple(ues), name=name)
 
 
 def oracle_outcome(scenario, certified=None):

@@ -13,14 +13,16 @@ fixed point of the round; a radius above 1 means that it repels the plain
 round.  The radii are estimates: the round is not smooth where a link
 switches on or off.
 
-Scenarios: the 18 small synthetic ones and the paper at R1 = 45, 50, 300.
+Scenarios: the 18 small synthetic ones, the paper at R1 = 45, 50, 300 and
+the 100 of the overlap family.  A last line counts the radii above 1.
 """
 
 import time
 
 import numpy as np
 
-from helpers import optimum_state, small_synthetic_scenarios
+from generators import overlap_family, small_synthetic
+from helpers import optimum_state
 from carrieralloc.oracle import solve_central
 from carrieralloc.protocol import _prices, _round, _Setup
 from carrieralloc.scenario import build_paper_scenario
@@ -55,12 +57,21 @@ def spectral_radius(scenario):
 
 
 def main():
-    scenarios = small_synthetic_scenarios()
-    scenarios.update({f"paper R1={r1:g}": build_paper_scenario(r1) for r1 in (45.0, 50.0, 300.0)})
-    for name, scenario in scenarios.items():
-        start = time.perf_counter()
-        radius = spectral_radius(scenario)
-        print(f"{name}: spectral radius {radius:.4f} ({time.perf_counter() - start:.2f} s)")
+    families = {
+        "small": small_synthetic(),
+        "paper": {f"paper R1={r1:g}": build_paper_scenario(r1) for r1 in (45.0, 50.0, 300.0)},
+        "overlap": overlap_family(),
+    }
+    above = {}
+    for family, scenarios in families.items():
+        above[family] = 0
+        for name, scenario in scenarios.items():
+            start = time.perf_counter()
+            radius = spectral_radius(scenario)
+            above[family] += radius > 1.0
+            print(f"{name}: spectral radius {radius:.4f} ({time.perf_counter() - start:.2f} s)")
+    print("radius above 1:", ", ".join(
+        f"{above[family]} of {len(scenarios)} {family}" for family, scenarios in families.items()))
 
 
 if __name__ == "__main__":

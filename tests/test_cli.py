@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from helpers import flat_stretch_scenario
+from generators import flat_stretch
 from carrieralloc import oracle
 from carrieralloc.cli import EXIT_NUMERIC, main
 from carrieralloc.oracle import OracleError, solve_central
@@ -148,7 +148,7 @@ def test_sweep_verify_records_an_oracle_kernel_failure(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(oracle, "demands", failing_demands)
     path = tmp_path / "flat.yaml"
-    save_scenario(flat_stretch_scenario(), path)
+    save_scenario(flat_stretch(), path)
     out_dir = tmp_path / "out"
     code = main(
         ["sweep", "--scenario", str(path), "--carrier", "1",

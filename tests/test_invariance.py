@@ -15,12 +15,10 @@ agree only up to rounding.  ``_rounding_budget`` bounds that from the base
 answer alone; its argument is written out there.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from helpers import in_units, split_carrier
+from generators import in_units, relabelled, split_carrier
 from carrieralloc.oracle import solve_central
 from carrieralloc.scenario import build_paper_scenario
 from carrieralloc.utility import marginals, parameter_arrays
@@ -77,10 +75,6 @@ def _rounding_budget(scenario, sol):
     return total_rtol, price_rtol
 
 
-def _relabelled(scenario, new_id):
-    return replace(scenario, ues=tuple(replace(ue, id=new_id[ue.id]) for ue in scenario.ues))
-
-
 def _assert_within(actual, expected, rtol, what):
     for key, value in expected.items():
         assert abs(actual[key] - value) <= rtol[key] * abs(value), (what, key, actual[key], value)
@@ -106,7 +100,7 @@ def test_user_labels_do_not_change_totals(point, seed):
     scenario, sol, (total_rtol, price_rtol) = point
     uids = [ue.id for ue in scenario.ues]
     new_id = dict(zip(uids, np.random.default_rng(seed).permutation(uids).tolist()))
-    other = solve_central(_relabelled(scenario, new_id))
+    other = solve_central(relabelled(scenario, new_id))
     _assert_within({uid: other.totals[new_id[uid]] for uid in uids}, sol.totals, total_rtol, "total")
     _assert_within(other.prices, sol.prices, price_rtol, "price")
 

@@ -7,15 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from generators import flat_stretch, random_multi_carrier, reordered, wide_range
 from helpers import (
     fd_marginal_tolerance,
-    flat_stretch_scenario,
     gap_rounding_budget,
     log_demand_lambertw,
     oracle_outcome,
-    random_utilities,
     sig_demand_closed_form,
-    wide_range_scenario,
 )
 from carrieralloc import oracle
 from carrieralloc.oracle import (
@@ -188,10 +186,7 @@ def test_totals_unique_across_listing_orders():
     base = solve_central(s)
     rng = np.random.default_rng(31)
     for _ in range(2):
-        carriers, ues = list(s.carriers), list(s.ues)
-        rng.shuffle(carriers)
-        rng.shuffle(ues)
-        other = solve_central(Scenario(tuple(carriers), tuple(ues), s.name))
+        other = solve_central(reordered(s, rng))
         for uid, total in base.totals.items():
             assert other.totals[uid] == pytest.approx(total, abs=1e-7)
 
@@ -496,32 +491,13 @@ def test_satiated_users_share_spare_capacity():
     assert 0.0 < sol.prices[1] <= 1e-15
 
 
-def _random_multi_carrier_scenario(rng, name, n_carriers=None, n_ues=None):
-    n_carriers = n_carriers or int(rng.integers(2, 17))
-    n_ues = n_ues or int(rng.integers(2, 2 * n_carriers + 3))
-    utilities = random_utilities(rng, n_ues)
-    for j in range(1, n_ues):
-        if rng.random() < 0.2:
-            utilities[j] = utilities[j - 1]  # an identical-user pair
-    ues = []
-    for j, utility in enumerate(utilities):
-        size = int(rng.integers(1, min(3, n_carriers) + 1))
-        reach = rng.choice(n_carriers, size=size, replace=False) + 1
-        ues.append(UESpec(id=j + 1, utility=utility, carriers=tuple(sorted(int(c) for c in reach))))
-    carriers = tuple(
-        CarrierSpec(id=l, capacity=float(rng.uniform(5.0, 100.0)))
-        for l in range(1, n_carriers + 1)
-    )
-    return Scenario(carriers=carriers, ues=tuple(ues), name=name)
-
-
 @pytest.mark.filterwarnings("error")
 def test_random_multi_carrier_scenarios_certify():
     rng = np.random.default_rng(53)
     failures = []
     for i in range(201):
         # after 200 small scenarios, one of 1000 users on 8 carriers
-        s = _random_multi_carrier_scenario(rng, f"random-{i}", *([8, 1000] if i == 200 else []))
+        s = random_multi_carrier(rng, f"random-{i}", *([8, 1000] if i == 200 else []))
         try:
             sol = solve_central(s)
         except OracleError as exc:
@@ -551,7 +527,7 @@ def test_inverter_failure_raises_oracle_error_naming_the_group(monkeypatch):
 
     monkeypatch.setattr(oracle, "demands", failing_demands)
     with pytest.raises(OracleError, match=r"users \[1, 2\] on capacity 181\.3") as info:
-        solve_central(flat_stretch_scenario())
+        solve_central(flat_stretch())
     assert "price bracket [" in str(info.value)
     assert isinstance(info.value.__cause__, RootFindingError)
 
@@ -559,7 +535,7 @@ def test_inverter_failure_raises_oracle_error_naming_the_group(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_flat_stretch_scenario_certifies():
     # Both marginals equal a to machine precision over most of the capacity.
-    s = flat_stretch_scenario()
+    s = flat_stretch()
     sol = solve_central(s)
     assert sol.duality_gap <= GAP_TOL and kkt_check(sol, s, 1e-9).passed
     assert 41.6 <= sol.prices[1] <= 44.5
@@ -593,13 +569,13 @@ def test_flat_clearing_prices_a_vertical_demand_at_its_own_marginal():
 def test_random_scenarios_of_2000_users_on_16_carriers_certify(seed):
     # groups of hundreds of users priced next to their sigmoidal steepness
     rng = np.random.default_rng(seed)
-    s = _random_multi_carrier_scenario(rng, f"random-2000-{seed}", 16, 2000)
+    s = random_multi_carrier(rng, f"random-2000-{seed}", 16, 2000)
     sol = solve_central(s)
     assert sol.duality_gap <= GAP_TOL and kkt_check(sol, s, 1e-9).passed
 
 
 def test_wide_range_scenarios_certify_or_raise_oracle_error():
-    # Far outside the paper's ranges (helpers.wide_range_scenario): a*b up to
+    # Far outside the paper's ranges (generators.wide_range): a*b up to
     # 5e4, capacities over seven decades, shared profiles.  Every scenario
     # counts; one that the flat clearing cannot certify must raise
     # OracleError from the certificate, never fail in the demand inverter.
@@ -607,7 +583,7 @@ def test_wide_range_scenarios_certify_or_raise_oracle_error():
     rng = np.random.default_rng(15)
     certified = []
     counts = Counter(
-        oracle_outcome(wide_range_scenario(rng, f"wide-{i}"), certified) for i in range(100)
+        oracle_outcome(wide_range(rng, f"wide-{i}"), certified) for i in range(100)
     )
     assert counts["inverter"] == 0, counts
     assert counts["certified"] == 100, counts

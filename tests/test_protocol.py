@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import anderson_mixer_reference, flat_stretch_scenario, random_utilities
+from generators import flat_stretch, multi_carrier
+from helpers import anderson_mixer_reference
 
 from carrieralloc import protocol
 from carrieralloc.oracle import solve_central
@@ -105,7 +106,7 @@ def test_lone_user_is_priced_as_the_oracle_prices_it(utility, capacity):
 def test_flat_stretch_certifies():
     # two sigmoidal users on flat stretches of their marginals share one
     # carrier; the optimal price, 44.5, is next to the second one's steepness
-    s = flat_stretch_scenario()
+    s = flat_stretch()
     res = run(s, EngineConfig())
     assert res.converged and res.duality_gap <= GAP_TOL
     for uid, total in solve_central(s).totals.items():
@@ -238,7 +239,7 @@ def test_single_ue_absorbs_whole_capacity():
 
 @pytest.mark.parametrize("capacity", [20.0, 30.0, 60.0, 150.0])
 def test_satiated_carrier_certifies(capacity):
-    # One sigmoidal user (user 6 of bench/synthetic.py scenario 0-8-3) alone
+    # One sigmoidal user (user 6 of the small synthetic scenario 0-8-3) alone
     # on a carrier it cannot fill at a marginal above ~1e-9: the optimum
     # gives it all of R at price m(R), 3.4e-12 at R = 20 and 0 at R = 150.
     # The carrier price must follow sum(w)/R down there: a price held at
@@ -349,20 +350,6 @@ def test_runs_are_bit_identical():
     assert a.objective == b.objective
 
 
-def multi_carrier_scenario(seed, n_carriers, n_users):
-    """Users of both families on 1-3 of n_carriers, drawn from ``seed``."""
-    rng = random.Random(seed)
-    carriers = tuple(
-        CarrierSpec(id=c, capacity=rng.uniform(50.0, 300.0)) for c in range(1, n_carriers + 1)
-    )
-    reach = range(1, n_carriers + 1)
-    ues = tuple(
-        UESpec(id=j + 1, utility=u, carriers=tuple(sorted(rng.sample(reach, rng.randint(1, 3)))))
-        for j, u in enumerate(random_utilities(rng, n_users))
-    )
-    return Scenario(carriers=carriers, ues=ues, name=f"multi-{seed}")
-
-
 # (seed, carriers, users) -> rounds and the SHA-256 of the final bids and
 # prices, pinned bit for bit like the paper sweep in test_scenario.py; every
 # run mixes from round ANDERSON_WARMUP + 1 on and certifies (the first ended
@@ -381,7 +368,7 @@ MULTI_CARRIER_PINS = {
 @pytest.mark.parametrize("key", sorted(MULTI_CARRIER_PINS))
 def test_multi_carrier_runs_are_pinned(key):
     try:
-        res = run(multi_carrier_scenario(*key), EngineConfig(max_rounds=300))
+        res = run(multi_carrier(*key), EngineConfig(max_rounds=300))
     except NonConvergenceError as exc:
         res = exc.result
     digest = hashlib.sha256()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helpers import in_units
+from generators import few_carriers, in_units
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
 from carrieralloc.oracle import OracleError, solve_central
@@ -176,29 +176,7 @@ def test_save_load_round_trip(yaml_classes, tmp_path):
 def test_save_load_round_trip_random_scenarios(yaml_classes, tmp_path):
     rng = np.random.default_rng(43)
     for trial in range(20):
-        n_carriers = int(rng.integers(1, 4))
-        carriers = tuple(
-            CarrierSpec(id=c + 1, capacity=float(rng.uniform(1.0, 500.0)))
-            for c in range(n_carriers)
-        )
-        ues = []
-        for uid in range(1, int(rng.integers(2, 7))):
-            if rng.random() < 0.5:
-                utility = SigmoidalUtility(
-                    a=float(rng.uniform(0.5, 10.0)), b=float(rng.uniform(5.0, 50.0))
-                )
-            else:
-                utility = LogarithmicUtility(
-                    k=float(rng.uniform(0.1, 20.0)), r_max=float(rng.uniform(50.0, 200.0))
-                )
-            reach = tuple(
-                sorted(
-                    rng.choice(n_carriers, size=int(rng.integers(1, n_carriers + 1)), replace=False)
-                    + 1
-                )
-            )
-            ues.append(UESpec(id=uid, utility=utility, carriers=tuple(int(c) for c in reach)))
-        s = Scenario(carriers=carriers, ues=tuple(ues), name=f"random-{trial}")
+        s = few_carriers(rng, f"random-{trial}")
         path = tmp_path / f"s{trial}.yaml"
         save_scenario(s, path)
         assert load_scenario(path) == s

@@ -6,12 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from generators import random_utilities
 from helpers import (
     RecordingUtility,
     _sum_from_zero,
     anchored_demand_reference,
     outcome,
-    random_utilities,
     staged_demand_reference,
 )
 from carrieralloc import subproblem

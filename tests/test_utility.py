@@ -6,12 +6,12 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 import numpy as np
 import pytest
 
+from generators import random_utilities
 from helpers import (
     EPS,
     fd_marginal_tolerance,
     log_demand_lambertw,
     outcome,
-    random_utilities,
     second_diff_tolerance,
     sig_demand_closed_form,
     sigmoidal_marginal_reference,
