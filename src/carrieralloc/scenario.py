@@ -4,7 +4,8 @@ A scenario is a set of capacity-limited carriers plus users, each user with
 a utility function and a non-empty set of reachable carriers.  Scenarios are
 stored as a single YAML document with top-level keys ``name``, ``carriers``,
 ``ues`` and an optional ``sweep`` section; any other key, at any level, is an
-error, so a misspelled key never leaves a value on its default.  Engine
+error, so a misspelled key never leaves a value on its default, and so is a
+key written twice in one mapping, whose first value would be dropped.  Engine
 settings are not part of the file: the library sets all three
 ``EngineConfig`` fields, the CLI sets ``--max-rounds`` only.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -64,15 +66,24 @@ __all__ = [
 VERIFY_KKT_FACTOR = 10.0
 
 # libyaml's C scanner, parser and emitter wherever PyYAML was built with them
-# (the pure-Python classes otherwise).  Either way PyYAML's safe constructor,
-# resolver and representer decide every type, so both read and write the same
+# (the pure-Python classes otherwise).  Either way PyYAML's safe constructor
+# and resolver decide every type read, and the safe representer's number
+# texts and the resolver every scalar written, so both read and write the same
 # documents; only the place where a long quoted string is folded may differ.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_TAG = "tag:yaml.org,2002:"
 
 
 class ScenarioError(ValueError):
     """Invalid scenario contents or unparseable scenario file."""
+
+
+def _check_id(value: object, what: str) -> None:
+    """Refuse an id that is not an integer; true and false are not ids."""
+    # int first: the check against the Integral ABC alone is ten times slower
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +91,20 @@ class CarrierSpec:
     id: int
     capacity: float
 
+    def __post_init__(self) -> None:
+        _check_id(self.id, "carrier id")
+
 
 @dataclass(frozen=True)
 class UESpec:
     id: int
     utility: UtilityFunction
     carriers: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_id(self.id, "UE id")
+        for cid in self.carriers:
+            _check_id(cid, f"UE {self.id}: carrier id")
 
 
 @dataclass(frozen=True)
@@ -95,6 +114,8 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"name must be a string, got {self.name!r}")
         if not self.carriers:
             raise ScenarioError("scenario needs at least one carrier")
         if not self.ues:
@@ -153,9 +174,13 @@ class SweepSpec:
     step: float
 
     def __post_init__(self) -> None:
+        _check_id(self.carrier_id, "sweep carrier")
         for name in ("start", "stop", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"sweep {name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ScenarioError(f"sweep {name} must be a number, got {value}")
+            if not math.isfinite(value):
+                raise ScenarioError(f"sweep {name} must be finite, got {value}")
         if self.step <= 0.0:
             raise ScenarioError(f"sweep step must be > 0, got {self.step}")
         if self.start > self.stop:
@@ -216,13 +241,6 @@ _FAMILIES = {"sigmoidal": SigmoidalUtility, "logarithmic": LogarithmicUtility}
 _PARAMS = {family: [f.name for f in fields(family) if f.init] for family in _FAMILIES.values()}
 
 
-def _utility_to_dict(u: UtilityFunction) -> Dict[str, object]:
-    for kind, family in _FAMILIES.items():
-        if isinstance(u, family):
-            return {"type": kind, **vars(u)}
-    raise ScenarioError(f"unknown utility object {u!r}")
-
-
 def _utility_from_dict(d: object) -> UtilityFunction:
     if not isinstance(d, dict) or "type" not in d:
         raise ScenarioError("utility must be a mapping with a 'type' key")
@@ -261,10 +279,49 @@ def _context(where: str) -> Iterator[None]:
 
 
 def _parse(text: str, where: str) -> object:
+    """``text`` read by PyYAML's safe loader, a key written twice in one mapping refused."""
+    loader = _LOADER(text)
     try:
-        return yaml.load(text, Loader=_LOADER)
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        _unique_keys(node, where)
+        return loader.construct_document(node)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{where}: not valid YAML: {exc}") from exc
+    finally:
+        loader.dispose()
+
+
+def _unique_keys(root: yaml.Node, where: str) -> None:
+    """Refuse a key written twice in one mapping of the document ``root``.
+
+    The constructor would keep the last value and drop the first unannounced.
+    A merge key (``<<``) is exempt: a key written beside it overrides the
+    merged value by design.
+    """
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node in seen:  # an alias: its node is checked once
+            continue
+        seen.add(node)
+        if isinstance(node, yaml.SequenceNode):
+            stack += [item for item in node.value if not isinstance(item, yaml.ScalarNode)]
+            continue
+        keys = set()
+        for key, value in node.value:
+            if not isinstance(value, yaml.ScalarNode):
+                stack.append(value)
+            if not isinstance(key, yaml.ScalarNode):
+                stack.append(key)
+            elif (key.tag, key.value) in keys and key.tag != _TAG + "merge":
+                raise ScenarioError(
+                    f"{where}: key {key.value!r} written twice in one mapping, "
+                    f"again on line {key.start_mark.line + 1}"
+                )
+            else:
+                keys.add((key.tag, key.value))
 
 
 def parse_utility(text: str, where: str) -> UtilityFunction:
@@ -317,10 +374,9 @@ def load_scenario_document(path: Union[str, Path]) -> ScenarioDocument:
                 )
             )
 
-    name = raw.get("name", path.stem)
-    if not isinstance(name, str):
-        raise ScenarioError(f"{path}: name must be a string, got {name!r}")
-    scenario = Scenario(carriers=tuple(carriers), ues=tuple(ues), name=name)
+    with _context(str(path)):
+        name = raw.get("name", path.stem)
+        scenario = Scenario(carriers=tuple(carriers), ues=tuple(ues), name=name)
 
     sweep = None
     if raw.get("sweep") is not None:
@@ -348,23 +404,74 @@ def save_scenario(
 
 
 def scenario_to_yaml(scenario: Scenario, sweep: Optional[SweepSpec] = None) -> str:
-    doc: Dict[str, object] = {
-        "name": scenario.name,
-        "carriers": [
-            {"id": c.id, "capacity": float(c.capacity)} for c in scenario.carriers
-        ],
-        "ues": [
-            {
-                "id": u.id,
-                "utility": _utility_to_dict(u.utility),
-                "carriers": list(u.carriers),
-            }
-            for u in scenario.ues
-        ],
-    }
+    """The scenario file: ``_DUMPER``'s emitter fed the document as events.
+
+    They are the events PyYAML's safe representer and serializer make of the
+    document (block style, keys in file order, no anchors), so the text is
+    theirs byte for byte, without a pass that works out types already known.
+    A number's text is the dumper's own ``represent_int`` or
+    ``represent_float``, which always resolves back to the number's type, so
+    it is emitted plain; only strings ask the resolver whether they need quotes.
+    """
+    return yaml.emit(_events(scenario, sweep, _DUMPER(None)), Dumper=_DUMPER)
+
+
+_MAP = yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False)
+_SEQ = yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False)
+_MAP_END, _SEQ_END = yaml.MappingEndEvent(), yaml.SequenceEndEvent()
+# every key the writer emits
+_KEYS = ("name", "carriers", "ues", "sweep", "id", "capacity", "utility", "type",
+         *(name for params in _PARAMS.values() for name in params),
+         *(key for _, key, _ in _SWEEP_KEYS))
+
+
+def _events(scenario: Scenario, sweep: Optional[SweepSpec], dumper) -> Iterator[yaml.Event]:
+    """The scenario file as events, with ``dumper``'s number texts and resolver."""
+    resolve, represent_int, represent_float = (
+        dumper.resolve, dumper.represent_int, dumper.represent_float)
+
+    def string(text: str) -> yaml.ScalarEvent:
+        plain = resolve(yaml.ScalarNode, text, (True, False)) == _TAG + "str"
+        return yaml.ScalarEvent(None, _TAG + "str", (plain, True), text)
+
+    def number(value) -> yaml.ScalarEvent:
+        # an int stays an int (a: 5); a numpy scalar is written as the
+        # Python number it converts to, never through its repr
+        if isinstance(value, float) or not isinstance(value, (int, numbers.Integral)):
+            node = represent_float(float(value))
+        else:
+            node = represent_int(int(value))
+        return yaml.ScalarEvent(None, node.tag, (True, False), node.value)
+
+    key = {name: string(name) for name in _KEYS}
+    kinds = [(family, string(kind), _PARAMS[family]) for kind, family in _FAMILIES.items()]
+
+    yield from (yaml.StreamStartEvent(), yaml.DocumentStartEvent(), _MAP,
+                key["name"], string(scenario.name), key["carriers"], _SEQ)
+    for c in scenario.carriers:
+        yield from (_MAP, key["id"], number(c.id),
+                    key["capacity"], number(float(c.capacity)), _MAP_END)
+    yield from (_SEQ_END, key["ues"], _SEQ)
+    for u in scenario.ues:
+        yield from (_MAP, key["id"], number(u.id), key["utility"], _MAP, key["type"])
+        for family, kind, params in kinds:
+            if isinstance(u.utility, family):
+                yield kind
+                break
+        else:
+            raise ScenarioError(f"unknown utility object {u.utility!r}")
+        for name in params:
+            yield from (key[name], number(getattr(u.utility, name)))
+        yield from (_MAP_END, key["carriers"], _SEQ)
+        yield from map(number, u.carriers)
+        yield from (_SEQ_END, _MAP_END)
+    yield _SEQ_END
     if sweep is not None:
-        doc["sweep"] = {key: getattr(sweep, attr) for attr, key, _ in _SWEEP_KEYS}
-    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
+        yield from (key["sweep"], _MAP)
+        for attr, name, _ in _SWEEP_KEYS:
+            yield from (key[name], number(getattr(sweep, attr)))
+        yield _MAP_END
+    yield from (_MAP_END, yaml.DocumentEndEvent(), yaml.StreamEndEvent())
 
 
 def build_paper_scenario(r1: float = 300.0) -> Scenario:

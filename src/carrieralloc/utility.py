@@ -75,6 +75,12 @@ def log_utility(u: "UtilityFunction", r_total: float) -> float:
     return float(log_utilities(parameter_arrays([u]), np.array([r_total], dtype=float))[0])
 
 
+def _check_parameter(value: float, what: str) -> None:
+    """Refuse a parameter that is not a finite number > 0; true and false are not numbers."""
+    if isinstance(value, bool) or not (value > 0.0 and math.isfinite(value)):
+        raise UtilityDomainError(f"{what} must be a finite number > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SigmoidalUtility:
     """S-shaped normalized utility with steepness a and inflection rate b."""
@@ -83,10 +89,8 @@ class SigmoidalUtility:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise UtilityDomainError(f"sigmoidal steepness a must be > 0, got {self.a}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise UtilityDomainError(f"sigmoidal inflection b must be > 0, got {self.b}")
+        _check_parameter(self.a, "sigmoidal steepness a")
+        _check_parameter(self.b, "sigmoidal inflection b")
 
     log_utility = log_utility  # in the class namespace, where bench/tracer.py counts calls
 
@@ -128,10 +132,8 @@ class LogarithmicUtility:
     r_max: float
 
     def __post_init__(self) -> None:
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise UtilityDomainError(f"logarithmic growth k must be > 0, got {self.k}")
-        if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
-            raise UtilityDomainError(f"logarithmic r_max must be > 0, got {self.r_max}")
+        _check_parameter(self.k, "logarithmic growth k")
+        _check_parameter(self.r_max, "logarithmic r_max")
 
     log_utility = log_utility  # in the class namespace, where bench/tracer.py counts calls
 

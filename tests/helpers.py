@@ -1,8 +1,10 @@
-"""Shared test oracles: independent inverters and FD noise bounds."""
+"""Shared test oracles: independent inverters, FD noise bounds and the
+reference scenario writer."""
 
 import math
 
 import numpy as np
+import yaml
 from scipy.special import lambertw
 
 from generators import random_utilities  # noqa: F401 (test_acceptance.py imports it from here)
@@ -32,6 +34,29 @@ def sig_demand_closed_form(a: float, b: float, p: float) -> float:
     d = 1.0 / (1.0 + math.exp(min(a * b, 700.0)))
     s = ((a - p) + math.sqrt((a - p) ** 2 + 4.0 * a * p * d)) / (2.0 * a)
     return b + math.log(s / (1.0 - s)) / a
+
+
+def scenario_yaml_reference(scenario, dumper, sweep=None):
+    """A scenario file as ``yaml.dump`` wrote it from the document's dicts and
+    lists, through PyYAML's safe representer and serializer: the bytes the
+    event-stream writer ``scenario_to_yaml`` must give."""
+    family = {SigmoidalUtility: "sigmoidal", LogarithmicUtility: "logarithmic"}
+    doc = {
+        "name": scenario.name,
+        "carriers": [{"id": c.id, "capacity": float(c.capacity)} for c in scenario.carriers],
+        "ues": [
+            {
+                "id": ue.id,
+                "utility": {"type": family[type(ue.utility)], **vars(ue.utility)},
+                "carriers": list(ue.carriers),
+            }
+            for ue in scenario.ues
+        ],
+    }
+    if sweep is not None:
+        doc["sweep"] = {"carrier": sweep.carrier_id, "from": sweep.start,
+                        "to": sweep.stop, "step": sweep.step}
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False)
 
 
 def ln_u_roundoff(u, r: float, h: float) -> float:

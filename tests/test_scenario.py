@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from generators import few_carriers, in_units
+from helpers import scenario_yaml_reference
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
 from carrieralloc.oracle import OracleError, solve_central
@@ -36,7 +37,12 @@ from carrieralloc.scenario import (
     scenario_to_yaml,
     write_results,
 )
-from carrieralloc.utility import LogarithmicUtility, SigmoidalUtility, log_utility
+from carrieralloc.utility import (
+    LogarithmicUtility,
+    SigmoidalUtility,
+    UtilityDomainError,
+    log_utility,
+)
 
 
 def tiny_scenario():
@@ -164,6 +170,144 @@ def test_either_writer_is_read_by_either_reader(monkeypatch, tmp_path):
             for loader, _ in pairs:
                 monkeypatch.setattr(scenario_module, "_LOADER", loader)
                 assert load_scenario(path) == s
+
+
+# names the resolver reads as another type, that need quotes or escapes, or
+# that the emitter folds
+HOSTILE_NAMES = ["123", "yes", "~", "1e3", "a: b", "#x", "  lead", "\u65e5\u672c \u00e9",
+                 "\t\x85" + "x" * 300 + "\\ \"" + "y" * 295]
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1e16, 1.7976931348623157e308]
+
+
+def test_writer_matches_the_representer_on_hostile_names(yaml_classes):
+    assert len(HOSTILE_NAMES[-1]) == 600
+    for name in HOSTILE_NAMES:
+        s = replace(tiny_scenario(), name=name)
+        assert scenario_to_yaml(s) == scenario_yaml_reference(s, scenario_module._DUMPER), name
+
+
+def edge_float_scenario():
+    """Every carrier capacity and utility parameter one of EDGE_FLOATS."""
+    n = len(EDGE_FLOATS)
+    return Scenario(
+        carriers=tuple(CarrierSpec(id=i + 1, capacity=x) for i, x in enumerate(EDGE_FLOATS)),
+        ues=tuple(
+            UESpec(id=i + 1, utility=family(x, EDGE_FLOATS[(i + 1) % n]), carriers=(i % n + 1,))
+            for family in (SigmoidalUtility, LogarithmicUtility)
+            for i, x in enumerate(EDGE_FLOATS, start=n if family is LogarithmicUtility else 0)
+        ),
+        name="edge",
+    )
+
+
+def test_writer_matches_the_representer_on_edge_floats(yaml_classes, tmp_path):
+    s = edge_float_scenario()
+    sweep = SweepSpec(carrier_id=2, start=1e-05, stop=1e16, step=0.1)
+    text = scenario_to_yaml(s, sweep=sweep)
+    assert text == scenario_yaml_reference(s, scenario_module._DUMPER, sweep=sweep)
+    path = tmp_path / "edge.yaml"
+    save_scenario(s, path, sweep=sweep)
+    assert load_scenario_document(path) == scenario_module.ScenarioDocument(s, sweep)
+
+
+def test_writer_keeps_int_valued_parameters_ints(yaml_classes, tmp_path):
+    s = Scenario(
+        carriers=(CarrierSpec(id=1, capacity=60),),
+        ues=(
+            UESpec(id=1, utility=SigmoidalUtility(a=5, b=10), carriers=(1,)),
+            UESpec(id=2, utility=LogarithmicUtility(k=3, r_max=100), carriers=(1,)),
+        ),
+        name="ints",
+    )
+    sweep = SweepSpec(carrier_id=1, start=10, stop=50, step=10)
+    text = scenario_to_yaml(s, sweep=sweep)
+    assert text == scenario_yaml_reference(s, scenario_module._DUMPER, sweep=sweep)
+    assert "    a: 5\n" in text and "  capacity: 60.0\n" in text and "  from: 10\n" in text
+    path = tmp_path / "ints.yaml"
+    save_scenario(s, path, sweep=sweep)
+    assert load_scenario_document(path) == scenario_module.ScenarioDocument(s, sweep)
+
+
+def test_untagged_numbers_resolve_to_their_type():
+    # the writer emits a number plain without asking the resolver; the
+    # loader's resolver must read the text back as the number's type
+    resolver = yaml.SafeLoader("")
+    s = replace(edge_float_scenario(), name="123")
+    sweep = SweepSpec(carrier_id=1, start=-2, stop=1e16, step=0.5)
+    events = list(scenario_module._events(s, sweep, scenario_module._DUMPER(None)))
+    numbers = [e for e in events
+               if isinstance(e, yaml.ScalarEvent) and e.tag != "tag:yaml.org,2002:str"]
+    assert {e.tag for e in numbers} == {"tag:yaml.org,2002:int", "tag:yaml.org,2002:float"}
+    assert len(numbers) == 2 * 6 + 4 * 12 + 4
+    for e in numbers:
+        assert e.implicit == (True, False)
+        assert resolver.resolve(yaml.ScalarNode, e.value, (True, False)) == e.tag, e.value
+    # a string that reads as a number is quoted
+    name = events[4]
+    assert name.value == "123" and name.implicit == (False, True)
+
+
+def test_duplicate_keys_are_refused(yaml_classes, tmp_path):
+    good = (
+        "carriers:\n  - id: 1\n    capacity: 10.0\n  - id: 2\n    capacity: 5.0\nues:\n"
+        "  - id: 1\n    utility: {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n"
+    )
+    path = tmp_path / "dup.yaml"
+    for old, new, key, line in (
+        ("capacity: 10.0", "capacity: 10.0\n    capacity: 99.0", "capacity", 4),
+        ("  - id: 1\n    utility", "  - id: 1\n    id: 2\n    utility", "id", 8),
+        ("k: 1.0,", "k: 1.0, k: 2.0,", "k", 8),
+        ("ues:", "name: a\nname: b\nues:", "name", 7),
+    ):
+        path.write_text(good.replace(old, new))
+        with pytest.raises(ScenarioError, match=rf"dup\.yaml: key '{key}' .* line {line}$"):
+            load_scenario(path)
+    with pytest.raises(ScenarioError, match="--utility: key 'a' written twice"):
+        scenario_module.parse_utility("{type: sigmoidal, a: 1, a: 2, b: 3}", "--utility")
+    # a key written beside a merge key overrides the merged value
+    merged = "  - {<<: &c {id: 2, capacity: 5.0}, capacity: 7.0}"
+    path.write_text(good.replace("  - id: 2\n    capacity: 5.0", merged))
+    assert load_scenario(path).carrier(2).capacity == 7.0
+
+
+def test_scenario_name_must_be_a_string():
+    with pytest.raises(ScenarioError, match="name must be a string, got 123"):
+        replace(tiny_scenario(), name=123)
+
+
+def test_bool_ids_and_parameters_are_refused():
+    for build, match in (
+        (lambda: CarrierSpec(id=True, capacity=1.0), "carrier id must be an integer, got True"),
+        (lambda: UESpec(id=False, utility=SigmoidalUtility(1.0, 2.0), carriers=(1,)), "UE id"),
+        (lambda: UESpec(id=1, utility=SigmoidalUtility(1.0, 2.0), carriers=(True,)), "carrier id"),
+        (lambda: SweepSpec(carrier_id=True, start=1.0, stop=2.0, step=1.0), "sweep carrier"),
+        (lambda: SweepSpec(carrier_id=1, start=1.0, stop=True, step=1.0), "sweep stop"),
+    ):
+        with pytest.raises(ScenarioError, match=match):
+            build()
+    for build in (lambda: SigmoidalUtility(a=True, b=2.0),
+                  lambda: LogarithmicUtility(k=1.0, r_max=True)):
+        with pytest.raises(UtilityDomainError, match="must be a finite number > 0, got True"):
+            build()
+
+
+def test_numpy_scalars_are_written_as_numbers(yaml_classes, tmp_path):
+    plain = tiny_scenario()
+    s = Scenario(
+        carriers=tuple(CarrierSpec(np.int64(c.id), np.float64(c.capacity))
+                       for c in plain.carriers),
+        ues=tuple(
+            UESpec(np.int64(ue.id),
+                   type(ue.utility)(*map(np.float64, vars(ue.utility).values())),
+                   tuple(map(np.int32, ue.carriers)))
+            for ue in plain.ues
+        ),
+        name="tiny",
+    )
+    path = tmp_path / "numpy.yaml"
+    save_scenario(s, path)
+    assert path.read_text() == scenario_to_yaml(plain)
+    assert load_scenario(path) == plain
 
 
 def test_save_load_round_trip(yaml_classes, tmp_path):
