@@ -44,15 +44,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .utility import (
-    GAP_TOL,
-    RootFindingError,
-    demands,
-    dual_gap,
-    log_utilities,
-    marginals,
-    parameter_arrays,
-)
+from .utility import GAP_TOL, Layout, RootFindingError, demands, dual_gap, marginals
 
 __all__ = [
     "OracleError",
@@ -118,27 +110,8 @@ class OracleSolution:
     converged: bool
 
 
-class _Problem:
-    """Scenario unpacked into arrays for the vectorized solver."""
-
-    def __init__(self, scenario):
-        self.carriers = sorted(scenario.carriers, key=lambda c: c.id)
-        self.ues = sorted(scenario.ues, key=lambda u: u.id)
-        self.cids = [c.id for c in self.carriers]
-        self.caps = np.array([c.capacity for c in self.carriers], dtype=float)
-        self.uids = [u.id for u in self.ues]
-        self.params = parameter_arrays([u.utility for u in self.ues])
-        self.K = len(self.carriers)
-        self.M = len(self.ues)
-        self.r_cap = float(self.caps.sum())
-        self.cindex = {cid: k for k, cid in enumerate(self.cids)}
-        self.mask = np.zeros((self.K, self.M), dtype=bool)
-        for j, ue in enumerate(self.ues):
-            self.mask[[self.cindex[cid] for cid in ue.carriers], j] = True
-
-
 def _clear_price(
-    prob: _Problem, users: Sequence[int], capacity: float, rates: np.ndarray
+    layout: Layout, users: Sequence[int], capacity: float, rates: np.ndarray
 ) -> Tuple[float, np.ndarray]:
     """Common price p at which the users' total demand equals ``capacity``.
 
@@ -161,7 +134,8 @@ def _clear_price(
     proportion to their rates, what the others leave.  A demand inversion
     that fails raises OracleError naming the users.
     """
-    params = tuple(v[users] for v in prob.params)
+    params = tuple(v[users] for v in layout.params)
+    r_cap = float(layout.caps.sum())
     r = np.maximum(rates, 1e-12 * capacity)
     r *= capacity / r.sum()
     y_lo, y_hi = _LN_TINY, math.inf
@@ -182,10 +156,10 @@ def _clear_price(
         if width <= eps or width > 0.5 * widths[-1 - _BISECT_EVERY] or not (slope < 0.0).any():
             y = 0.5 * (y_lo + y_hi) if width > eps else y_hi
             try:
-                r, slope = demands(params, math.exp(y), prob.r_cap, r)
+                r, slope = demands(params, math.exp(y), r_cap, r)
             except RootFindingError as exc:
                 raise OracleError(
-                    f"price clearing of users {[prob.uids[j] for j in users]} on capacity "
+                    f"price clearing of users {[layout.uids[j] for j in users]} on capacity "
                     f"{capacity!r} in the price bracket [{math.exp(y_lo)!r}, "
                     f"{math.exp(y_hi)!r}]: {exc}"
                 ) from exc
@@ -297,22 +271,24 @@ def _first(amounts: np.ndarray, total: float) -> np.ndarray:
     return np.minimum(amounts, np.maximum(total - before, 0.0))
 
 
-def _decompose(prob: _Problem) -> Tuple[np.ndarray, np.ndarray, int]:
+def _decompose(layout: Layout) -> Tuple[np.ndarray, np.ndarray, int]:
     """Prices, rates and the number of price clearings of the optimum.
 
     A group is a mask of users and a mask of the carriers they may use; its
     last entry holds each user's rate to start its price clearing from.
     """
-    prices, rates = np.zeros(prob.K), np.zeros((prob.K, prob.M))
-    groups = [(np.ones(prob.M, dtype=bool), np.ones(prob.K, dtype=bool), np.ones(prob.M))]
+    mask = layout.mask
+    n_carriers, n_users = mask.shape
+    prices, rates = np.zeros(n_carriers), np.zeros(mask.shape)
+    groups = [(np.ones(n_users, dtype=bool), np.ones(n_carriers, dtype=bool), np.ones(n_users))]
     clearings = 0
     while groups:
         users, carriers, start = groups.pop()
-        carriers = carriers & prob.mask[:, users].any(axis=1)
-        caps, sub = prob.caps[carriers], np.ix_(carriers, users)
-        pi, totals = _clear_price(prob, np.flatnonzero(users), float(caps.sum()), start)
+        carriers = carriers & mask[:, users].any(axis=1)
+        caps, sub = layout.caps[carriers], np.ix_(carriers, users)
+        pi, totals = _clear_price(layout, np.flatnonzero(users), float(caps.sum()), start)
         clearings += 1
-        flow, cut_users, cut_carriers = _hall_split(totals, caps, prob.mask[sub])
+        flow, cut_users, cut_carriers = _hall_split(totals, caps, mask[sub])
         if 0 < cut_users.sum() < cut_users.size:
             for side, side_carriers in ((cut_users, cut_carriers), (~cut_users, ~cut_carriers)):
                 inside, reached = users.copy(), carriers.copy()
@@ -331,27 +307,18 @@ def solve_central(scenario) -> OracleSolution:
     duality gap, when the rates are not feasible up to rounding (a load sums
     M rates) or the gap is above GAP_TOL.
     """
-    prob = _Problem(scenario)
-    prices, rates, clearings = _decompose(prob)
-    gap = dual_gap(prob.params, prob.mask, prob.caps, rates, prices)
-    overload = float((rates.sum(axis=1) / prob.caps).max()) - 1.0
-    if not (rates.min() >= 0.0 and overload <= prob.M * 2.0**-52 and gap <= GAP_TOL):
+    layout = Layout(scenario)
+    prices, rates, clearings = _decompose(layout)
+    gap = dual_gap(layout.params, layout.mask, layout.caps, rates, prices)
+    overload = float((rates.sum(axis=1) / layout.caps).max()) - 1.0
+    if not (rates.min() >= 0.0 and overload <= len(layout.uids) * 2.0**-52 and gap <= GAP_TOL):
         raise OracleError(
             f"optimum of {scenario.name!r} fails its certificate: duality gap {gap:.3e} "
             f"(at most {GAP_TOL:g}), least rate {rates.min():.3e}, "
             f"largest relative overload {overload:.3e}"
         )
-    totals = rates.sum(axis=0)
     return OracleSolution(
-        rates={
-            (prob.cids[k], prob.uids[j]): float(rates[k, j]) for k, j in zip(*np.nonzero(prob.mask))
-        },
-        totals={prob.uids[j]: float(totals[j]) for j in range(prob.M)},
-        prices={prob.cids[k]: float(prices[k]) for k in range(prob.K)},
-        objective=float(log_utilities(prob.params, totals).sum()),
-        duality_gap=gap,
-        iterations=clearings,
-        converged=True,
+        **layout.allocation(rates, prices), duality_gap=gap, iterations=clearings, converged=True
     )
 
 
@@ -365,20 +332,21 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
     stationarity residual infinite; rates on links a user does not reach
     count in its total and its carrier's load only.
     """
-    prob, rates, prices = _candidate_arrays(candidate, scenario)
+    layout = Layout(scenario)
+    rates, prices = layout.arrays(candidate)
     totals = rates.sum(axis=0)
     alive = totals > 0.0
-    m, _ = marginals(prob.params, np.where(alive, totals, 1.0))
+    m, _ = marginals(layout.params, np.where(alive, totals, 1.0))
     surplus = m - prices[:, None]  # marginal minus price on every link
-    links = prob.mask & alive
+    links = layout.mask & alive
     active = links & (rates > tol)
-    slack = prob.caps - rates.sum(axis=1)
+    slack = layout.caps - rates.sum(axis=1)
     stat_active = float(np.abs(surplus[active]).max(initial=0.0)) if alive.all() else math.inf
     residuals = dict(
         stationarity_active=stat_active,
         stationarity_inactive=float(surplus[links & ~active].max(initial=0.0)),
         complementary_slackness=float(np.abs(prices * slack).max()),
-        capacity_violation=max(0.0, float((-slack / prob.caps).max())),
+        capacity_violation=max(0.0, float((-slack / layout.caps).max())),
         negativity_violation=max(0.0, float(-rates.min())),
     )
     return KKTReport(**residuals, tol=tol, passed=all(r <= tol for r in residuals.values()))
@@ -386,15 +354,5 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
 
 def duality_gap(candidate, scenario) -> float:
     """utility.dual_gap of ``candidate`` (as in kkt_check) on ``scenario``."""
-    prob, rates, prices = _candidate_arrays(candidate, scenario)
-    return dual_gap(prob.params, prob.mask, prob.caps, rates, prices)
-
-
-def _candidate_arrays(candidate, scenario) -> Tuple[_Problem, np.ndarray, np.ndarray]:
-    """The scenario's arrays, and the candidate's rates (carriers x users) and prices."""
-    prob = _Problem(scenario)
-    uindex = {uid: j for j, uid in enumerate(prob.uids)}
-    rates = np.zeros((prob.K, prob.M))
-    for (cid, uid), r in candidate.rates.items():
-        rates[prob.cindex[cid], uindex[uid]] = r
-    return prob, rates, np.array([candidate.prices[cid] for cid in prob.cids], dtype=float)
+    layout = Layout(scenario)
+    return dual_gap(layout.params, layout.mask, layout.caps, *layout.arrays(candidate))

@@ -10,11 +10,12 @@ The round state is two flat lists over the (carrier, user) links, the bids
 w_li and the users' anchor rates q_li, ordered user-major with each user's
 carriers by ascending id: a user reads and writes one contiguous slice, and
 a carrier reads the links listed for it.  A run is three parts: _Setup, built
-once per scenario (the links, the users and the stop test's arrays); the
-pure round, _prices then _round, which maps a state to the next one and
-changes nothing else; and _drive, the one loop over rounds, which owns the
-stop test, the mixer and the result.  run starts _drive from its first
-bids; the fixed-point tests start it from the oracle's optimum.
+once per scenario (its utility.Layout, the links and the users); the pure
+round, _prices then _round, which maps a state to the next one and changes
+nothing else; and _drive, the one loop over rounds, which owns the stop
+test and the result (both over the layout's arrays) and the mixer.  run
+starts _drive from its first bids; the fixed-point tests start it from the
+oracle's optimum.
 
 Stop rule.  Bid stability alone says the bids are moving slowly, not that
 the allocation is near the optimum: where a sigmoidal marginal is nearly
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .subproblem import PRICE_FLOOR, ProtocolError, _left_sum, ue_step
-from .utility import GAP_TOL, dual_gap, log_utilities, parameter_arrays
+from .utility import GAP_TOL, Layout, dual_gap
 
 __all__ = [
     "EngineConfig",
@@ -251,35 +252,28 @@ def _dots(rows: np.ndarray, v: np.ndarray) -> List[float]:
 
 class _Setup:
     """What a run reads besides its round state, built once per scenario:
-    the links and their spans and carrier lists (module docstring), each
-    user's (utility, span, reach), and the stop test's arrays."""
+    the scenario's ``layout`` (utility.Layout), the links and their spans
+    and carrier lists (module docstring), and each user's (utility, span,
+    reach)."""
 
     def __init__(self, scenario):
-        carriers = sorted(scenario.carriers, key=lambda c: c.id)
-        self.ues = sorted(scenario.ues, key=lambda u: u.id)
-        self.cids = [c.id for c in carriers]
-        self.caps = [c.capacity for c in carriers]
-        column = {cid: k for k, cid in enumerate(self.cids)}
-        # (carrier, user) links, user-major: user j owns links[spans[j]]
-        self.links: List[Tuple[int, int]] = []
-        self.spans: List[slice] = []
-        for ue in self.ues:
-            start = len(self.links)
-            self.links += [(cid, ue.id) for cid in sorted(ue.carriers)]
-            self.spans.append(slice(start, len(self.links)))
-        self.link_carrier = [column[cid] for cid, _ in self.links]
+        self.layout = layout = Layout(scenario)
+        self.cids, self.caps = layout.cids, layout.caps.tolist()
+        # (carrier, user) links, user-major as mask.T lists them, each user's
+        # carriers by ascending id: user j owns links[spans[j]]
+        users, self.link_carrier = (a.tolist() for a in np.nonzero(layout.mask.T))
+        self.links = [(self.cids[k], layout.uids[j]) for j, k in zip(users, self.link_carrier)]
+        ends = np.cumsum(layout.mask.sum(axis=0)).tolist()
+        self.spans = [slice(start, end) for start, end in zip([0] + ends, ends)]
         # each carrier's links, in user order
-        self.carrier_links: List[List[int]] = [[] for _ in carriers]
+        self.carrier_links: List[List[int]] = [[] for _ in self.cids]
         for i, k in enumerate(self.link_carrier):
             self.carrier_links[k].append(i)
         # the capacity each UE reaches: a scale for its user step, not a
         # ceiling (the carriers' prices bound every total)
-        reach = [_left_sum(self.caps[column[cid]] for cid in ue.carriers) for ue in self.ues]
-        self.users = list(zip([ue.utility for ue in self.ues], self.spans, reach))
-        # the stop test's arrays; mask.T lists the links in their user-major order
-        self.params = parameter_arrays([ue.utility for ue in self.ues])
-        self.mask = np.array([[cid in ue.carriers for ue in self.ues] for cid in self.cids])
-        self.cap_array, self.link_index = np.array(self.caps), np.array(self.link_carrier)
+        column = {cid: k for k, cid in enumerate(self.cids)}
+        reach = [_left_sum(self.caps[column[cid]] for cid in ue.carriers) for ue in layout.ues]
+        self.users = list(zip([ue.utility for ue in layout.ues], self.spans, reach))
 
 
 def _prices(setup: _Setup, bids: List[float]) -> List[float]:
@@ -315,7 +309,7 @@ def _drive(setup: _Setup, bids: List[float], anchors: Optional[List[float]],
     state it passes on is Anderson-mixed.  Raises NonConvergenceError
     (carrying the partial result) when the round limit is reached first.
     """
-    mixer = _AndersonMixer(ANDERSON_DEPTH)
+    mixer, layout = _AndersonMixer(ANDERSON_DEPTH), setup.layout
     delta, damping, max_rounds = config.delta, config.damping, config.max_rounds
     seen = [0.0] * len(bids)  # the bids the carriers priced in the previous round
     for n in range(1, max_rounds + 1):
@@ -324,14 +318,14 @@ def _drive(setup: _Setup, bids: List[float], anchors: Optional[List[float]],
         seen = bids
         stable, last = n > 1 and round_delta < delta, n == max_rounds
         if stable or last:
-            price = np.array(prices)
-            rate = np.array(bids) / price[setup.link_index]
-            rates = np.zeros(setup.mask.shape)
-            rates.T[setup.mask.T] = rate
+            # the bids as a carriers x users array
+            price, held = np.array(prices), np.zeros(layout.mask.shape)
+            held.T[layout.mask.T] = bids
+            rates = held / price[:, None]
             # short of the last round, a gap whose cheap parts put it above
             # GAP_TOL is left unfinished (utility.dual_gap's tol)
             tol = None if last else GAP_TOL
-            gap = dual_gap(setup.params, setup.mask, setup.cap_array, rates, price, tol)
+            gap = dual_gap(layout.params, layout.mask, layout.caps, rates, price, tol)
             converged = stable and gap <= GAP_TOL
             if converged or last:
                 break
@@ -345,15 +339,10 @@ def _drive(setup: _Setup, bids: List[float], anchors: Optional[List[float]],
             new_bids, new_anchors = mixed[: len(bids)], mixed[len(bids):]
         bids, anchors = new_bids, new_anchors
 
-    rate, links = rate.tolist(), setup.links
-    by_carrier = [i for idx in setup.carrier_links for i in idx]
-    totals = [_left_sum(rate[span]) for span in setup.spans]
+    allocation = layout.allocation(rates, price)
     result = AllocationResult(
-        rates={links[i]: rate[i] for i in by_carrier},
-        bids={links[i]: bids[i] for i in by_carrier},
-        prices=dict(zip(setup.cids, prices)),
-        totals={ue.id: t for ue, t in zip(setup.ues, totals)},
-        objective=float(log_utilities(setup.params, np.array(totals)).sum()),
+        **allocation,
+        bids=dict(zip(allocation["rates"], held[layout.mask].tolist())),
         rounds=n,
         converged=converged,
         max_bid_delta=round_delta,

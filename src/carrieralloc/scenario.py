@@ -38,7 +38,7 @@ import yaml
 from .oracle import KKTReport, OracleError, OracleSolution, kkt_check, solve_central
 from .protocol import AllocationResult, EngineConfig, NonConvergenceError, run
 from .utility import LogarithmicUtility, SigmoidalUtility, UtilityFunction
-from .utility import log_utility_scales, parameter_arrays
+from .utility import Layout, log_utility_scales
 
 __all__ = [
     "ScenarioError",
@@ -86,6 +86,11 @@ def _check_id(value: object, what: str) -> None:
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
 
 
+_FAMILIES = {"sigmoidal": SigmoidalUtility, "logarithmic": LogarithmicUtility}
+# Each family's parameters: its dataclass's init fields, in order.
+_PARAMS = {family: [f.name for f in fields(family) if f.init] for family in _FAMILIES.values()}
+
+
 @dataclass(frozen=True)
 class CarrierSpec:
     id: int
@@ -93,6 +98,13 @@ class CarrierSpec:
 
     def __post_init__(self) -> None:
         _check_id(self.id, "carrier id")
+        capacity = self.capacity
+        # float first, as for ids: the check against the Real ABC alone is slower
+        number = not isinstance(capacity, bool) and isinstance(capacity, (float, numbers.Real))
+        if not (number and capacity > 0.0 and math.isfinite(capacity)):
+            raise ScenarioError(
+                f"carrier {self.id}: capacity must be a finite number > 0, got {capacity!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,11 @@ class UESpec:
 
     def __post_init__(self) -> None:
         _check_id(self.id, "UE id")
+        if type(self.utility) not in _PARAMS:
+            raise ScenarioError(
+                f"UE {self.id}: utility must be a SigmoidalUtility or a LogarithmicUtility, "
+                f"got {self.utility!r}"
+            )
         for cid in self.carriers:
             _check_id(cid, f"UE {self.id}: carrier id")
 
@@ -127,11 +144,6 @@ class Scenario:
         if len(set(uids)) != len(uids):
             raise ScenarioError(f"duplicate UE ids: {sorted(uids)}")
         known = set(cids)
-        for c in self.carriers:
-            if not (c.capacity > 0.0 and math.isfinite(c.capacity)):
-                raise ScenarioError(
-                    f"carrier {c.id}: capacity must be > 0, got {c.capacity}"
-                )
         for u in self.ues:
             if not u.carriers:
                 raise ScenarioError(f"UE {u.id}: reachable carrier set is empty")
@@ -234,11 +246,6 @@ def _number(value: object, field: str, kind: type = float):
     if isinstance(value, (bool, str)) or fraction:
         raise TypeError(f"{field} must be {kind.__name__}, got {value!r}")
     return kind(value)
-
-
-_FAMILIES = {"sigmoidal": SigmoidalUtility, "logarithmic": LogarithmicUtility}
-# Each family's parameters: its dataclass's init fields, in order.
-_PARAMS = {family: [f.name for f in fields(family) if f.init] for family in _FAMILIES.values()}
 
 
 def _utility_from_dict(d: object) -> UtilityFunction:
@@ -444,7 +451,7 @@ def _events(scenario: Scenario, sweep: Optional[SweepSpec], dumper) -> Iterator[
         return yaml.ScalarEvent(None, node.tag, (True, False), node.value)
 
     key = {name: string(name) for name in _KEYS}
-    kinds = [(family, string(kind), _PARAMS[family]) for kind, family in _FAMILIES.items()]
+    kinds = {family: (string(kind), _PARAMS[family]) for kind, family in _FAMILIES.items()}
 
     yield from (yaml.StreamStartEvent(), yaml.DocumentStartEvent(), _MAP,
                 key["name"], string(scenario.name), key["carriers"], _SEQ)
@@ -453,13 +460,8 @@ def _events(scenario: Scenario, sweep: Optional[SweepSpec], dumper) -> Iterator[
                     key["capacity"], number(float(c.capacity)), _MAP_END)
     yield from (_SEQ_END, key["ues"], _SEQ)
     for u in scenario.ues:
-        yield from (_MAP, key["id"], number(u.id), key["utility"], _MAP, key["type"])
-        for family, kind, params in kinds:
-            if isinstance(u.utility, family):
-                yield kind
-                break
-        else:
-            raise ScenarioError(f"unknown utility object {u.utility!r}")
+        kind, params = kinds[type(u.utility)]
+        yield from (_MAP, key["id"], number(u.id), key["utility"], _MAP, key["type"], kind)
         for name in params:
             yield from (key[name], number(getattr(u.utility, name)))
         yield from (_MAP_END, key["carriers"], _SEQ)
@@ -530,10 +532,10 @@ def compare_to_oracle(
     three is within (M + 8) u (sum_i s_i + 2 sum_l p_l R_l), s_i taken at
     both totals.
     """
-    params = parameter_arrays([ue.utility for ue in scenario.ues])
-    totals = np.array([[t.totals[ue.id] for ue in scenario.ues] for t in (result, oracle_solution)])
+    layout = Layout(scenario)
+    totals = np.array([[t.totals[uid] for uid in layout.uids] for t in (result, oracle_solution)])
     scale = 2.0 * sum(result.prices[c.id] * c.capacity for c in scenario.carriers)
-    scale += float(log_utility_scales(params, totals).sum())
+    scale += float(log_utility_scales(layout.params, totals).sum())
     budget = 2.0 * (len(scenario.ues) + 8) * 2.0**-53 * scale
     gain = oracle_solution.objective - result.objective
     ref = oracle_solution.totals

@@ -14,6 +14,8 @@ The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
 price is well defined and invertible by bisection.  Each family's formulas
 are written here alone; the other modules read no family parameter.
+``Layout`` holds a scenario as the arrays these functions take, and is
+the one place where the protocol, the oracle and --verify lay it out.
 
 ln U has one expression, ``log_utilities``, free of cancellation; the
 objectives, ``dual_gap`` and the verification budget call it once over all
@@ -51,6 +53,7 @@ __all__ = [
     "marginals",
     "demands",
     "dual_gap",
+    "Layout",
     "GAP_TOL",
     "solve_rate_for_price",
 ]
@@ -381,3 +384,48 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
     ln_u = log_utilities(params, r)
     missed = ln_u[0] - ln_u[1] - pi * (r[0] - r[1])
     return float(missed.sum() + paid + unsold)
+
+
+class Layout:
+    """A scenario as arrays: ``cids`` and ``uids`` (its carriers and users,
+    with ``ues``, in ascending id order), the capacities ``caps``, the reach
+    mask ``mask[l, i]`` (user i reaches carrier l) and ``params``, the
+    users' ``parameter_arrays``.  A candidate allocation is a carriers x
+    users array of rates and a vector of carrier prices; ``arrays`` and
+    ``allocation`` convert between those and the results' id-keyed dicts."""
+
+    def __init__(self, scenario):
+        carriers = sorted(scenario.carriers, key=lambda c: c.id)
+        self.ues = sorted(scenario.ues, key=lambda u: u.id)
+        self.cids = [c.id for c in carriers]
+        self.uids = [u.id for u in self.ues]
+        self.caps = np.array([c.capacity for c in carriers], dtype=float)
+        row = {cid: k for k, cid in enumerate(self.cids)}
+        self.mask = np.zeros((len(self.cids), len(self.uids)), dtype=bool)
+        for j, ue in enumerate(self.ues):
+            self.mask[[row[cid] for cid in ue.carriers], j] = True
+        self.params = parameter_arrays([u.utility for u in self.ues])
+
+    def arrays(self, candidate) -> Tuple[np.ndarray, np.ndarray]:
+        """``candidate.rates[(carrier id, user id)]`` as a carriers x users
+        array (0 where it holds no rate), and ``candidate.prices[carrier id]``
+        as a vector."""
+        row = {cid: k for k, cid in enumerate(self.cids)}
+        column = {uid: j for j, uid in enumerate(self.uids)}
+        rates = np.zeros(self.mask.shape)
+        for (cid, uid), r in candidate.rates.items():
+            rates[row[cid], column[uid]] = r
+        return rates, np.array([candidate.prices[cid] for cid in self.cids], dtype=float)
+
+    def allocation(self, rates: np.ndarray, prices: np.ndarray) -> dict:
+        """The ``rates`` (carriers x users) and ``prices`` of a result: rates
+        by link in carrier-major order, each user's total (its column summed
+        in carrier order), prices by carrier, and the objective sum_i ln U_i."""
+        totals = rates.sum(axis=0)
+        return dict(
+            rates={(self.cids[k], self.uids[j]): float(rates[k, j])
+                   for k, j in zip(*np.nonzero(self.mask))},
+            totals=dict(zip(self.uids, totals.tolist())),
+            prices=dict(zip(self.cids, prices.tolist())),
+            objective=float(log_utilities(self.params, totals).sum()),
+        )

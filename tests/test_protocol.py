@@ -194,6 +194,41 @@ def test_anderson_mixer_degenerate_gram_returns_g():
     assert np.array_equal(mixer.step(x, x.copy()), x)
 
 
+def test_anderson_mixer_solve_refuses_an_indefinite_gram_and_a_non_finite_rhs():
+    mixer = _AndersonMixer(3)
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: its second Cholesky pivot is not positive
+    mixer.gram = [[1.0], [2.0, 1.0]]
+    assert mixer._solve([1.0, 1.0]) is None
+    mixer.gram = [[1.0]]
+    for rhs in (math.inf, -math.inf, math.nan):
+        assert mixer._solve([rhs]) is None
+
+
+def test_anderson_mixer_steps_plain_when_it_cannot_solve():
+    x = np.array([1.0, 2.0])
+
+    def primed():
+        """A mixer that holds one residual difference, [1, 1]."""
+        mixer = _AndersonMixer(3)
+        mixer.step(x, x + 1.0)
+        mixer.step(x, x + 2.0)
+        return mixer
+
+    # an indefinite Gram matrix once the next difference is added
+    mixer = primed()
+    mixer.gram = [[1.0], [2.0, 1.0]]
+    mixer.df[1], mixer.dg[1], mixer.size = 1.0, 1.0, 2
+    g = x + 0.5
+    assert mixer.step(x, g).tolist() == g.tolist()
+    # a right-hand side that overflows: the stored difference is huge, the
+    # Gram matrix is not, and the new residual equals the last one
+    mixer = primed()
+    mixer.df[0], mixer.gram = 1e308, [[1.0]]
+    g = x + 2.0
+    with np.errstate(over="ignore"):
+        assert mixer.step(x, g).tolist() == g.tolist()
+
+
 def test_anderson_mixer_matches_list_reference_bit_for_bit():
     """The array mixer repeats the list mixer's every output bit.
 

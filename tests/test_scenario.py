@@ -270,6 +270,59 @@ def test_duplicate_keys_are_refused(yaml_classes, tmp_path):
     assert load_scenario(path).carrier(2).capacity == 7.0
 
 
+def test_shared_utility_anchor_loads_and_reports_its_duplicate_once(yaml_classes, tmp_path):
+    # the second user's utility is an alias of the first's: one node, walked once
+    shared = (
+        "carriers:\n  - id: 1\n    capacity: 10.0\nues:\n"
+        "  - id: 1\n    utility: &u {type: logarithmic, k: 1.0, r_max: 10.0}\n    carriers: [1]\n"
+        "  - id: 2\n    utility: *u\n    carriers: [1]\n"
+    )
+    path = tmp_path / "shared.yaml"
+    path.write_text(shared)
+    ues = load_scenario(path).ues
+    assert ues[0].utility == ues[1].utility == LogarithmicUtility(k=1.0, r_max=10.0)
+    path.write_text(shared.replace("k: 1.0,", "k: 1.0, k: 2.0,"))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: key 'k' written twice in one mapping, again on line 6"
+
+
+def test_empty_file_is_refused(yaml_classes, tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    with pytest.raises(ScenarioError, match="empty.yaml: top level must be a mapping"):
+        load_scenario(path)
+
+
+def test_non_scalar_mapping_keys_are_refused(yaml_classes, tmp_path):
+    path = tmp_path / "keys.yaml"
+    for key in ("[1, 2]", "{a: 1}"):
+        path.write_text(f"? {key}\n: 3\ncarriers: []\nues: []\n")
+        with pytest.raises(ScenarioError, match="keys.yaml: not valid YAML"):
+            load_scenario(path)
+    # a mapping written as a key is walked for keys written twice too
+    path.write_text("? {a: 1, a: 2}\n: 3\n")
+    with pytest.raises(ScenarioError, match="key 'a' written twice in one mapping, again on line 1"):
+        load_scenario(path)
+
+
+def test_bool_capacity_is_refused():
+    with pytest.raises(ScenarioError, match="carrier 1: capacity must be a finite number > 0, got True"):
+        CarrierSpec(id=1, capacity=True)
+
+
+def test_string_capacity_is_refused():
+    with pytest.raises(ScenarioError, match="carrier 1: capacity must be a finite number > 0, got '5'"):
+        CarrierSpec(id=1, capacity="5")
+
+
+@pytest.mark.parametrize("utility", ["x", None, object(), (1.0, 2.0)])
+def test_utility_outside_the_two_families_is_refused(utility):
+    # read as parameters 1.0, such a user would be solved as logarithmic(1, 1)
+    with pytest.raises(ScenarioError, match="UE 7: utility must be a SigmoidalUtility or a"):
+        UESpec(id=7, utility=utility, carriers=(1,))
+
+
 def test_scenario_name_must_be_a_string():
     with pytest.raises(ScenarioError, match="name must be a string, got 123"):
         replace(tiny_scenario(), name=123)
@@ -583,9 +636,8 @@ def test_run_point_joins_protocol_and_oracle_errors(monkeypatch):
 
 def test_unknown_utility_object_is_not_written():
     s = tiny_scenario()
-    odd = replace(s, ues=(replace(s.ues[0], utility=object()),) + s.ues[1:])
-    with pytest.raises(ScenarioError, match="unknown utility object"):
-        scenario_to_yaml(odd)
+    with pytest.raises(ScenarioError, match="UE 1: utility must be a SigmoidalUtility or a"):
+        replace(s.ues[0], utility=object())
 
 
 def test_run_sweep_unknown_carrier():
@@ -644,6 +696,12 @@ def test_write_results_empty_records_gives_headers_only(tmp_path):
     assert paths["rates"].read_text() == RATES_HEADER + "\n"
     assert paths["prices"].read_text() == PRICES_HEADER + "\n"
     assert paths["summary"].read_text() == SUMMARY_HEADER + "\n"
+
+
+def test_write_results_unopenable_file_reports_path(tmp_path):
+    (tmp_path / "prices.csv").mkdir()
+    with pytest.raises(OSError, match=r"cannot write .*prices\.csv: "):
+        write_results([], tmp_path)
 
 
 def test_write_results_bad_directory_reports_path(tmp_path):

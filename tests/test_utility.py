@@ -1,12 +1,14 @@
 """Utility families: reference values, derivatives, inversion, properties."""
 
+import itertools
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from generators import random_utilities
+from generators import overlap_family, random_utilities, reordered, small_synthetic
 from helpers import (
     EPS,
     fd_marginal_tolerance,
@@ -17,8 +19,10 @@ from helpers import (
     sigmoidal_marginal_reference,
     solve_rate_for_price_reference,
 )
+from carrieralloc.scenario import build_paper_scenario
 from carrieralloc.utility import (
     _MARGIN,
+    Layout,
     LogarithmicUtility,
     SigmoidalUtility,
     UtilityDomainError,
@@ -461,6 +465,55 @@ def test_demands_stop_at_the_rate_ceiling():
     rates, slopes = demands(params, np.array([1e-9, 1.0]), 50.0)
     assert rates[0] == 50.0 and slopes[0] == 0.0
     assert rates[1] == pytest.approx(sig_demand_closed_form(2.0, 5.0, 1.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Layout
+
+
+def _layout_scenarios():
+    named = {f"small {name}": s for name, s in small_synthetic().items()}
+    named.update((f"paper R1={20 + 10 * i}", build_paper_scenario(20.0 + 10.0 * i))
+                 for i in range(29))
+    # carriers listed 2, 1 and users shuffled
+    named["reordered paper R1=150"] = reordered(build_paper_scenario(150.0), np.random.default_rng(3))
+    named.update(itertools.islice(overlap_family().items(), 10))
+    return named
+
+
+LAYOUT_SCENARIOS = _layout_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SCENARIOS))
+def test_layout_orders_by_id_and_round_trips_bit_for_bit(name):
+    s = LAYOUT_SCENARIOS[name]
+    layout = Layout(s)
+    carriers = sorted(s.carriers, key=lambda c: c.id)
+    ues = sorted(s.ues, key=lambda u: u.id)
+    assert layout.cids == [c.id for c in carriers]
+    assert layout.uids == [u.id for u in layout.ues] == [u.id for u in ues]
+    assert layout.caps.tolist() == [c.capacity for c in carriers]
+    assert layout.mask.tolist() == [[c.id in u.carriers for u in ues] for c in carriers]
+    for got, want in zip(layout.params, parameter_arrays([u.utility for u in ues])):
+        assert got.tolist() == want.tolist()
+    # rates over five decades on the reach mask, so that the order of a sum shows in its bits
+    rng = np.random.default_rng(5)
+    rates = np.where(layout.mask, 10.0 ** rng.uniform(-2.0, 3.0, layout.mask.shape), 0.0)
+    prices = 10.0 ** rng.uniform(-3.0, 1.0, len(carriers))
+    allocation = layout.allocation(rates, prices)
+    assert list(allocation["rates"]) == [
+        (c.id, u.id) for c in carriers for u in ues if c.id in u.carriers
+    ]
+    back_rates, back_prices = layout.arrays(SimpleNamespace(**allocation))
+    assert back_rates.tobytes() == rates.tobytes() and back_prices.tobytes() == prices.tobytes()
+    for j, ue in enumerate(ues):
+        total = 0.0  # left to right, in carrier order
+        for k in np.flatnonzero(layout.mask[:, j]):
+            total += float(rates[k, j])
+        assert allocation["totals"][ue.id].hex() == total.hex(), ue.id
+    assert allocation["prices"] == dict(zip(layout.cids, prices.tolist()))
+    totals = np.array(list(allocation["totals"].values()))
+    assert allocation["objective"] == float(log_utilities(layout.params, totals).sum())
 
 
 # ---------------------------------------------------------------------------
