@@ -307,7 +307,7 @@ def solve_central(scenario) -> OracleSolution:
     duality gap, when the rates are not feasible up to rounding (a load sums
     M rates) or the gap is above GAP_TOL.
     """
-    layout = Layout(scenario)
+    layout = scenario.layout
     prices, rates, clearings = _decompose(layout)
     gap = dual_gap(layout.params, layout.mask, layout.caps, rates, prices)
     overload = float((rates.sum(axis=1) / layout.caps).max()) - 1.0
@@ -332,7 +332,7 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
     stationarity residual infinite; rates on links a user does not reach
     count in its total and its carrier's load only.
     """
-    layout = Layout(scenario)
+    layout = scenario.layout
     rates, prices = layout.arrays(candidate)
     totals = rates.sum(axis=0)
     alive = totals > 0.0
@@ -354,5 +354,5 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
 
 def duality_gap(candidate, scenario) -> float:
     """utility.dual_gap of ``candidate`` (as in kkt_check) on ``scenario``."""
-    layout = Layout(scenario)
+    layout = scenario.layout
     return dual_gap(layout.params, layout.mask, layout.caps, *layout.arrays(candidate))

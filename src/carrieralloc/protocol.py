@@ -9,8 +9,8 @@ PRICE_FLOOR is only a division guard, for a carrier whose bids are all zero.
 The round state is two flat lists over the (carrier, user) links, the bids
 w_li and the users' anchor rates q_li, ordered user-major with each user's
 carriers by ascending id: a user reads and writes one contiguous slice, and
-a carrier reads the links listed for it.  A run is three parts: _Setup, built
-once per scenario (its utility.Layout, the links and the users); the pure
+a carrier reads the links listed for it.  A run is three parts: _Setup, the
+links and the users, read from the scenario's own utility.Layout; the pure
 round, _prices then _round, which maps a state to the next one and changes
 nothing else; and _drive, the one loop over rounds, which owns the stop
 test and the result (both over the layout's arrays) and the mixer.  run
@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .subproblem import PRICE_FLOOR, ProtocolError, _left_sum, ue_step
-from .utility import GAP_TOL, Layout, dual_gap
+from .utility import GAP_TOL, dual_gap
 
 __all__ = [
     "EngineConfig",
@@ -251,13 +251,13 @@ def _dots(rows: np.ndarray, v: np.ndarray) -> List[float]:
 
 
 class _Setup:
-    """What a run reads besides its round state, built once per scenario:
-    the scenario's ``layout`` (utility.Layout), the links and their spans
-    and carrier lists (module docstring), and each user's (utility, span,
-    reach)."""
+    """What a run reads besides its round state: the scenario's ``layout``
+    (utility.Layout, built with the scenario and shared with the oracle), the
+    links and their spans and carrier lists (module docstring), and each
+    user's (utility, span, reach)."""
 
     def __init__(self, scenario):
-        self.layout = layout = Layout(scenario)
+        self.layout = layout = scenario.layout
         self.cids, self.caps = layout.cids, layout.caps.tolist()
         # (carrier, user) links, user-major as mask.T lists them, each user's
         # carriers by ascending id: user j owns links[spans[j]]
@@ -271,8 +271,7 @@ class _Setup:
             self.carrier_links[k].append(i)
         # the capacity each UE reaches: a scale for its user step, not a
         # ceiling (the carriers' prices bound every total)
-        column = {cid: k for k, cid in enumerate(self.cids)}
-        reach = [_left_sum(self.caps[column[cid]] for cid in ue.carriers) for ue in layout.ues]
+        reach = [_left_sum(self.caps[layout.row[cid]] for cid in ue.carriers) for ue in layout.ues]
         self.users = list(zip([ue.utility for ue in layout.ues], self.spans, reach))
 
 

@@ -120,6 +120,8 @@ class UESpec:
                 f"UE {self.id}: utility must be a SigmoidalUtility or a LogarithmicUtility, "
                 f"got {self.utility!r}"
             )
+        if not isinstance(self.carriers, tuple):
+            raise ScenarioError(f"UE {self.id}: carriers must be a tuple, got {self.carriers!r}")
         for cid in self.carriers:
             _check_id(cid, f"UE {self.id}: carrier id")
 
@@ -133,27 +135,23 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ScenarioError(f"name must be a string, got {self.name!r}")
-        if not self.carriers:
-            raise ScenarioError("scenario needs at least one carrier")
-        if not self.ues:
-            raise ScenarioError("scenario needs at least one UE")
-        cids = [c.id for c in self.carriers]
-        if len(set(cids)) != len(cids):
-            raise ScenarioError(f"duplicate carrier ids: {sorted(cids)}")
-        uids = [u.id for u in self.ues]
-        if len(set(uids)) != len(uids):
-            raise ScenarioError(f"duplicate UE ids: {sorted(uids)}")
-        known = set(cids)
+        for what, specs, noun in (("carriers", self.carriers, "carrier"), ("ues", self.ues, "UE")):
+            if not isinstance(specs, tuple):
+                raise ScenarioError(f"{what} must be a tuple, got {type(specs).__name__}")
+            if not specs:
+                raise ScenarioError(f"scenario needs at least one {noun}")
+            if len({spec.id for spec in specs}) != len(specs):
+                raise ScenarioError(f"duplicate {noun} ids: {sorted(spec.id for spec in specs)}")
+        known = {c.id for c in self.carriers}
         for u in self.ues:
             if not u.carriers:
                 raise ScenarioError(f"UE {u.id}: reachable carrier set is empty")
             unknown = set(u.carriers) - known
             if unknown:
-                raise ScenarioError(
-                    f"UE {u.id}: references unknown carriers {sorted(unknown)}"
-                )
+                raise ScenarioError(f"UE {u.id}: references unknown carriers {sorted(unknown)}")
             if len(set(u.carriers)) != len(u.carriers):
                 raise ScenarioError(f"UE {u.id}: duplicate carriers in reach set")
+        object.__setattr__(self, "layout", Layout(self))
 
     @property
     def total_capacity(self) -> float:
@@ -532,7 +530,7 @@ def compare_to_oracle(
     three is within (M + 8) u (sum_i s_i + 2 sum_l p_l R_l), s_i taken at
     both totals.
     """
-    layout = Layout(scenario)
+    layout = scenario.layout
     totals = np.array([[t.totals[uid] for uid in layout.uids] for t in (result, oracle_solution)])
     scale = 2.0 * sum(result.prices[c.id] * c.capacity for c in scenario.carriers)
     scale += float(log_utility_scales(layout.params, totals).sum())

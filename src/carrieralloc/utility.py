@@ -14,8 +14,8 @@ The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
 price is well defined and invertible by bisection.  Each family's formulas
 are written here alone; the other modules read no family parameter.
-``Layout`` holds a scenario as the arrays these functions take, and is
-the one place where the protocol, the oracle and --verify lay it out.
+Each ``Scenario`` builds its ``Layout`` once: the read-only arrays these
+functions take, which the protocol, the oracle and --verify all read.
 
 ln U has one expression, ``log_utilities``, free of cancellation; the
 objectives, ``dual_gap`` and the verification budget call it once over all
@@ -70,6 +70,11 @@ class UtilityDomainError(ValueError):
 
 class RootFindingError(RuntimeError):
     """Raised when the bisection inverter fails to meet its tolerance."""
+
+
+class CandidateError(ValueError, KeyError):
+    """Raised for a candidate's rate or price whose id the scenario lacks."""
+    __str__ = ValueError.__str__  # KeyError's would quote the message
 
 
 def log_utility(u: "UtilityFunction", r_total: float) -> float:
@@ -387,34 +392,40 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
 
 
 class Layout:
-    """A scenario as arrays: ``cids`` and ``uids`` (its carriers and users,
-    with ``ues``, in ascending id order), the capacities ``caps``, the reach
-    mask ``mask[l, i]`` (user i reaches carrier l) and ``params``, the
-    users' ``parameter_arrays``.  A candidate allocation is a carriers x
-    users array of rates and a vector of carrier prices; ``arrays`` and
-    ``allocation`` convert between those and the results' id-keyed dicts."""
+    """A scenario as read-only arrays, built once by its ``Scenario``: ``cids``
+    and ``uids`` (carriers and users, with ``ues``, in ascending id order;
+    ``row`` and ``column`` map ids to indices), the capacities ``caps``, the
+    reach mask ``mask[l, i]`` (user i reaches carrier l) and ``params``, the
+    users' ``parameter_arrays``.  ``arrays`` and ``allocation`` convert a
+    candidate's id-keyed dicts to carriers x users rates and prices, and back."""
 
     def __init__(self, scenario):
         carriers = sorted(scenario.carriers, key=lambda c: c.id)
         self.ues = sorted(scenario.ues, key=lambda u: u.id)
         self.cids = [c.id for c in carriers]
         self.uids = [u.id for u in self.ues]
+        self.row = {cid: k for k, cid in enumerate(self.cids)}
+        self.column = {uid: j for j, uid in enumerate(self.uids)}
         self.caps = np.array([c.capacity for c in carriers], dtype=float)
-        row = {cid: k for k, cid in enumerate(self.cids)}
         self.mask = np.zeros((len(self.cids), len(self.uids)), dtype=bool)
-        for j, ue in enumerate(self.ues):
-            self.mask[[row[cid] for cid in ue.carriers], j] = True
+        self.mask[[self.row[cid] for ue in self.ues for cid in ue.carriers],
+                  [j for j, ue in enumerate(self.ues) for _ in ue.carriers]] = True
         self.params = parameter_arrays([u.utility for u in self.ues])
+        for array in (self.caps, self.mask, *self.params):
+            array.flags.writeable = False
 
     def arrays(self, candidate) -> Tuple[np.ndarray, np.ndarray]:
         """``candidate.rates[(carrier id, user id)]`` as a carriers x users
         array (0 where it holds no rate), and ``candidate.prices[carrier id]``
-        as a vector."""
-        row = {cid: k for k, cid in enumerate(self.cids)}
-        column = {uid: j for j, uid in enumerate(self.uids)}
+        as a vector; a CandidateError names an unknown link or unpriced carrier."""
         rates = np.zeros(self.mask.shape)
         for (cid, uid), r in candidate.rates.items():
-            rates[row[cid], column[uid]] = r
+            if cid not in self.row or uid not in self.column:
+                raise CandidateError(f"rate on link {(cid, uid)}: no such carrier or user")
+            rates[self.row[cid], self.column[uid]] = r
+        for cid in self.cids:
+            if cid not in candidate.prices:
+                raise CandidateError(f"no price for carrier {cid}")
         return rates, np.array([candidate.prices[cid] for cid in self.cids], dtype=float)
 
     def allocation(self, rates: np.ndarray, prices: np.ndarray) -> dict:

@@ -12,6 +12,7 @@ from carrieralloc.oracle import OracleError, duality_gap, kkt_check, solve_centr
 from carrieralloc.protocol import ANDERSON_REGULARIZATION
 from carrieralloc.utility import (
     GAP_TOL,
+    Layout,
     LogarithmicUtility,
     RootFindingError,
     SigmoidalUtility,
@@ -368,3 +369,15 @@ class RecordingUtility:
         if not self.args or self.args[-1] != bits:
             self.args.append(bits)
         return self.utility.marginal(r)
+
+
+def count_layouts(monkeypatch):
+    """A list that gains the scenario of every utility.Layout built from now on."""
+    built, init = [], Layout.__init__
+
+    def counting_init(layout, scenario):
+        built.append(scenario)
+        init(layout, scenario)
+
+    monkeypatch.setattr(Layout, "__init__", counting_init)
+    return built

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from generators import flat_stretch, random_multi_carrier, reordered, wide_range
+from generators import flat_stretch, random_multi_carrier, relabelled, reordered, wide_range
 from helpers import (
+    count_layouts,
     fd_marginal_tolerance,
     gap_rounding_budget,
     log_demand_lambertw,
@@ -663,6 +664,32 @@ def test_kkt_residuals_match_hand_computation():
         Candidate.rates = {(1, 1): 3.0, key: 1.0}
         with pytest.raises(KeyError):
             kkt_check(Candidate(), Scenario(carriers=carriers, ues=ues), tol=1e-9)
+
+
+def test_a_candidate_of_another_scenario_is_refused_by_name():
+    paper = build_paper_scenario(130.0)
+    res = solve_central(paper)
+    # users 1..18 renamed 101..118: the first link user 101 holds
+    other = solve_central(relabelled(paper, {uid: 100 + uid for uid in range(1, 19)}))
+    first = next(iter(other.rates))
+    cases = [
+        (other, rf"rate on link \({first[0]}, {first[1]}\): no such carrier or user"),
+        (SimpleNamespace(rates={**res.rates, (13, 1): 1.0}, prices=res.prices),
+         r"rate on link \(13, 1\): no such carrier or user"),
+        (SimpleNamespace(rates=res.rates, prices={1: 1.0}), "no price for carrier 2"),
+    ]
+    for candidate, match in cases:
+        for check in (lambda c: kkt_check(c, paper, 1e-9), lambda c: duality_gap(c, paper)):
+            with pytest.raises(ValueError, match=match):
+                check(candidate)
+
+
+def test_the_oracle_reads_the_scenarios_own_layout(monkeypatch):
+    s = build_paper_scenario(130.0)
+    built = count_layouts(monkeypatch)
+    sol = solve_central(s)
+    assert kkt_check(sol, s, 1e-9).passed and duality_gap(sol, s) == sol.duality_gap
+    assert built == []
 
 
 def test_converged_protocol_passes_kkt_at_10_delta():

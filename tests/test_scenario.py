@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from generators import few_carriers, in_units
-from helpers import scenario_yaml_reference
+from helpers import count_layouts, scenario_yaml_reference
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
 from carrieralloc.oracle import OracleError, solve_central
@@ -344,6 +344,22 @@ def test_bool_ids_and_parameters_are_refused():
             build()
 
 
+_LOG = LogarithmicUtility(k=1.0, r_max=10.0)
+_CARRIER, _UE = CarrierSpec(id=1, capacity=5.0), UESpec(id=1, utility=_LOG, carriers=(1,))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: UESpec(id=1, utility=_LOG, carriers=1), "UE 1: carriers must be a tuple, got 1"),
+    # a list would leave the frozen spec unhashable, and mutable under its scenario's layout
+    (lambda: UESpec(id=1, utility=_LOG, carriers=[1]), r"UE 1: carriers must be a tuple, got \[1\]"),
+    (lambda: Scenario(carriers=[_CARRIER], ues=(_UE,)), "carriers must be a tuple, got list"),
+    (lambda: Scenario(carriers=(_CARRIER,), ues=[_UE]), "ues must be a tuple, got list"),
+], ids=["reach int", "reach list", "carriers list", "ues list"])
+def test_spec_containers_must_be_tuples(build, match):
+    with pytest.raises(ScenarioError, match=match):
+        build()
+
+
 def test_numpy_scalars_are_written_as_numbers(yaml_classes, tmp_path):
     plain = tiny_scenario()
     s = Scenario(
@@ -523,6 +539,32 @@ def test_run_sweep_order_and_verification():
         assert rec.result is not None and rec.result.converged
         assert rec.oracle is not None and rec.comparison is not None
         assert rec.comparison.passed, (rec.sweep_value, rec.comparison)
+
+
+def test_a_verified_sweep_point_lays_its_scenario_out_once(monkeypatch):
+    paper = build_paper_scenario()
+    built = count_layouts(monkeypatch)
+    (record,) = run_sweep(paper, SweepSpec(carrier_id=1, start=130.0, stop=130.0, step=10.0),
+                          verify=True)
+    assert record.comparison.passed
+    # the point's protocol run, oracle solve and comparison share its one layout
+    assert len(built) == 1 and built[0].carrier(1).capacity == 130.0
+
+
+def test_a_changed_scenario_lays_out_its_own_arrays():
+    paper = build_paper_scenario()
+    caps = paper.layout.caps.tolist()
+    row = paper.layout.row[1]
+    for changed in (paper.with_capacity(1, 77.0),
+                    replace(paper, carriers=tuple(replace(c, capacity=77.0) if c.id == 1 else c
+                                                  for c in paper.carriers))):
+        assert changed.layout is not paper.layout
+        assert changed.layout.caps.tolist() == caps[:row] + [77.0] + caps[row + 1:]
+        assert paper.layout.caps.tolist() == caps
+    # the layout is no field: equality, hashing, repr and the file ignore it
+    again = build_paper_scenario()
+    assert again == paper and hash(again) == hash(paper) and again.layout is not paper.layout
+    assert "layout" not in repr(paper) and "layout" not in scenario_to_yaml(paper)
 
 
 @pytest.fixture(scope="module")

@@ -516,6 +516,17 @@ def test_layout_orders_by_id_and_round_trips_bit_for_bit(name):
     assert allocation["objective"] == float(log_utilities(layout.params, totals).sum())
 
 
+def test_layout_arrays_are_read_only():
+    layout = build_paper_scenario().layout
+    for array in (layout.caps, layout.mask, *layout.params):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        layout.caps *= 2.0
+
+
 # ---------------------------------------------------------------------------
 # randomized property checks (small versions; the acceptance suite runs the
 # full-size draws)
