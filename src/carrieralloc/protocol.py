@@ -39,10 +39,10 @@ whose stiffness grows as 1 / (anchor total).  The fixed points are those of
 the plain rounds, and runs that stop within the warm-up are the plain
 protocol exactly.
 
-Users and carriers are stepped in ascending id order over plain floats, and
-the mixer fixes the order of its float64 array arithmetic (see
-_AndersonMixer) and solves its small least-squares system in plain floats,
-so two runs on identical inputs produce bit-identical results.
+Every sum over users or links -- a carrier's price, a user's totals, the
+mixer's dot products and the stop test's sums -- is exactly rounded
+(math.fsum), so a run on relabelled or reordered users is the same run, bit
+for bit, and no sum's bits depend on the Python version.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .subproblem import PRICE_FLOOR, ProtocolError, _left_sum, ue_step
+from .subproblem import PRICE_FLOOR, ProtocolError, ue_step
 from .utility import GAP_TOL, dual_gap
 
 __all__ = [
@@ -146,7 +146,7 @@ def carrier_step(bids: Sequence[float], capacity: float) -> float:
     for w in bids:
         if not (math.isfinite(w) and w >= 0.0):
             raise ProtocolError(f"carrier got bad bid {w}: bids must be finite and >= 0")
-    return max(PRICE_FLOOR, _left_sum(bids) / capacity)
+    return max(PRICE_FLOOR, math.fsum(bids) / capacity)
 
 
 class _AndersonMixer:
@@ -159,10 +159,9 @@ class _AndersonMixer:
     The Gram matrix dF^T dF is kept up to date one row at a time and solved
     by Cholesky, so a step costs O(depth * n).
 
-    The arithmetic is fixed operation by operation, so runs repeat bit for
-    bit on any numpy: every dot product is a strict left-to-right sum
-    (_dots), g - dG gamma subtracts one row at a time, oldest first, and the
-    small Cholesky solve runs in Python floats.
+    Runs repeat bit for bit on any numpy: every dot product is exactly
+    rounded (_dots), g - dG gamma subtracts one row at a time, oldest first,
+    and the small Cholesky solve runs in Python floats.
     """
 
     def __init__(self, depth: int):
@@ -241,13 +240,15 @@ class _AndersonMixer:
 
 
 def _dots(rows: np.ndarray, v: np.ndarray) -> List[float]:
-    """Each row's dot product with v, summed from 0.0 in index order.
-
-    np.add.accumulate adds strictly left to right, where np.dot and np.sum
-    may reorder; the 0.0 + turns a sum of -0.0 terms into 0.0 as a sum from
-    0.0 does.
-    """
-    return (0.0 + np.add.accumulate(rows * v, axis=1)[:, -1]).tolist()
+    """Each row's dot product with v, exactly rounded, or nan where that is no
+    float (a sum past the largest float, or inf - inf): _solve refuses nan."""
+    dots = []
+    for row in (rows * v).tolist():
+        try:
+            dots.append(math.fsum(row))
+        except (OverflowError, ValueError):
+            dots.append(math.nan)
+    return dots
 
 
 class _Setup:
@@ -271,7 +272,7 @@ class _Setup:
             self.carrier_links[k].append(i)
         # the capacity each UE reaches: a scale for its user step, not a
         # ceiling (the carriers' prices bound every total)
-        reach = [_left_sum(self.caps[layout.row[cid]] for cid in ue.carriers) for ue in layout.ues]
+        reach = [math.fsum(self.caps[layout.row[cid]] for cid in ue.carriers) for ue in layout.ues]
         self.users = list(zip([ue.utility for ue in layout.ues], self.spans, reach))
 
 

@@ -153,6 +153,10 @@ class Scenario:
                 raise ScenarioError(f"UE {u.id}: duplicate carriers in reach set")
         object.__setattr__(self, "layout", Layout(self))
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: validated, with a read-only layout
+        return type(self), (self.carriers, self.ues, self.name)
+
     @property
     def total_capacity(self) -> float:
         return sum(c.capacity for c in self.carriers)

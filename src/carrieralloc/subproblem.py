@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from functools import reduce
-from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .utility import UtilityFunction, solve_rate_for_price
@@ -62,15 +60,8 @@ class ProtocolError(ValueError):
     """Raised on malformed bids or engine parameters."""
 
 
-def _left_sum(values) -> float:
-    """The values added left to right from 0.0, as the builtin sum() does up to
-    Python 3.11 (3.12 compensates it), so the protocol's bits do not depend on
-    the Python version."""
-    return reduce(add, values, 0.0)
-
-
 def _total(links: List[Tuple[float, float]], rho: float, nu: float) -> float:
-    t = 0.0  # left to right, as _left_sum adds
+    t = 0.0
     for q, p in links:
         r = q + (nu - p) / rho
         if r > 0.0:
@@ -120,7 +111,7 @@ def _anchored_demand(
     # log_slope is d ln m / d ln T.
     known_lo, known_hi, x = -inf, inf, p1
     if not single:
-        s, t0 = 0.0, rho * _left_sum(anchor)
+        s, t0 = 0.0, rho * math.fsum(anchor)
         for n, knot in enumerate(knots, 1):
             s += knot
             x = (t0 + s) / n
@@ -249,14 +240,14 @@ def ue_step(
             hi *= 2.0
         rates[cheapest] = solve_rate_for_price(utility, p, hi)
     else:
-        t_prev, t_min = _left_sum(anchor), 1e-12 * r_reach
+        t_prev, t_min = math.fsum(anchor), 1e-12 * r_reach
         p_min = min(prices)
         floored = p_min <= PRICE_FLOOR
         if floored:  # rho from the prices that carry bids
             p_min = min([p for p in prices if p > PRICE_FLOOR] or prices)
         rho = ANCHOR_GAIN * p_min / (t_min if t_min > t_prev else t_prev)
         rates = _anchored_demand(utility, prices, anchor, rho)
-        if floored and (t := _left_sum(rates)) > 0.0:  # bid at the marginal instead
+        if floored and (t := math.fsum(rates)) > 0.0:  # bid at the marginal instead
             nu = utility.marginal(t)
             prices = [nu if p <= PRICE_FLOOR < nu else p for p in prices]
 

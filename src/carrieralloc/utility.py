@@ -365,7 +365,8 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
     gap.  It is summed from non-negative parts: per user, the surplus T_i
     misses at pi_i and its pay above pi_i; per reached carrier, p_l times its
     unsold capacity.  One ``demands`` call, from T_i and capped at C_i, finds
-    every best T (C_i at pi_i = 0).  +inf while a user holds no rate.
+    every best T (C_i at pi_i = 0).  +inf while a user holds no rate.  Every
+    sum over users or carriers is math.fsum, so their order changes no bit.
 
     With ``tol``, a gap whose pay and unsold parts alone exceed tol plus a
     bound on the missed surplus's rounding is certainly above tol: their sum
@@ -379,16 +380,17 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
         return math.inf
     pi = np.where(mask, prices[:, None], np.inf).min(axis=0)
     reach = caps @ mask
-    paid = ((prices[:, None] - pi) * rates).sum()
-    unsold = np.where(mask.any(axis=1), prices * (caps - rates.sum(axis=1)), 0.0).sum()
+    loads = np.array([math.fsum(row) for row in rates.tolist()])
+    paid = math.fsum(((prices[:, None] - pi) * rates).ravel().tolist())
+    unsold = math.fsum(np.where(mask.any(axis=1), prices * (caps - loads), 0.0).tolist())
     if tol is not None:
-        scale = (log_utility_scales(params, totals) + pi * reach).sum()
+        scale = math.fsum((log_utility_scales(params, totals) + pi * reach).tolist())
         if paid + unsold > tol + 16.0 * (totals.size + 8) * 2.0**-53 * scale:
-            return float(paid + unsold)
+            return paid + unsold
     r = np.stack([demands(params, pi, reach, totals)[0], totals])
     ln_u = log_utilities(params, r)
     missed = ln_u[0] - ln_u[1] - pi * (r[0] - r[1])
-    return float(missed.sum() + paid + unsold)
+    return math.fsum([*missed.tolist(), paid, unsold])
 
 
 class Layout:
@@ -431,12 +433,12 @@ class Layout:
     def allocation(self, rates: np.ndarray, prices: np.ndarray) -> dict:
         """The ``rates`` (carriers x users) and ``prices`` of a result: rates
         by link in carrier-major order, each user's total (its column summed
-        in carrier order), prices by carrier, and the objective sum_i ln U_i."""
+        in carrier order), prices by carrier, and the objective sum_i ln U_i (fsum)."""
         totals = rates.sum(axis=0)
         return dict(
             rates={(self.cids[k], self.uids[j]): float(rates[k, j])
                    for k, j in zip(*np.nonzero(self.mask))},
             totals=dict(zip(self.uids, totals.tolist())),
             prices=dict(zip(self.cids, prices.tolist())),
-            objective=float(log_utilities(self.params, totals).sum()),
+            objective=math.fsum(log_utilities(self.params, totals).tolist()),
         )

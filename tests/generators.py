@@ -15,8 +15,9 @@ one's YAML).  All of them draw utilities through ``utility``.
     few_carriers          numpy    1-3       1-5    file round trip
     flat_stretch          -        1         2      oracle, protocol, CLI
 
-Transforms: ``in_units``, ``relabelled``, ``reordered`` and
-``split_carrier``.
+Transforms: ``in_units``, ``relabelled``, ``reordered``, ``replicated``
+and ``split_carrier``.  ``ensemble`` gives one scenario's nine equivalent
+inputs, on which a change to the protocol's rounds is judged.
 """
 
 import math
@@ -252,6 +253,12 @@ def relabelled(scenario, new_id):
     return replace(scenario, ues=tuple(replace(ue, id=new_id[ue.id]) for ue in scenario.ues))
 
 
+def reversed_ids(scenario):
+    """The relabelling that reverses the order of ``scenario``'s user ids."""
+    uids = sorted(ue.id for ue in scenario.ues)
+    return dict(zip(uids, reversed(uids)))
+
+
 def reordered(scenario, rng):
     """``scenario`` with its carriers, then its users, listed in an order
     shuffled by ``rng``."""
@@ -259,6 +266,18 @@ def reordered(scenario, rng):
     rng.shuffle(carriers)
     rng.shuffle(ues)
     return Scenario(tuple(carriers), tuple(ues), scenario.name)
+
+
+def replicated(scenario, k):
+    """``scenario`` with its users copied ``k`` times, copy c's ids offset by
+    c times the largest id, and every capacity times ``k``.  Each copy faces
+    the prices of the original, so the optimum keeps its totals and prices."""
+    top = max(ue.id for ue in scenario.ues)
+    return replace(
+        scenario,
+        carriers=tuple(replace(c, capacity=c.capacity * k) for c in scenario.carriers),
+        ues=tuple(replace(ue, id=ue.id + c * top) for c in range(k) for ue in scenario.ues),
+    )
 
 
 def split_carrier(scenario, n):
@@ -276,3 +295,20 @@ def split_carrier(scenario, n):
         + tuple(c for c in scenario.carriers if c.id != 1),
         ues=tuple(replace(ue, carriers=reach(ue)) for ue in scenario.ues),
     )
+
+
+def ensemble(scenario):
+    """Nine inputs equivalent to ``scenario``, by name: the scenario as given,
+    in units s = 2, 1/4, 10 and 0.1, with its user ids reversed, listed in
+    another order (seed 0), and replicated x2 and x3.  The oracle's optimum
+    is the same on each, up to the known map and rounding; the protocol's
+    round count is one draw per input."""
+    return {
+        "as given": scenario,
+        **{f"units s={label}": in_units(scenario, s)
+           for label, s in (("2", 2.0), ("1/4", 0.25), ("10", 10.0), ("0.1", 0.1))},
+        "ids reversed": relabelled(scenario, reversed_ids(scenario)),
+        "reordered": reordered(scenario, random.Random(0)),
+        "x2": replicated(scenario, 2),
+        "x3": replicated(scenario, 3),
+    }

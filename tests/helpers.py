@@ -190,9 +190,8 @@ def _sum_from_zero(terms):
 class anderson_mixer_reference:
     """protocol._AndersonMixer as it stood in plain floats, on lists.
 
-    Its dot products and Cholesky sums were builtin sum() calls, which add
-    left to right up to Python 3.11 and compensate from 3.12 on; here they
-    are written out, so the reference keeps the 3.11 bits on any Python.
+    Its dot products are exactly rounded (math.fsum), and its Cholesky sums
+    add left to right from 0.0, as the mixer's loops do.
     """
 
     def __init__(self, depth):
@@ -261,7 +260,7 @@ class anderson_mixer_reference:
 
 
 def _dot(a, b):
-    return _sum_from_zero(x * y for x, y in zip(a, b))
+    return math.fsum(x * y for x, y in zip(a, b))
 
 
 def staged_demand_reference(utility, prices, r_reach):

@@ -17,6 +17,7 @@ import pytest
 
 from generators import (
     SMALL_SHAPES,
+    ensemble,
     few_carriers,
     flat_stretch,
     in_units,
@@ -25,6 +26,7 @@ from generators import (
     random_multi_carrier,
     relabelled,
     reordered,
+    replicated,
     small_synthetic,
     split_carrier,
     synthetic,
@@ -87,6 +89,11 @@ STREAMS = {
                               for i in range(29) for n in (2, 3)],
     "relabelled": lambda: [relabelled(build_paper_scenario(r1), _relabelling(build_paper_scenario(r1), seed))
                            for r1 in INVARIANCE_POINTS for seed in (1, 2)],
+    # tests/ensemble_report.py
+    "replicated": lambda: [replicated(build_paper_scenario(r1), k) for r1 in INVARIANCE_POINTS
+                           for k in (2, 3, 10)],
+    "ensemble paper sweep": lambda: [s for i in range(29) for s in ensemble(
+        build_paper_scenario(300.0).with_capacity(1, 20.0 + 10.0 * i)).values()],
 }
 
 PINS = {
@@ -114,6 +121,8 @@ PINS = {
     "in_units": "5267d6b8110bbdf35c7b41aa814364dcc30e3a85b2771494afcd38097cd67cf9",
     "split_carrier": "8172b76565ba84848f079cc46cca9cf0f3cdf08d06d6dc7cacb1224f9f234e5d",
     "relabelled": "ce2ac742f43f0ddc74cbc76d8c8da894fa35e4aa419bb1e95bd92b30a90ce65a",
+    "replicated": "2594cbe276593e5d2b070299094a0b355141c2467152312701faaaa8573eee31",
+    "ensemble paper sweep": "a95c629cc3386454af23567dc21285b110e838ee6e18980e306064c1ad7a3add",
 }
 
 

@@ -513,7 +513,7 @@ def test_layout_orders_by_id_and_round_trips_bit_for_bit(name):
         assert allocation["totals"][ue.id].hex() == total.hex(), ue.id
     assert allocation["prices"] == dict(zip(layout.cids, prices.tolist()))
     totals = np.array(list(allocation["totals"].values()))
-    assert allocation["objective"] == float(log_utilities(layout.params, totals).sum())
+    assert allocation["objective"] == math.fsum(log_utilities(layout.params, totals).tolist())
 
 
 def test_layout_arrays_are_read_only():
