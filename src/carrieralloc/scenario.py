@@ -89,6 +89,7 @@ def _check_id(value: object, what: str) -> None:
 _FAMILIES = {"sigmoidal": SigmoidalUtility, "logarithmic": LogarithmicUtility}
 # Each family's parameters: its dataclass's init fields, in order.
 _PARAMS = {family: [f.name for f in fields(family) if f.init] for family in _FAMILIES.values()}
+_KINDS = {family: kind for kind, family in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -413,69 +414,38 @@ def save_scenario(
 
 
 def scenario_to_yaml(scenario: Scenario, sweep: Optional[SweepSpec] = None) -> str:
-    """The scenario file: ``_DUMPER``'s emitter fed the document as events.
+    """The scenario file: ``yaml.dump`` of the document, written line by line.
 
-    They are the events PyYAML's safe representer and serializer make of the
-    document (block style, keys in file order, no anchors), so the text is
-    theirs byte for byte, without a pass that works out types already known.
-    A number's text is the dumper's own ``represent_int`` or
-    ``represent_float``, which always resolves back to the number's type, so
-    it is emitted plain; only strings ask the resolver whether they need quotes.
+    The block layout (keys in file order, no anchors) fixes every key, indent
+    and utility type, so only the name and the numbers need the dumper.  The
+    name's line is ``_DUMPER``'s own dump of ``{"name": name}``, with its
+    quotes, escapes and folds.  A number's text is the dumper's
+    ``represent_int`` or ``represent_float``, which always resolves back to
+    the number's type, so it is written plain.
     """
-    return yaml.emit(_events(scenario, sweep, _DUMPER(None)), Dumper=_DUMPER)
+    dumper = _DUMPER(None)
 
-
-_MAP = yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False)
-_SEQ = yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False)
-_MAP_END, _SEQ_END = yaml.MappingEndEvent(), yaml.SequenceEndEvent()
-# every key the writer emits
-_KEYS = ("name", "carriers", "ues", "sweep", "id", "capacity", "utility", "type",
-         *(name for params in _PARAMS.values() for name in params),
-         *(key for _, key, _ in _SWEEP_KEYS))
-
-
-def _events(scenario: Scenario, sweep: Optional[SweepSpec], dumper) -> Iterator[yaml.Event]:
-    """The scenario file as events, with ``dumper``'s number texts and resolver."""
-    resolve, represent_int, represent_float = (
-        dumper.resolve, dumper.represent_int, dumper.represent_float)
-
-    def string(text: str) -> yaml.ScalarEvent:
-        plain = resolve(yaml.ScalarNode, text, (True, False)) == _TAG + "str"
-        return yaml.ScalarEvent(None, _TAG + "str", (plain, True), text)
-
-    def number(value) -> yaml.ScalarEvent:
+    def number(value) -> str:
         # an int stays an int (a: 5); a numpy scalar is written as the
         # Python number it converts to, never through its repr
         if isinstance(value, float) or not isinstance(value, (int, numbers.Integral)):
-            node = represent_float(float(value))
-        else:
-            node = represent_int(int(value))
-        return yaml.ScalarEvent(None, node.tag, (True, False), node.value)
+            return dumper.represent_float(float(value)).value
+        return dumper.represent_int(int(value)).value
 
-    key = {name: string(name) for name in _KEYS}
-    kinds = {family: (string(kind), _PARAMS[family]) for kind, family in _FAMILIES.items()}
-
-    yield from (yaml.StreamStartEvent(), yaml.DocumentStartEvent(), _MAP,
-                key["name"], string(scenario.name), key["carriers"], _SEQ)
+    lines = [yaml.dump({"name": scenario.name}, Dumper=_DUMPER), "carriers:\n"]
     for c in scenario.carriers:
-        yield from (_MAP, key["id"], number(c.id),
-                    key["capacity"], number(float(c.capacity)), _MAP_END)
-    yield from (_SEQ_END, key["ues"], _SEQ)
+        lines.append(f"- id: {number(c.id)}\n  capacity: {number(float(c.capacity))}\n")
+    lines.append("ues:\n")
     for u in scenario.ues:
-        kind, params = kinds[type(u.utility)]
-        yield from (_MAP, key["id"], number(u.id), key["utility"], _MAP, key["type"], kind)
-        for name in params:
-            yield from (key[name], number(getattr(u.utility, name)))
-        yield from (_MAP_END, key["carriers"], _SEQ)
-        yield from map(number, u.carriers)
-        yield from (_SEQ_END, _MAP_END)
-    yield _SEQ_END
+        family = type(u.utility)
+        lines.append(f"- id: {number(u.id)}\n  utility:\n    type: {_KINDS[family]}\n")
+        lines += [f"    {name}: {number(getattr(u.utility, name))}\n" for name in _PARAMS[family]]
+        lines.append("  carriers:\n")
+        lines += [f"  - {number(cid)}\n" for cid in u.carriers]
     if sweep is not None:
-        yield from (key["sweep"], _MAP)
-        for attr, name, _ in _SWEEP_KEYS:
-            yield from (key[name], number(getattr(sweep, attr)))
-        yield _MAP_END
-    yield from (_MAP_END, yaml.DocumentEndEvent(), yaml.StreamEndEvent())
+        lines.append("sweep:\n")
+        lines += [f"  {key}: {number(getattr(sweep, attr))}\n" for attr, key, _ in _SWEEP_KEYS]
+    return "".join(lines)
 
 
 def build_paper_scenario(r1: float = 300.0) -> Scenario:

@@ -365,8 +365,10 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
     gap.  It is summed from non-negative parts: per user, the surplus T_i
     misses at pi_i and its pay above pi_i; per reached carrier, p_l times its
     unsold capacity.  One ``demands`` call, from T_i and capped at C_i, finds
-    every best T (C_i at pi_i = 0).  +inf while a user holds no rate.  Every
-    sum over users or carriers is math.fsum, so their order changes no bit.
+    every best T (C_i at pi_i = 0).  +inf while a user holds no rate or any
+    rate lies on a link off the mask: the bound needs a feasible allocation.
+    Every sum over users or carriers is math.fsum, over the nonzero rates
+    only, so their order changes no bit.
 
     With ``tol``, a gap whose pay and unsold parts alone exceed tol plus a
     bound on the missed surplus's rounding is certainly above tol: their sum
@@ -376,12 +378,13 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
     is larger at the best T, so s there is below 5 s(T_i) + 3 pi_i C_i.
     """
     totals = rates.sum(axis=0)
-    if not (totals > 0.0).all():
+    rows, cols = np.nonzero(rates)
+    if not ((totals > 0.0).all() and mask[rows, cols].all()):
         return math.inf
     pi = np.where(mask, prices[:, None], np.inf).min(axis=0)
     reach = caps @ mask
-    loads = np.array([math.fsum(row) for row in rates.tolist()])
-    paid = math.fsum(((prices[:, None] - pi) * rates).ravel().tolist())
+    loads = np.array([math.fsum(row[row != 0.0].tolist()) for row in rates])
+    paid = math.fsum(((prices[rows] - pi[cols]) * rates[rows, cols]).tolist())
     unsold = math.fsum(np.where(mask.any(axis=1), prices * (caps - loads), 0.0).tolist())
     if tol is not None:
         scale = math.fsum((log_utility_scales(params, totals) + pi * reach).tolist())

@@ -40,7 +40,7 @@ def sig_demand_closed_form(a: float, b: float, p: float) -> float:
 def scenario_yaml_reference(scenario, dumper, sweep=None):
     """A scenario file as ``yaml.dump`` wrote it from the document's dicts and
     lists, through PyYAML's safe representer and serializer: the bytes the
-    event-stream writer ``scenario_to_yaml`` must give."""
+    line writer ``scenario_to_yaml`` must give."""
     family = {SigmoidalUtility: "sigmoidal", LogarithmicUtility: "logarithmic"}
     doc = {
         "name": scenario.name,

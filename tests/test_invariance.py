@@ -1,6 +1,7 @@
-"""The oracle's optimum does not depend on units, user labels or how a carrier is cut.
+"""The oracle's optimum does not depend on units, user labels, how a carrier is
+cut or how many times the users are copied.
 
-Three transforms of the paper scenario have known effects on the optimum:
+Four transforms of the paper scenario have known effects on the optimum:
 
 - units: capacities times s, sigmoidal (a, b) -> (a/s, b*s), logarithmic
   (k, r_max) -> (k/s, r_max*s).  Each new U_i(s*r) is the old U_i(r), so
@@ -8,17 +9,20 @@ Three transforms of the paper scenario have known effects on the optimum:
 - labels: the user ids permuted.  Each user keeps its total;
 - carrier split: carrier 1 replaced by n equal carriers with its reach.  The
   feasible totals depend only on the capacity of each reach set, so each user
-  keeps its total and every part takes carrier 1's price.
+  keeps its total and every part takes carrier 1's price;
+- replication: the users copied k times and every capacity times k.  Each
+  copy faces the original's prices, so it keeps every total and price.
 
 The two answers are computed in different floating-point orders, so they
 agree only up to rounding.  ``_rounding_budget`` bounds that from the base
-answer alone; its argument is written out there.
+answer alone; its argument is written out there.  Replication, checked on
+four small synthetic scenarios too, is held to fixed tolerances instead.
 """
 
 import numpy as np
 import pytest
 
-from generators import in_units, relabelled, split_carrier
+from generators import in_units, relabelled, replicated, small_synthetic, split_carrier
 from carrieralloc.oracle import solve_central
 from carrieralloc.scenario import build_paper_scenario
 from carrieralloc.utility import marginals, parameter_arrays
@@ -113,3 +117,25 @@ def test_carrier_split_keeps_totals_and_every_part_takes_the_old_price(point, n)
     for cid in (1,) + tuple(range(11, 10 + n)):
         assert abs(other.prices[cid] - sol.prices[1]) <= price_rtol[1] * sol.prices[1], (cid, other.prices)
     assert abs(other.prices[2] - sol.prices[2]) <= price_rtol[2] * sol.prices[2]
+
+
+@pytest.fixture(scope="module", params=POINTS + ("0-8-3", "1-12-4", "3-18-5", "5-8-3"),
+                ids=lambda p: p if isinstance(p, str) else f"R1={p:g}")
+def original(request):
+    p = request.param
+    scenario = small_synthetic()[p] if isinstance(p, str) else build_paper_scenario(p)
+    return scenario, solve_central(scenario)
+
+
+@pytest.mark.parametrize("k", (2, 3, 10))
+def test_replication_keeps_every_copys_totals_and_the_prices(original, k):
+    # a known answer at a fixed tolerance: the copies sum their rates in
+    # another order, measured at 1.4e-12 (totals) and 1.7e-15 (prices) at most
+    scenario, sol = original
+    other = solve_central(replicated(scenario, k))
+    top = max(ue.id for ue in scenario.ues)
+    for c in range(k):
+        for uid, total in sol.totals.items():
+            assert abs(other.totals[uid + c * top] - total) <= 1e-11 * total, (c, uid)
+    for cid, price in sol.prices.items():
+        assert abs(other.prices[cid] - price) <= 1e-13 * price, (cid, other.prices[cid], price)

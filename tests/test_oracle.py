@@ -268,6 +268,16 @@ def test_duality_gap_charges_rate_bought_above_the_cheapest_price():
     assert duality_gap(_candidate([0.0, 0.0], [0.05, 0.08]), s) == math.inf
 
 
+def test_duality_gap_refuses_rate_on_a_link_the_user_does_not_reach():
+    # the gap bounds P(T*) - P(T) for feasible allocations only; rate off the
+    # reach mask would certify here (a gap of -0.399) an allocation whose
+    # total 10 the user's one carrier, of capacity 4, cannot carry
+    u = LogarithmicUtility(k=1.0, r_max=10.0)
+    s = Scenario(carriers=(CarrierSpec(1, 4.0), CarrierSpec(2, 6.0)), ues=(UESpec(1, u, (1,)),))
+    assert duality_gap(_candidate([4.0, 6.0], [marginal(u, 4.0), 1e-6]), s) == math.inf
+    assert duality_gap(_candidate([4.0, 0.0], [marginal(u, 4.0), 1e-6]), s) < GAP_TOL
+
+
 @pytest.mark.parametrize("capacity", (20.0, 30.0, 60.0, 150.0))
 def test_duality_gap_is_defined_at_a_zero_price(capacity):
     # one steep user alone on one carrier: its marginal underflows at R=150,

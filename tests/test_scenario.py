@@ -231,22 +231,36 @@ def test_writer_keeps_int_valued_parameters_ints(yaml_classes, tmp_path):
 
 
 def test_untagged_numbers_resolve_to_their_type():
-    # the writer emits a number plain without asking the resolver; the
+    # the writer writes a number plain without asking the resolver; the
     # loader's resolver must read the text back as the number's type
     resolver = yaml.SafeLoader("")
     s = replace(edge_float_scenario(), name="123")
     sweep = SweepSpec(carrier_id=1, start=-2, stop=1e16, step=0.5)
-    events = list(scenario_module._events(s, sweep, scenario_module._DUMPER(None)))
-    numbers = [e for e in events
-               if isinstance(e, yaml.ScalarEvent) and e.tag != "tag:yaml.org,2002:str"]
-    assert {e.tag for e in numbers} == {"tag:yaml.org,2002:int", "tag:yaml.org,2002:float"}
-    assert len(numbers) == 2 * 6 + 4 * 12 + 4
-    for e in numbers:
-        assert e.implicit == (True, False)
-        assert resolver.resolve(yaml.ScalarNode, e.value, (True, False)) == e.tag, e.value
+    root = yaml.compose(scenario_to_yaml(s, sweep=sweep), Loader=yaml.SafeLoader)
+
+    def scalars(node):
+        """The value scalars under ``node``, in file order."""
+        if isinstance(node, yaml.MappingNode):
+            for _, value in node.value:
+                yield from scalars(value)
+        elif isinstance(node, yaml.SequenceNode):
+            for item in node.value:
+                yield from scalars(item)
+        else:
+            yield node
+
+    written = [*(x for c in s.carriers for x in (c.id, c.capacity)),
+               *(x for u in s.ues for x in (u.id, *vars(u.utility).values(), *u.carriers)),
+               sweep.carrier_id, sweep.start, sweep.stop, sweep.step]
+    numbers = [node for node in scalars(root) if node.tag != "tag:yaml.org,2002:str"]
+    assert len(numbers) == len(written) == 2 * 6 + 4 * 12 + 4
+    for node, value in zip(numbers, written):
+        assert node.style is None, node.value  # plain
+        assert node.tag == "tag:yaml.org,2002:" + type(value).__name__, node.value
+        assert resolver.resolve(yaml.ScalarNode, node.value, (True, False)) == node.tag
     # a string that reads as a number is quoted
-    name = events[4]
-    assert name.value == "123" and name.implicit == (False, True)
+    name = root.value[0][1]
+    assert name.value == "123" and name.style == "'"
 
 
 def test_duplicate_keys_are_refused(yaml_classes, tmp_path):
