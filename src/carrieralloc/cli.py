@@ -56,42 +56,45 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of ``command`` alone if it is one of ``_COMMANDS``, else of every command.
+
+    A call runs one command, and argparse makes a help formatter, which queries
+    the terminal's size, for each option it adds: the other commands' options
+    would be built for nothing.  No command, ``-h`` and an unknown command get
+    every subparser, as the top-level help and its invalid-choice error list
+    them all.
+    """
     parser = _Parser(prog="carrieralloc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # run, sweep and verify are one handler with one engine setting, the round
-    # limit; the others are EngineConfig's defaults, and a scenario file has none.
-    max_rounds = EngineConfig().max_rounds
-    points = {}
-    for command, text in (("run", "run the protocol on a scenario"),
-                          ("sweep", "sweep one carrier's capacity"),
-                          ("verify", "check protocol against the oracle")):
-        points[command] = p = sub.add_parser(command, help=text)
-        p.add_argument("--scenario", required=True, help="scenario file (YAML)")
-        p.add_argument("--max-rounds", type=int, default=max_rounds,
-                       help=f"round limit before giving up (default {max_rounds})")
-        p.set_defaults(verify=command == "verify", out=None)
-        if command != "verify":
-            p.add_argument("--out", help="directory for result CSVs")
-    for name, key, kind in _SWEEP_KEYS:
-        points["sweep"].add_argument(_SWEEP_FLAGS[name], dest=name, type=kind, default=None,
-                                     help=f"sweep {key} (overrides the scenario file's)")
-    points["sweep"].add_argument("--verify", action="store_true",
-                                 help="also solve each point centrally and compare")
-
-    p_curve = sub.add_parser("utility-curve", help="sample a utility as CSV")
-    p_curve.add_argument("--utility", required=True,
-                         help="utility as in a scenario file, "
-                              "e.g. '{type: sigmoidal, a: 1, b: 30}'")
-    p_curve.add_argument("--max", dest="r_max_axis", type=float, default=100.0,
-                         help="largest sampled rate (default 100)")
-    p_curve.add_argument("--samples", type=int, default=1000,
-                         help="number of intervals; emits N+1 rows (default 1000)")
-
-    p_paper = sub.add_parser("paper-scenario", help="emit the built-in scenario")
-    p_paper.add_argument("--out", default="-", help="output path, '-' for stdout")
-
+    for name in ([command] if command in _COMMANDS else _COMMANDS):
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
+        if name in ("run", "sweep", "verify"):
+            # one handler with one engine setting, the round limit; the others
+            # are EngineConfig's defaults, and a scenario file has none.
+            max_rounds = EngineConfig().max_rounds
+            p.add_argument("--scenario", required=True, help="scenario file (YAML)")
+            p.add_argument("--max-rounds", type=int, default=max_rounds,
+                           help=f"round limit before giving up (default {max_rounds})")
+            p.set_defaults(verify=name == "verify", out=None)
+            if name != "verify":
+                p.add_argument("--out", help="directory for result CSVs")
+            if name == "sweep":
+                for field, key, kind in _SWEEP_KEYS:
+                    p.add_argument(_SWEEP_FLAGS[field], dest=field, type=kind, default=None,
+                                   help=f"sweep {key} (overrides the scenario file's)")
+                p.add_argument("--verify", action="store_true",
+                               help="also solve each point centrally and compare")
+        elif name == "utility-curve":
+            p.add_argument("--utility", required=True,
+                           help="utility as in a scenario file, "
+                                "e.g. '{type: sigmoidal, a: 1, b: 30}'")
+            p.add_argument("--max", dest="r_max_axis", type=float, default=100.0,
+                           help="largest sampled rate (default 100)")
+            p.add_argument("--samples", type=int, default=1000,
+                           help="number of intervals; emits N+1 rows (default 1000)")
+        else:
+            p.add_argument("--out", default="-", help="output path, '-' for stdout")
     return parser
 
 
@@ -204,20 +207,22 @@ def _cmd_paper_scenario(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "run": _cmd_points,
-    "sweep": _cmd_points,
-    "verify": _cmd_points,
-    "utility-curve": _cmd_utility_curve,
-    "paper-scenario": _cmd_paper_scenario,
+# Each command's one-line help and handler, in the order the top-level help lists them.
+_COMMANDS = {
+    "run": ("run the protocol on a scenario", _cmd_points),
+    "sweep": ("sweep one carrier's capacity", _cmd_points),
+    "verify": ("check protocol against the oracle", _cmd_points),
+    "utility-curve": ("sample a utility as CSV", _cmd_utility_curve),
+    "paper-scenario": ("emit the built-in scenario", _cmd_paper_scenario),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,12 +2,13 @@
 
 import csv
 import re
+import sys
 
 import pytest
 
 from generators import flat_stretch
-from carrieralloc import oracle
-from carrieralloc.cli import EXIT_NUMERIC, main
+from carrieralloc import cli, oracle
+from carrieralloc.cli import EXIT_NUMERIC, _build_parser, _UsageError, main
 from carrieralloc.oracle import OracleError, solve_central
 from carrieralloc.protocol import EngineConfig, run
 from carrieralloc.scenario import (
@@ -346,3 +347,70 @@ def test_unknown_flags_exit_usage(paper_file):
     # written as in a scenario file
     assert main(["paper-scenario", "--r1", "300"]) == 1
     assert main(["utility-curve", "--type", "sig", "--a", "1", "--b", "30"]) == 1
+
+
+COMMANDS = ("run", "sweep", "verify", "utility-curve", "paper-scenario")
+
+
+def _exits(call, capsys):
+    """The code ``call`` exits with through argparse's SystemExit, and what it prints."""
+    with pytest.raises(SystemExit) as info:
+        call()
+    return info.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_builds_its_own_parser_alone(command, capsys):
+    assert _build_parser(command).format_usage() == f"usage: carrieralloc [-h] {{{command}}} ...\n"
+    # main builds the command's subparser alone; its help, and its errors, are
+    # those of the parser of every command, or the two build paths have drifted
+    full = _exits(lambda: _build_parser().parse_args([command, "--help"]), capsys)
+    assert full[0] == 0 and full[1].out.startswith(f"usage: carrieralloc {command} [-h]")
+    assert _exits(lambda: main([command, "--help"]), capsys) == full
+    for argv in ([command, "--bogus"], [command, "--scenario"], [command, "--out"],
+                 [command, "--max-rounds", "x"]):
+        with pytest.raises(_UsageError) as info:
+            _build_parser().parse_args(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "s.yaml", "--out", "o"],
+    ["sweep", "--scen", "s.yaml", "--from", "20", "--step", "5", "--verify"],
+    ["verify", "--scenario", "s.yaml", "--max-rounds", "3"],
+    ["utility-curve", "--utility", "{type: sigmoidal, a: 1, b: 30}", "--max", "5"],
+    ["paper-scenario"],
+])
+def test_a_command_parses_as_the_parser_of_every_command(argv):
+    assert vars(_build_parser(argv[0]).parse_args(argv)) == vars(_build_parser().parse_args(argv))
+
+
+def test_no_or_an_unknown_command_builds_every_parser(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+    assert main(["nope"]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument command: invalid choice: 'nope' (choose from "
+        "'run', 'sweep', 'verify', 'utility-curve', 'paper-scenario')\n"
+    )
+    full = _exits(lambda: _build_parser().parse_args(["--help"]), capsys)
+    assert "{run,sweep,verify,utility-curve,paper-scenario}" in full[1].out
+    assert _exits(lambda: main(["--help"]), capsys) == full
+    assert _exits(lambda: main(["-h", "sweep"]), capsys) == full
+
+
+def test_main_builds_the_parser_of_the_command_it_reads(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: built.append(command) or _build_parser(command))
+    assert main(["paper-scenario"]) == 0
+    text = capsys.readouterr().out
+    # without argv, main reads the command line as argparse would
+    monkeypatch.setattr(sys, "argv", ["carrieralloc", "paper-scenario"])
+    assert main() == 0
+    assert capsys.readouterr().out == text
+    monkeypatch.setattr(sys, "argv", ["carrieralloc", "nope"])
+    assert main() == 1
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert built == ["paper-scenario", "paper-scenario", "nope"]
