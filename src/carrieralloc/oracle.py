@@ -31,9 +31,9 @@ reach:
 Each split leaves two strictly smaller groups, so a solve makes at most 2M-1
 price clearings and needs no starting point.  A carrier that no user reaches
 gets price 0.  The result is certified as the protocol's stop test
-certifies, in any unit of rate: non-negative rates, loads within rounding
-of the capacities, and utility.dual_gap at most GAP_TOL.  kkt_check's
-residuals are a diagnostic of any candidate, in its own unit of rate.
+certifies, in any unit of rate, on utility.dual_gap at most GAP_TOL alone
+(+inf for a negative rate or a load over its capacity beyond rounding).
+kkt_check's residuals are a diagnostic of any candidate, in its own unit.
 """
 
 from __future__ import annotations
@@ -304,18 +304,17 @@ def solve_central(scenario) -> OracleSolution:
     """Certified optimum of the log-utility allocation problem.
 
     ``iterations`` counts price clearings.  Raises OracleError, naming the
-    duality gap, when the rates are not feasible up to rounding (a load sums
-    M rates) or the gap is above GAP_TOL.
+    duality gap (+inf for rates that are not feasible up to rounding), its
+    least rate and largest overload, when the gap is above GAP_TOL.
     """
     layout = scenario.layout
     prices, rates, clearings = _decompose(layout)
-    gap = dual_gap(layout.params, layout.mask, layout.caps, rates, prices)
-    overload = float((rates.sum(axis=1) / layout.caps).max()) - 1.0
-    if not (rates.min() >= 0.0 and overload <= len(layout.uids) * 2.0**-52 and gap <= GAP_TOL):
+    gap = dual_gap(layout, rates, prices)
+    if not gap <= GAP_TOL:
         raise OracleError(
             f"optimum of {scenario.name!r} fails its certificate: duality gap {gap:.3e} "
-            f"(at most {GAP_TOL:g}), least rate {rates.min():.3e}, "
-            f"largest relative overload {overload:.3e}"
+            f"(at most {GAP_TOL:g}), least rate {rates.min():.3e}, largest relative "
+            f"overload {(rates.sum(axis=1) / layout.caps).max() - 1.0:.3e}"
         )
     return OracleSolution(
         **layout.allocation(rates, prices), duality_gap=gap, iterations=clearings, converged=True
@@ -355,4 +354,4 @@ def kkt_check(candidate, scenario, tol: float) -> KKTReport:
 def duality_gap(candidate, scenario) -> float:
     """utility.dual_gap of ``candidate`` (as in kkt_check) on ``scenario``."""
     layout = scenario.layout
-    return dual_gap(layout.params, layout.mask, layout.caps, *layout.arrays(candidate))
+    return dual_gap(layout, *layout.arrays(candidate))

@@ -255,7 +255,8 @@ class _Setup:
     """What a run reads besides its round state: the scenario's ``layout``
     (utility.Layout, built with the scenario and shared with the oracle), the
     links and their spans and carrier lists (module docstring), and each
-    user's (utility, span, reach)."""
+    user's (utility, span, reach), reach the layout's: a scale for its user
+    step, not a ceiling (the carriers' prices bound every total)."""
 
     def __init__(self, scenario):
         self.layout = layout = scenario.layout
@@ -270,10 +271,7 @@ class _Setup:
         self.carrier_links: List[List[int]] = [[] for _ in self.cids]
         for i, k in enumerate(self.link_carrier):
             self.carrier_links[k].append(i)
-        # the capacity each UE reaches: a scale for its user step, not a
-        # ceiling (the carriers' prices bound every total)
-        reach = [math.fsum(self.caps[layout.row[cid]] for cid in ue.carriers) for ue in layout.ues]
-        self.users = list(zip([ue.utility for ue in layout.ues], self.spans, reach))
+        self.users = list(zip([u.utility for u in layout.ues], self.spans, layout.reach.tolist()))
 
 
 def _prices(setup: _Setup, bids: List[float]) -> List[float]:
@@ -325,7 +323,7 @@ def _drive(setup: _Setup, bids: List[float], anchors: Optional[List[float]],
             # short of the last round, a gap whose cheap parts put it above
             # GAP_TOL is left unfinished (utility.dual_gap's tol)
             tol = None if last else GAP_TOL
-            gap = dual_gap(layout.params, layout.mask, layout.caps, rates, price, tol)
+            gap = dual_gap(layout, rates, price, tol)
             converged = stable and gap <= GAP_TOL
             if converged or last:
                 break

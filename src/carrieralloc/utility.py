@@ -79,7 +79,8 @@ class CandidateError(ValueError, KeyError):
 
 def log_utility(u: "UtilityFunction", r_total: float) -> float:
     """ln U(r_total), ``log_utilities`` for one user; -inf at r_total = 0 rather than raising."""
-    _check_rate(r_total)
+    if not (r_total >= 0.0):
+        raise UtilityDomainError(f"rate must be >= 0, got {r_total}")
     return float(log_utilities(parameter_arrays([u]), np.array([r_total], dtype=float))[0])
 
 
@@ -166,11 +167,6 @@ class LogarithmicUtility:
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]
-
-
-def _check_rate(r: float) -> None:
-    if not (r >= 0.0):
-        raise UtilityDomainError(f"rate must be >= 0, got {r}")
 
 
 def evaluate(u: UtilityFunction, r_total: float) -> float:
@@ -354,9 +350,9 @@ def demands(
 GAP_TOL = 1e-9
 
 
-def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None) -> float:
+def dual_gap(layout: "Layout", rates, prices, tol=None) -> float:
     """D(p) - sum_i ln U_i(T_i) of ``rates`` (carriers x users, T_i a column's
-    sum) at carrier prices p >= 0; ``mask[l, i]``: user i reaches carrier l.
+    sum) at carrier prices p >= 0 on ``layout``'s carriers and users.
 
         D(p) = sum_i max_{0 < T <= C_i} (ln U_i(T) - pi_i T) + sum_l p_l R_l,
 
@@ -364,11 +360,13 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
     optimum at any p >= 0, so a feasible allocation has 0 <= P(T*) - P(T) <=
     gap.  It is summed from non-negative parts: per user, the surplus T_i
     misses at pi_i and its pay above pi_i; per reached carrier, p_l times its
-    unsold capacity.  One ``demands`` call, from T_i and capped at C_i, finds
-    every best T (C_i at pi_i = 0).  +inf while a user holds no rate or any
-    rate lies on a link off the mask: the bound needs a feasible allocation.
-    Every sum over users or carriers is math.fsum, over the nonzero rates
-    only, so their order changes no bit.
+    unsold capacity.  One ``demands`` call, from T_i and capped at C_i (the
+    layout's ``reach``), finds every best T (C_i at pi_i = 0).  +inf where the
+    bound needs a feasible allocation: a user holds no rate, a rate is negative
+    or off the mask, or a load exceeds its capacity by over (M + 2) 2^-52 of it
+    (M users: the rounding of M rates w/p whose bids sum to p R).  Every sum
+    over users or carriers is math.fsum, over the nonzero rates only, so their
+    order changes no bit.
 
     With ``tol``, a gap whose pay and unsold parts alone exceed tol plus a
     bound on the missed surplus's rounding is certainly above tol: their sum
@@ -377,13 +375,15 @@ def dual_gap(params: Tuple[np.ndarray, ...], mask, caps, rates, prices, tol=None
     its ``log_utility_scales`` s, less pi_i times rates up to C_i; ln U - pi_i T
     is larger at the best T, so s there is below 5 s(T_i) + 3 pi_i C_i.
     """
+    params, mask, caps, reach = layout.params, layout.mask, layout.caps, layout.reach
     totals = rates.sum(axis=0)
     rows, cols = np.nonzero(rates)
-    if not ((totals > 0.0).all() and mask[rows, cols].all()):
+    if not ((totals > 0.0).all() and (rates >= 0.0).all() and mask[rows, cols].all()):
+        return math.inf
+    loads = np.array([math.fsum(row[row != 0.0].tolist()) for row in rates])
+    if (loads - caps > (totals.size + 2) * 2.0**-52 * caps).any():
         return math.inf
     pi = np.where(mask, prices[:, None], np.inf).min(axis=0)
-    reach = caps @ mask
-    loads = np.array([math.fsum(row[row != 0.0].tolist()) for row in rates])
     paid = math.fsum(((prices[rows] - pi[cols]) * rates[rows, cols]).tolist())
     unsold = math.fsum(np.where(mask.any(axis=1), prices * (caps - loads), 0.0).tolist())
     if tol is not None:
@@ -400,9 +400,10 @@ class Layout:
     """A scenario as read-only arrays, built once by its ``Scenario``: ``cids``
     and ``uids`` (carriers and users, with ``ues``, in ascending id order;
     ``row`` and ``column`` map ids to indices), the capacities ``caps``, the
-    reach mask ``mask[l, i]`` (user i reaches carrier l) and ``params``, the
-    users' ``parameter_arrays``.  ``arrays`` and ``allocation`` convert a
-    candidate's id-keyed dicts to carriers x users rates and prices, and back."""
+    reach mask ``mask[l, i]`` (user i reaches carrier l), ``reach``, each user's
+    reached capacity (one math.fsum, for the gap and the user step), and
+    ``params``, the users' ``parameter_arrays``.  ``arrays`` and ``allocation``
+    convert a candidate's id-keyed dicts to carriers x users rates and prices, and back."""
 
     def __init__(self, scenario):
         carriers = sorted(scenario.carriers, key=lambda c: c.id)
@@ -415,8 +416,10 @@ class Layout:
         self.mask = np.zeros((len(self.cids), len(self.uids)), dtype=bool)
         self.mask[[self.row[cid] for ue in self.ues for cid in ue.carriers],
                   [j for j, ue in enumerate(self.ues) for _ in ue.carriers]] = True
+        reached = np.where(self.mask, self.caps[:, None], 0.0).T.tolist()
+        self.reach = np.array([math.fsum(column) for column in reached])
         self.params = parameter_arrays([u.utility for u in self.ues])
-        for array in (self.caps, self.mask, *self.params):
+        for array in (self.caps, self.mask, self.reach, *self.params):
             array.flags.writeable = False
 
     def arrays(self, candidate) -> Tuple[np.ndarray, np.ndarray]:

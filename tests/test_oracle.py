@@ -278,6 +278,41 @@ def test_duality_gap_refuses_rate_on_a_link_the_user_does_not_reach():
     assert duality_gap(_candidate([4.0, 0.0], [marginal(u, 4.0), 1e-6]), s) < GAP_TOL
 
 
+def test_duality_gap_refuses_an_overloaded_or_negative_candidate():
+    # the gap is the whole certificate: it covers none of these, as a carrier
+    # is overloaded or a rate is negative, though its sum alone is finite on
+    # each (-0.0614, 27.6, 9.2e-15 and -5.2e-3).  Both carriers of R1 = 100 share
+    # one price, so user 13 can hold a negative rate with every load and
+    # total as at the optimum, which user 15 keeps by moving 1e-3 back.
+    paper_100, paper_300 = build_paper_scenario(100.0), build_paper_scenario(300.0)
+    sol_100, sol_300 = solve_central(paper_100), solve_central(paper_300)
+    r = sol_100.rates
+    user_13_more = {**r, (1, 13): r[(1, 13)] + 0.5}
+    user_15_negative = {**r, (2, 15): -1e-3, (1, 15): r[(1, 15)] + 1e-3}
+    user_13_negative = {**r, (2, 13): -1e-3, (1, 13): r[(1, 13)] + 1e-3,
+                        (1, 15): r[(1, 15)] - 1e-3, (2, 15): r[(2, 15)] + 1e-3}
+    for rates in (user_13_more, user_15_negative, user_13_negative):
+        candidate = SimpleNamespace(rates=rates, prices=sol_100.prices)
+        assert duality_gap(candidate, paper_100) == math.inf
+    every_more = {link: rate * 1.001 for link, rate in sol_300.rates.items()}
+    candidate = SimpleNamespace(rates=every_more, prices=sol_300.prices)
+    assert duality_gap(candidate, paper_300) == math.inf
+
+
+def test_solve_central_certifies_on_the_gap_alone(monkeypatch):
+    # rates 0.1% above the optimum's overload every full carrier: the gap is
+    # +inf, and the oracle refuses them with no feasibility test of its own
+    real = oracle._decompose
+
+    def overloaded(layout):
+        prices, rates, clearings = real(layout)
+        return prices, rates * 1.001, clearings
+
+    monkeypatch.setattr(oracle, "_decompose", overloaded)
+    with pytest.raises(OracleError, match=r"gap inf .* relative overload 1\.000e-03"):
+        solve_central(build_paper_scenario(100.0))
+
+
 @pytest.mark.parametrize("capacity", (20.0, 30.0, 60.0, 150.0))
 def test_duality_gap_is_defined_at_a_zero_price(capacity):
     # one steep user alone on one carrier: its marginal underflows at R=150,

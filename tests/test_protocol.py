@@ -13,7 +13,7 @@ from generators import flat_stretch, multi_carrier
 from helpers import anderson_mixer_reference
 
 from carrieralloc import protocol
-from carrieralloc.oracle import solve_central
+from carrieralloc.oracle import duality_gap, solve_central
 from carrieralloc.protocol import (
     ANDERSON_DEPTH,
     ANDERSON_WARMUP,
@@ -104,6 +104,28 @@ def test_lone_user_is_priced_as_the_oracle_prices_it(utility, capacity):
     assert res.prices[1] == pytest.approx(solve_central(s).prices[1], rel=1e-6)
 
 
+def test_the_gap_never_refuses_a_protocol_allocation():
+    # dual_gap is +inf for a load above its capacity by more than (M + 2)
+    # 2^-52 of it, M users: the rounding of M rates w/p whose bids sum to p R.
+    # A certified run's gap is finite and is the gap of its result read back,
+    # on the paper's sweep and on lone users, whose load is w/(w/R); and some
+    # of these runs do end with a load rounded above its capacity.
+    lone = [
+        lone_user(u, capacity)
+        for u in (SigmoidalUtility(a=5.0, b=10.0), SigmoidalUtility(a=3.0, b=20.0),
+                  SigmoidalUtility(a=1.0, b=30.0), LogarithmicUtility(k=3.0, r_max=100.0),
+                  LogarithmicUtility(k=0.5, r_max=100.0))
+        for capacity in (0.5, 2.0, 5.0, 8.0, 10.0, 12.0, 20.0, 40.0, 100.0)
+    ]
+    overloaded = []
+    for s in [build_paper_scenario(20.0 + 10.0 * i) for i in range(29)] + lone:
+        res = run(s, EngineConfig())
+        assert res.duality_gap <= GAP_TOL and duality_gap(res, s) == res.duality_gap, s.name
+        overloaded += [math.fsum(r for (cid, _), r in res.rates.items() if cid == c.id) > c.capacity
+                       for c in s.carriers]
+    assert any(overloaded)
+
+
 def test_flat_stretch_certifies():
     # two sigmoidal users on flat stretches of their marginals share one
     # carrier; the optimal price, 44.5, is next to the second one's steepness
@@ -137,9 +159,9 @@ def test_gap_screen_never_changes_the_stop_decision(monkeypatch):
     real = protocol.dual_gap
     seen = {"screened": 0, "full": 0}
 
-    def checked(params, mask, caps, rates, prices, tol=None):
-        full = real(params, mask, caps, rates, prices)
-        got = real(params, mask, caps, rates, prices, tol)
+    def checked(layout, rates, prices, tol=None):
+        full = real(layout, rates, prices)
+        got = real(layout, rates, prices, tol)
         if got == full:
             seen["full"] += 1
         else:

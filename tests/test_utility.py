@@ -19,7 +19,7 @@ from helpers import (
     sigmoidal_marginal_reference,
     solve_rate_for_price_reference,
 )
-from carrieralloc.scenario import build_paper_scenario
+from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_scenario
 from carrieralloc.utility import (
     _MARGIN,
     Layout,
@@ -525,6 +525,26 @@ def test_layout_arrays_are_read_only():
             array[...] = array.copy()
     with pytest.raises(ValueError, match="read-only"):
         layout.caps *= 2.0
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SCENARIOS))
+def test_layout_reach_is_each_users_one_exact_sum(name):
+    s = LAYOUT_SCENARIOS[name]
+    layout = s.layout
+    caps = {c.id: c.capacity for c in s.carriers}
+    assert layout.reach.tolist() == [math.fsum(caps[cid] for cid in u.carriers) for u in layout.ues]
+    with pytest.raises(ValueError, match="read-only"):
+        layout.reach[0] = 0.0
+
+
+def test_layout_reach_is_exactly_rounded():
+    # a matrix product of capacities and mask rounds each partial sum: it
+    # gives 0.6000000000000001 here, and 224.58715178063787 for user 9 of 0-12-4
+    u = LogarithmicUtility(k=1.0, r_max=1.0)
+    carriers = tuple(CarrierSpec(id=l, capacity=c) for l, c in ((1, 0.1), (2, 0.2), (3, 0.3)))
+    assert Scenario(carriers=carriers, ues=(UESpec(1, u, (1, 2, 3)),)).layout.reach[0] == 0.6
+    small = small_synthetic()["0-12-4"].layout
+    assert small.reach[small.column[9]] == 224.5871517806379
 
 
 # ---------------------------------------------------------------------------
