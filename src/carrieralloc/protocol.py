@@ -14,8 +14,8 @@ links and the users, read from the scenario's own utility.Layout; the pure
 round, _prices then _round, which maps a state to the next one and changes
 nothing else; and _drive, the one loop over rounds, which owns the stop
 test and the result (both over the layout's arrays) and the mixer.  run
-starts _drive from its first bids; the fixed-point tests start it from the
-oracle's optimum.
+starts _drive from its first bids, each user anchored at the rates those
+bids buy; the fixed-point tests start it from the oracle's optimum.
 
 Stop rule.  Bid stability alone says the bids are moving slowly, not that
 the allocation is near the optimum: where a sigmoidal marginal is nearly
@@ -281,24 +281,23 @@ def _prices(setup: _Setup, bids: List[float]) -> List[float]:
 
 
 def _round(setup: _Setup, prices: List[float], bids: List[float],
-           anchors: Optional[List[float]], damping: float) -> Tuple[List[float], List[float]]:
+           anchors: List[float], damping: float) -> Tuple[List[float], List[float]]:
     """Every user's step against ``prices``: the new bids and anchor rates.
 
-    ``anchors`` is None before the users' first step.  The arguments are
-    only read, so equal arguments give equal lists, bit for bit.
+    The arguments are only read, so equal arguments give equal lists, bit
+    for bit.
     """
     link_prices = [prices[k] for k in setup.link_carrier]
     new_bids: List[float] = []
     new_anchors: List[float] = []
     for utility, span, r_reach in setup.users:
-        anchor = None if anchors is None else anchors[span]
-        w, q = ue_step(utility, link_prices[span], bids[span], anchor, r_reach, damping)
+        w, q = ue_step(utility, link_prices[span], bids[span], anchors[span], r_reach, damping)
         new_bids += w
         new_anchors += q
     return new_bids, new_anchors
 
 
-def _drive(setup: _Setup, bids: List[float], anchors: Optional[List[float]],
+def _drive(setup: _Setup, bids: List[float], anchors: List[float],
            config: EngineConfig) -> AllocationResult:
     """Rounds from the state (bids, anchors) until the run certifies.
 
@@ -356,11 +355,13 @@ def run(scenario, config: EngineConfig = EngineConfig()) -> AllocationResult:
 
     _drive runs the rounds, from the initial bids w(1) = R_l / M_l (scale-
     free, strictly positive, and every carrier's first-round price is
-    exactly 1) and no anchor rates.  The result carries its final round's
-    largest bid move in ``max_bid_delta`` and its gap in ``duality_gap``.
+    exactly 1) and the rates they buy at that price, the even split
+    R_l / M_l, as every user's first anchor.  The result carries its final
+    round's largest bid move in ``max_bid_delta`` and its gap in
+    ``duality_gap``.
     Raises NonConvergenceError (carrying the partial result) when the round
     limit is reached first.
     """
     setup = _Setup(scenario)
     bids = [setup.caps[k] / len(setup.carrier_links[k]) for k in setup.link_carrier]
-    return _drive(setup, bids, None, config)
+    return _drive(setup, bids, list(bids), config)

@@ -3,21 +3,20 @@
 Each round a user receives the current shadow prices of its reachable
 carriers, computes the rate it wants at those prices, and answers with one
 money bid w = p * r per carrier.  Its demand answers the prices alone: the
-carriers' capacities reach it only through them.  A user's first step sends
-its whole demand at the cheapest price, found by inverting the marginal
-utility, to the cheapest carrier (ties broken by carrier id).  Demand does
-not grow with price, so no dearer carrier could add to it.
+carriers' capacities reach it only through them.
 
-That all-or-nothing routing is a fixed-point map with two failure modes when
-iterated: it flip-flops between carriers whose prices are nearly equal, and
-it jumps across the near-flat stretches of a sigmoidal marginal where demand
-is numerically set-valued.  After its first step a user therefore anchors
-its decision to the rates it last held: it solves
+Sending the whole demand at the cheapest price to the cheapest carrier is a
+fixed-point map with two failure modes when iterated: it flip-flops between
+carriers whose prices are nearly equal, and it jumps across the near-flat
+stretches of a sigmoidal marginal where demand is numerically set-valued.
+A user therefore anchors every decision, its first included, to the rates
+it last held: it solves
 
     maximize  ln U(sum_l r_l) - sum_l p_l r_l - (rho/2) * sum_l (r_l - q_l)^2
 
-over r >= 0, where q is the previous rate vector and rho scales with the
-current price level.  The anchor term vanishes at any stationary point
+over r >= 0, where q is the previous rate vector (before the first step,
+the rates the engine's first bids buy) and rho scales with the current
+price level.  The anchor term vanishes at any stationary point
 (r = q implies marginal(sum r) = p_l on carriers with r_l > 0), so the fixed
 points of the iteration are exactly the unanchored ones; only the path to
 them is damped.  Bids are additionally smoothed as theta*raw + (1-theta)*last.
@@ -39,9 +38,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .utility import UtilityFunction, solve_rate_for_price
+from .utility import UtilityFunction
 
 __all__ = [
     "ProtocolError",
@@ -214,17 +213,16 @@ def ue_step(
     utility: UtilityFunction,
     prices: Sequence[float],
     last_bids: Sequence[float],
-    anchor: Optional[Sequence[float]],
+    anchor: Sequence[float],
     r_reach: float,
     damping: float,
 ) -> Tuple[List[float], List[float]]:
     """One bidding round of one user: its new bids and anchor rates.
 
-    ``anchor`` is the rate vector the user held after its previous step, or
-    None before its first step (which uses the unanchored rule).  ``r_reach``,
-    the capacity the user reaches, is no ceiling: it starts the first step's
-    bracket, doubled until the marginal there is at most the price, and
-    scales T_prev's floor 1e-12 * r_reach.  ``damping`` is theta in
+    ``anchor`` is the rate vector the user held after its previous step
+    (before its first, the rates its first bids buy).  ``r_reach``, the
+    capacity the user reaches, is no ceiling: it only scales T_prev's floor
+    1e-12 * r_reach.  ``damping`` is theta in
     new = theta*raw + (1-theta)*last.  The proximal weight is
     rho = ANCHOR_GAIN * p_min / T_prev.  The new anchor is the rate each new
     bid buys at the price it was bid at (module docstring).
@@ -232,24 +230,16 @@ def ue_step(
     if not (0.0 < damping <= 1.0):
         raise ProtocolError(f"damping must be in (0, 1], got {damping}")
 
-    if anchor is None:
-        rates = [0.0] * len(prices)
-        cheapest = min(range(len(prices)), key=prices.__getitem__)  # lowest index on ties
-        p, hi = prices[cheapest], r_reach
-        while utility.marginal(hi) > p:
-            hi *= 2.0
-        rates[cheapest] = solve_rate_for_price(utility, p, hi)
-    else:
-        t_prev, t_min = math.fsum(anchor), 1e-12 * r_reach
-        p_min = min(prices)
-        floored = p_min <= PRICE_FLOOR
-        if floored:  # rho from the prices that carry bids
-            p_min = min([p for p in prices if p > PRICE_FLOOR] or prices)
-        rho = ANCHOR_GAIN * p_min / (t_min if t_min > t_prev else t_prev)
-        rates = _anchored_demand(utility, prices, anchor, rho)
-        if floored and (t := math.fsum(rates)) > 0.0:  # bid at the marginal instead
-            nu = utility.marginal(t)
-            prices = [nu if p <= PRICE_FLOOR < nu else p for p in prices]
+    t_prev, t_min = math.fsum(anchor), 1e-12 * r_reach
+    p_min = min(prices)
+    floored = p_min <= PRICE_FLOOR
+    if floored:  # rho from the prices that carry bids
+        p_min = min([p for p in prices if p > PRICE_FLOOR] or prices)
+    rho = ANCHOR_GAIN * p_min / (t_min if t_min > t_prev else t_prev)
+    rates = _anchored_demand(utility, prices, anchor, rho)
+    if floored and (t := math.fsum(rates)) > 0.0:  # bid at the marginal instead
+        nu = utility.marginal(t)
+        prices = [nu if p <= PRICE_FLOOR < nu else p for p in prices]
 
     bids = [
         damping * (p * r) + (1.0 - damping) * w

@@ -23,9 +23,10 @@ users, and the ``log_utility`` methods (so ``evaluate``, exp(log_utility))
 call it for one user.  ``marginals``, ``demands`` and ``dual_gap`` work on
 many users at once, and ``log_utility_scales`` bounds the rounding of
 ln U.  What stays scalar: the protocol's user step keeps the scalar
-``marginal`` and ``solve_rate_for_price``, whose last bits its round counts
-depend on, and the methods its search reads beside ``marginal``:
-``log_slope``, d ln m / d ln r, and ``rounding_margin``.
+``marginal``, whose last bits its round counts depend on, and the methods
+its search reads beside it: ``log_slope``, d ln m / d ln r, and
+``rounding_margin``.  ``solve_rate_for_price`` inverts the scalar marginal
+by bisection for callers of the library; no solver here calls it.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -364,9 +365,9 @@ def dual_gap(layout: "Layout", rates, prices, tol=None) -> float:
     layout's ``reach``), finds every best T (C_i at pi_i = 0).  +inf where the
     bound needs a feasible allocation: a user holds no rate, a rate is negative
     or off the mask, or a load exceeds its capacity by over (M + 2) 2^-52 of it
-    (M users: the rounding of M rates w/p whose bids sum to p R).  Every sum
-    over users or carriers is math.fsum, over the nonzero rates only, so their
-    order changes no bit.
+    (M users: the rounding of M rates w/p whose bids sum to p R) or a sum
+    overflows.  Every sum over users or carriers is math.fsum, over the nonzero
+    rates only, so their order changes no bit.
 
     With ``tol``, a gap whose pay and unsold parts alone exceed tol plus a
     bound on the missed surplus's rounding is certainly above tol: their sum
@@ -376,11 +377,15 @@ def dual_gap(layout: "Layout", rates, prices, tol=None) -> float:
     is larger at the best T, so s there is below 5 s(T_i) + 3 pi_i C_i.
     """
     params, mask, caps, reach = layout.params, layout.mask, layout.caps, layout.reach
-    totals = rates.sum(axis=0)
+    with np.errstate(over="ignore"):  # a total past the largest float overloads a carrier
+        totals = rates.sum(axis=0)
     rows, cols = np.nonzero(rates)
     if not ((totals > 0.0).all() and (rates >= 0.0).all() and mask[rows, cols].all()):
         return math.inf
-    loads = np.array([math.fsum(row[row != 0.0].tolist()) for row in rates])
+    try:
+        loads = np.array([math.fsum(row[row != 0.0].tolist()) for row in rates])
+    except OverflowError:  # a load past the largest float
+        return math.inf
     if (loads - caps > (totals.size + 2) * 2.0**-52 * caps).any():
         return math.inf
     pi = np.where(mask, prices[:, None], np.inf).min(axis=0)

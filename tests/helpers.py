@@ -18,7 +18,6 @@ from carrieralloc.utility import (
     SigmoidalUtility,
     UtilityDomainError,
     log_utility,
-    solve_rate_for_price,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -261,28 +260,6 @@ class anderson_mixer_reference:
 
 def _dot(a, b):
     return math.fsum(x * y for x, y in zip(a, b))
-
-
-def staged_demand_reference(utility, prices, r_reach):
-    """A user's first step as subproblem._staged_demand once computed it.
-
-    Cheapest-first staged rates: stage m claims max(0, D_m - claimed), with
-    each demand bracketed from r_reach up, doubling, as ue_step does.
-    """
-    order = sorted(range(len(prices)), key=lambda c: (prices[c], c))
-    rates = [0.0] * len(prices)
-    claimed = 0.0
-    for c in order:
-        hi = r_reach
-        while utility.marginal(hi) > prices[c]:
-            hi *= 2.0
-        demand = solve_rate_for_price(utility, prices[c], hi)
-        increment = demand - claimed
-        if increment < 0.0:
-            increment = 0.0
-        rates[c] = increment
-        claimed += increment
-    return rates
 
 
 def optimum_state(setup, sol):

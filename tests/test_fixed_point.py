@@ -91,19 +91,18 @@ def test_a_run_from_the_optimum_certifies_in_two_rounds(name):
 
 
 def _bits(*lists):
-    return [None if v is None else [x.hex() for x in v] for v in lists]
+    return [[x.hex() for x in v] for v in lists]
 
 
 @pytest.mark.parametrize("name", ["paper R1=50", "small 0-8-3", "paper-split R1=40"])
 def test_the_round_is_pure(name):
     setup, bids, anchors = at_optimum(name)
-    # a state off the optimum, then the users' first step, which has no anchors
+    # a state off the optimum
     bids = [w * (1.0 + 0.01 * (i % 7)) for i, w in enumerate(bids)]
-    for state in ((bids, anchors), (bids, None)):
-        before = _bits(*state)
-        prices = _prices(setup, state[0])
-        first = _round(setup, prices, *state, 0.7)
-        second = _round(setup, prices, *state, 0.7)
-        assert _bits(*first) == _bits(*second)
-        assert _bits(*state) == before
-        assert _bits(prices) == _bits(_prices(setup, state[0]))
+    before = _bits(bids, anchors)
+    prices = _prices(setup, bids)
+    first = _round(setup, prices, bids, anchors, 0.7)
+    second = _round(setup, prices, bids, anchors, 0.7)
+    assert _bits(*first) == _bits(*second)
+    assert _bits(bids, anchors) == before
+    assert _bits(prices) == _bits(_prices(setup, bids))

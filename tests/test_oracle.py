@@ -283,7 +283,9 @@ def test_duality_gap_refuses_an_overloaded_or_negative_candidate():
     # is overloaded or a rate is negative, though its sum alone is finite on
     # each (-0.0614, 27.6, 9.2e-15 and -5.2e-3).  Both carriers of R1 = 100 share
     # one price, so user 13 can hold a negative rate with every load and
-    # total as at the optimum, which user 15 keeps by moving 1e-3 back.
+    # total as at the optimum, which user 15 keeps by moving 1e-3 back.  Six
+    # rates of 1.7e308 load carrier 1 past the largest float, and two give
+    # user 13 a total past it: the sums overflow.
     paper_100, paper_300 = build_paper_scenario(100.0), build_paper_scenario(300.0)
     sol_100, sol_300 = solve_central(paper_100), solve_central(paper_300)
     r = sol_100.rates
@@ -291,7 +293,10 @@ def test_duality_gap_refuses_an_overloaded_or_negative_candidate():
     user_15_negative = {**r, (2, 15): -1e-3, (1, 15): r[(1, 15)] + 1e-3}
     user_13_negative = {**r, (2, 13): -1e-3, (1, 13): r[(1, 13)] + 1e-3,
                         (1, 15): r[(1, 15)] - 1e-3, (2, 15): r[(2, 15)] + 1e-3}
-    for rates in (user_13_more, user_15_negative, user_13_negative):
+    load_past_the_largest_float = {**r, **{(1, uid): 1.7e308 for uid in range(1, 7)}}
+    total_past_the_largest_float = {**r, (1, 13): 1.7e308, (2, 13): 1.7e308}
+    for rates in (user_13_more, user_15_negative, user_13_negative,
+                  load_past_the_largest_float, total_past_the_largest_float):
         candidate = SimpleNamespace(rates=rates, prices=sol_100.prices)
         assert duality_gap(candidate, paper_100) == math.inf
     every_more = {link: rate * 1.001 for link, rate in sol_300.rates.items()}

@@ -1,9 +1,8 @@
-"""UE bidding step: reference bids, tie-breaks, damping, invariants."""
+"""UE bidding step: reference demand, damping, invariants."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from generators import random_utilities
@@ -12,7 +11,6 @@ from helpers import (
     _sum_from_zero,
     anchored_demand_reference,
     outcome,
-    staged_demand_reference,
 )
 from carrieralloc import subproblem
 from carrieralloc.protocol import PRICE_FLOOR
@@ -26,47 +24,17 @@ from carrieralloc.utility import (
 LOG_HALF = LogarithmicUtility(k=0.5, r_max=100.0)
 
 
-def first_step(utility, prices, r_reach=100.0, damping=1.0):
-    """Bids of a user's first step (no anchor yet) from zero last bids."""
-    bids, _ = ue_step(utility, prices, [0.0] * len(prices), None, r_reach, damping)
-    return bids
-
-
-def test_single_carrier_bid_matches_demand():
-    (w,) = first_step(LOG_HALF, [0.05])
-    assert w == pytest.approx(0.473, abs=1e-3)
-    # bid = price * demand at that price
-    assert w == pytest.approx(0.05 * solve_rate_for_price(LOG_HALF, 0.05, 100.0), rel=1e-12)
-
-
-def test_two_carriers_whole_demand_to_cheaper():
-    bids = first_step(LOG_HALF, [0.05, 0.10])
-    # demand at 0.10 (~5.54) is below demand at 0.05 (~9.46): the increment
-    # for the dearer carrier clamps to zero
-    assert bids[0] == pytest.approx(0.473, abs=1e-3)
-    assert bids[1] == 0.0
-    # the same routing when the cheaper carrier is listed second
-    bids = first_step(LOG_HALF, [0.10, 0.05])
-    assert bids[0] == 0.0
-    assert bids[1] == pytest.approx(0.473, abs=1e-3)
-
-
-def test_equal_prices_tie_break_to_lower_id():
-    bids = first_step(LOG_HALF, [0.05, 0.05])
-    assert bids[0] > 0.4
-    assert bids[1] == 0.0
-
-
 def test_damping_mixes_raw_with_last_bids():
-    raw = 0.05 * solve_rate_for_price(LOG_HALF, 0.05, 100.0)
-    # a first step (no anchor yet) bids the unanchored demand
-    bids, anchor = ue_step(LOG_HALF, [0.05], [1.0], None, 100.0, 0.7)
+    # the raw bid is the one a step at full damping sends
+    (raw,), _ = ue_step(LOG_HALF, [0.05], [1.0], [2.0], 100.0, 1.0)
+    assert raw != 1.0
+    bids, anchor = ue_step(LOG_HALF, [0.05], [1.0], [2.0], 100.0, 0.7)
     assert bids[0] == pytest.approx(0.7 * raw + 0.3 * 1.0, rel=1e-12)
     # the new anchor is the rate the damped bid buys
     assert anchor == [bids[0] / 0.05]
     for damping in (0.0, 1.5):
         with pytest.raises(ProtocolError, match="damping"):
-            ue_step(LOG_HALF, [0.05], [1.0], None, 100.0, damping)
+            ue_step(LOG_HALF, [0.05], [1.0], [2.0], 100.0, damping)
 
 
 def test_fixed_point_is_preserved_for_any_damping():
@@ -101,78 +69,6 @@ def test_anchored_step_has_no_rate_ceiling():
         bids, anchor = ue_step(LOG_HALF, [p], bids, anchor, 10.0, 1.0)
     # nu is resolved to ~1e-14 absolute, ~1e-5 relative at this price
     assert anchor[0] == pytest.approx(demand, rel=1e-4)
-
-
-def test_demand_monotonicity_in_prices():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        utility = (
-            SigmoidalUtility(a=rng.uniform(0.5, 8.0), b=rng.uniform(5.0, 40.0))
-            if rng.random() < 0.5
-            else LogarithmicUtility(k=rng.uniform(0.1, 10.0), r_max=100.0)
-        )
-        base = [10.0 ** rng.uniform(-2, 0.5), 10.0 ** rng.uniform(-2, 0.5)]
-        raised = [p * rng.uniform(1.0, 3.0) for p in base]
-
-        def total_demand(prices):
-            bids = first_step(utility, prices, r_reach=400.0)
-            return sum(w / p for w, p in zip(bids, prices))
-
-        assert total_demand(raised) <= total_demand(base) * (1.0 + 1e-9)
-
-
-def test_positive_increments_form_cheapest_prefix():
-    # a first step bids on exactly one carrier: the cheapest, lowest index on ties
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        utility = LogarithmicUtility(k=rng.uniform(0.1, 10.0), r_max=100.0)
-        prices = [10.0 ** rng.uniform(-2, 0.5) for _ in range(3)]
-        if rng.random() < 0.5:
-            prices[2] = prices[1] = min(prices)
-        bids = first_step(utility, prices, r_reach=300.0)
-        cheapest = prices.index(min(prices))
-        assert [c for c, w in enumerate(bids) if w > 0.0] == [cheapest]
-        assert all(w == 0.0 for c, w in enumerate(bids) if c != cheapest)
-
-
-def first_step_cases(rng):
-    """Prices of 1-4 carriers, tied exactly, a few ulps apart, or spread."""
-    for case in range(10000):
-        (utility,) = random_utilities(rng, 1)
-        base = 10.0 ** rng.uniform(-3.0, 1.0)
-        prices = []
-        for _ in range(1 + case % 4):
-            style = rng.randrange(3)
-            if style == 0:
-                prices.append(base)
-            elif style == 1:
-                p = base
-                for _ in range(rng.randint(1, 4)):
-                    p = math.nextafter(p, rng.choice((0.0, math.inf)))
-                prices.append(p)
-            else:
-                prices.append(base * 10.0 ** rng.uniform(-1.0, 1.0))
-        yield utility, prices, 10.0 ** rng.uniform(0.0, 2.5)
-
-
-def test_first_step_bitwise_matches_staged_reference():
-    """The whole demand at the cheapest price equals the staged split's rates.
-
-    The staged form inverts the marginal at every price and clamps each
-    dearer increment at zero; the scalar inversion's demand never grows
-    with price, so those increments are all exactly 0.0.
-    """
-    for utility, prices, r_reach in first_step_cases(random.Random(11)):
-        rates = staged_demand_reference(utility, prices, r_reach)
-        bids = first_step(utility, prices, r_reach=r_reach)
-        assert [w.hex() for w in bids] == [(p * r).hex() for p, r in zip(prices, rates)], (
-            utility, prices, r_reach)
-
-
-def test_total_demand_strictly_positive():
-    for prices in ([1e6, 1e6], [0.5, 80.0]):
-        bids = first_step(SigmoidalUtility(a=5.0, b=10.0), prices, r_reach=200.0)
-        assert sum(bids) > 0.0
 
 
 def anchored_cases(rng):
