@@ -339,6 +339,22 @@ def test_satiated_carrier_certifies(capacity):
     assert res.totals[1] == pytest.approx(solve_central(s).totals[1], rel=5e-4)
 
 
+def test_run_anchors_every_user_at_the_even_split(monkeypatch):
+    # the first bids w = R_l / M_l, priced at 1, buy the even split, and
+    # each user's first step is anchored there
+    seen = []
+    monkeypatch.setattr(protocol, "_drive", lambda setup, bids, anchors, config: seen.append(
+        (setup, bids, anchors)))
+    scenario = build_paper_scenario(50.0)
+    run(scenario)
+    ((setup, bids, anchors),) = seen
+    caps = {c.id: c.capacity for c in scenario.carriers}
+    reach = {cid: sum(cid in ue.carriers for ue in scenario.ues) for cid in caps}
+    assert bids == [caps[cid] / reach[cid] for cid, _ in setup.links]
+    assert anchors == bids and anchors is not bids
+    assert protocol._prices(setup, bids) == pytest.approx([1.0] * len(caps), rel=1e-15)
+
+
 def test_two_identical_ues_split_evenly():
     u = LogarithmicUtility(k=3.0, r_max=100.0)
     s = small_scenario(

@@ -71,6 +71,92 @@ def test_anchored_step_has_no_rate_ceiling():
     assert anchor[0] == pytest.approx(demand, rel=1e-4)
 
 
+def test_single_carrier_bid_meets_the_anchored_kkt_equation():
+    # one link: marginal(r) = p + rho (r - q), and the bid is p r
+    p, q = 0.05, 2.0
+    (w,), (r,) = ue_step(LOG_HALF, [p], [1.0], [q], 100.0, 1.0)
+    rho = ANCHOR_GAIN * p / q
+    assert r > q  # the demand at 0.05 (9.46) pulls the step up from its anchor
+    assert LOG_HALF.marginal(r) == pytest.approx(p + rho * (r - q), rel=1e-9)
+    assert w == p * r
+
+
+def test_cheaper_carrier_buys_more_by_the_price_gap_over_rho():
+    # equal anchors: on two buying links the rates differ by (p2 - p1)/rho
+    q = 3.0
+    rho = ANCHOR_GAIN * 0.05 / (2.0 * q)
+    for prices in ([0.05, 0.051], [0.051, 0.05]):
+        _, rates = ue_step(LOG_HALF, prices, [0.1, 0.1], [q, q], 100.0, 1.0)
+        cheap, dear = (0, 1) if prices[0] < prices[1] else (1, 0)
+        assert rates[cheap] > rates[dear] > 0.0, rates
+        assert rates[cheap] - rates[dear] == pytest.approx(0.001 / rho, rel=1e-9)
+
+
+def test_equal_prices_and_anchors_split_evenly():
+    # the anchored step has no tie-break: twin links get the same bits
+    for prices, anchor in (([0.05, 0.05], [2.0, 2.0]), ([0.3] * 3, [0.0] * 3)):
+        bids, rates = ue_step(LOG_HALF, prices, [0.0] * len(prices), anchor, 100.0, 1.0)
+        assert len(set(bids)) == 1 and bids[0] > 0.0, bids
+        assert len(set(rates)) == 1, rates
+
+
+def test_permuting_carriers_permutes_the_step():
+    rng = random.Random(7)
+    for _ in range(200):
+        (utility,) = random_utilities(rng, 1)
+        n = rng.choice((2, 3, 4))
+        prices = [10.0 ** rng.uniform(-2.0, 0.5) for _ in range(n)]
+        last = [rng.uniform(0.0, 5.0) for _ in range(n)]
+        anchor = [rng.choice((0.0, rng.uniform(0.0, 40.0))) for _ in range(n)]
+        order = list(range(n))
+        rng.shuffle(order)
+        bids, _ = ue_step(utility, prices, last, anchor, 100.0, 0.8)
+        moved, _ = ue_step(utility, *([x[c] for c in order] for x in (prices, last, anchor)), 100.0, 0.8)
+        scale = math.fsum(bids)
+        for c, w in zip(order, moved):
+            assert w == pytest.approx(bids[c], abs=1e-9 * scale), (utility, prices, last, anchor, order)
+
+
+def test_anchored_total_demand_falls_as_prices_rise():
+    # At a fixed anchor and rho, each link's rate max(0, q + (nu - p)/rho)
+    # falls in its price and rises in nu = marginal(T), which falls in T; so
+    # a total that rose with the prices would contradict itself.
+    rng = random.Random(3)
+    for _ in range(200):
+        (utility,) = random_utilities(rng, 1)
+        n = rng.choice((1, 2, 3))
+        base = [10.0 ** rng.uniform(-2.0, 0.5) for _ in range(n)]
+        raised = [p * rng.uniform(1.0, 3.0) for p in base]
+        anchor = [rng.choice((0.0, rng.uniform(0.0, 40.0))) for _ in range(n)]
+        rho = ANCHOR_GAIN * min(base) / max(math.fsum(anchor), 1.0)
+        before = math.fsum(_anchored_demand(utility, base, anchor, rho))
+        after = math.fsum(_anchored_demand(utility, raised, anchor, rho))
+        assert after <= before * (1.0 + 1e-9), (utility, base, raised, anchor)
+
+
+def test_from_a_zero_anchor_the_cheapest_carriers_buy():
+    # with q = 0 a link buys iff its price is below nu: the buying links are
+    # the cheapest ones, and a dearer link never buys more
+    rng = random.Random(5)
+    for _ in range(200):
+        (utility,) = random_utilities(rng, 1)
+        n = rng.choice((2, 3, 4))
+        prices = [10.0 ** rng.uniform(-2.0, 0.5) for _ in range(n)]
+        _, rates = ue_step(utility, prices, [0.0] * n, [0.0] * n, 100.0, 1.0)
+        by_price = [rates[c] for c in sorted(range(n), key=prices.__getitem__)]
+        assert by_price[0] > 0.0, (utility, prices, rates)
+        assert all(a >= b for a, b in zip(by_price, by_price[1:])), (utility, prices, rates)
+
+
+def test_total_demand_strictly_positive():
+    # marginal(0+) = +inf exceeds any price, so every step buys something
+    utility = SigmoidalUtility(a=5.0, b=10.0)
+    for prices in ([1e6, 1e6], [0.5, 80.0]):
+        for anchor in ([0.0, 0.0], [1.0, 0.0], [50.0, 50.0]):
+            bids, rates = ue_step(utility, prices, [0.0, 0.0], anchor, 200.0, 1.0)
+            assert sum(bids) > 0.0 and sum(rates) > 0.0, (prices, anchor)
+
+
 def anchored_cases(rng):
     """Inputs of the user step: random draws, then the edges of its ranges."""
     for case in range(2400):
