@@ -12,8 +12,8 @@ receives, both normalized so that U(0) = 0:
 
 The solver works throughout with ln U and its derivative ("marginal"),
 which is strictly positive and strictly decreasing, so demand at a given
-price is well defined and invertible by bisection.  Each family's formulas
-are written here alone; the other modules read no family parameter.
+price is well defined and unique.  Each family's formulas are written here
+alone; the other modules read no family parameter.
 Each ``Scenario`` builds its ``Layout`` once: the read-only arrays these
 functions take, which the protocol, the oracle and --verify all read.
 
@@ -25,8 +25,8 @@ many users at once, and ``log_utility_scales`` bounds the rounding of
 ln U.  What stays scalar: the protocol's user step keeps the scalar
 ``marginal``, whose last bits its round counts depend on, and the methods
 its search reads beside it: ``log_slope``, d ln m / d ln r, and
-``rounding_margin``.  ``solve_rate_for_price`` inverts the scalar marginal
-by bisection for callers of the library; no solver here calls it.
+``rounding_margin``.  ``solve_rate_for_price`` is ``demands`` for one user,
+for callers of the library; no solver here calls it.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -70,7 +70,7 @@ class UtilityDomainError(ValueError):
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the bisection inverter fails to meet its tolerance."""
+    """Raised when ``demands``, the Newton inverter of the marginal, fails to converge."""
 
 
 class CandidateError(ValueError, KeyError):
@@ -186,57 +186,12 @@ def marginal(u: UtilityFunction, r_total: float) -> float:
 
 
 def solve_rate_for_price(u: UtilityFunction, p: float, r_cap: float) -> float:
-    """Invert the marginal: the unique r in (0, r_cap] with marginal(r) = p.
-
-    Returns r_cap when even marginal(r_cap) > p (demand hits the search
-    ceiling).  Because marginal -> infinity as r -> 0+, the result is
-    strictly positive for every finite p > 0.
-
-    Bisection on the strictly decreasing marginal over [r_lo, r_cap], with
-    r_lo found by geometric shrink from r_cap; at most 200 iterations,
-    absolute rate tolerance 1e-12 * r_cap.
-    """
-    if not (p > 0.0 and math.isfinite(p)):
-        raise UtilityDomainError(f"price must be > 0 and finite, got {p}")
-    if not (r_cap > 0.0 and math.isfinite(r_cap)):
-        raise UtilityDomainError(f"r_cap must be > 0 and finite, got {r_cap}")
-
-    marginal = u.marginal
-    if marginal(r_cap) > p:
-        return r_cap
-
-    # Shrink until the marginal exceeds p; this brackets the root.
-    hi = r_cap
-    lo = 0.5 * r_cap
-    while marginal(lo) <= p:
-        hi = lo
-        lo *= 0.5
-        if lo < 5e-324:
-            raise RootFindingError(
-                f"bracketing collapsed inverting marginal at price {p}"
-            )
-
-    rate_tol = 1e-12 * r_cap
-    price_tol = 1e-10 * p
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = marginal(mid)
-        if m > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rate_tol and abs(m - p) <= price_tol:
-            return mid
-        if hi == lo or (hi - lo) < abs(mid) * 1e-17:
-            return mid
-    # Interval tolerance met but residual not: the marginal is too steep for
-    # the requested residual at double precision.
-    if hi - lo <= rate_tol:
-        return mid
-    raise RootFindingError(
-        f"bisection failed to meet tolerance inverting marginal at price {p}"
-    )
+    """``demands`` for one user: the unique r in (0, r_cap] with marginal(r) = p,
+    or r_cap where even marginal(r_cap) > p; strictly positive for every
+    finite p > 0, as the marginal -> infinity when r -> 0+."""
+    _check_parameter(p, "price")
+    _check_parameter(r_cap, "r_cap")
+    return float(demands(parameter_arrays([u]), p, r_cap)[0][0])
 
 
 def parameter_arrays(utilities: Sequence[UtilityFunction]) -> Tuple[np.ndarray, ...]:

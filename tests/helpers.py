@@ -106,47 +106,6 @@ def sigmoidal_marginal_reference(u, r: float) -> float:
     return a * (1.0 / (-math.expm1(-a * r)) - sigmoid_reference(a * (r - b)))
 
 
-def solve_rate_for_price_reference(u, p: float, r_cap: float) -> float:
-    """solve_rate_for_price evaluating the marginal twice per iteration."""
-    if not (p > 0.0 and math.isfinite(p)):
-        raise UtilityDomainError(f"price must be > 0 and finite, got {p}")
-    if not (r_cap > 0.0 and math.isfinite(r_cap)):
-        raise UtilityDomainError(f"r_cap must be > 0 and finite, got {r_cap}")
-
-    if u.marginal(r_cap) > p:
-        return r_cap
-
-    # Shrink until the marginal exceeds p; this brackets the root.
-    hi = r_cap
-    lo = 0.5 * r_cap
-    while u.marginal(lo) <= p:
-        hi = lo
-        lo *= 0.5
-        if lo < 5e-324:
-            raise RootFindingError(
-                f"bracketing collapsed inverting marginal at price {p}"
-            )
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if u.marginal(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * r_cap and abs(u.marginal(mid) - p) <= 1e-10 * p:
-            return mid
-        if hi == lo or (hi - lo) < abs(mid) * 1e-17:
-            return mid
-    # Interval tolerance met but residual not: the marginal is too steep for
-    # the requested residual at double precision.
-    if hi - lo <= 1e-12 * r_cap:
-        return mid
-    raise RootFindingError(
-        f"bisection failed to meet tolerance inverting marginal at price {p}"
-    )
-
-
 def anchored_demand_reference(utility, prices, anchor, rho):
     """subproblem._anchored_demand built from closures over the links."""
     links = list(zip(anchor, prices))

@@ -35,7 +35,6 @@ from carrieralloc.utility import (
     marginal,
     marginals,
     parameter_arrays,
-    solve_rate_for_price,
 )
 
 
@@ -137,7 +136,7 @@ def test_paper_scenario_totals_at_r1_300():
 def test_single_price_totals_match_closed_form_demands():
     # Where both carriers share one price, every total is the user's demand
     # at the price that clears 100 + R1 units.  The helpers invert the
-    # marginals in closed form, independently of solve_rate_for_price.
+    # marginals in closed form, independently of utility.demands.
     def demand(u, p):
         if isinstance(u, SigmoidalUtility):
             return sig_demand_closed_form(u.a, u.b, p)
@@ -249,7 +248,7 @@ def _candidate(rates, prices):
 
 
 def test_duality_gap_vanishes_at_demand_and_grows_off_it():
-    demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
+    demand = log_demand_lambertw(0.5, 0.05)
     split = [0.25 * demand, 0.75 * demand]
     s = _one_user(LOG_HALF, split)  # the user reaches exactly its demand
     assert duality_gap(_candidate(split, [0.05, 0.05]), s) == pytest.approx(0.0, abs=1e-12)
@@ -261,7 +260,7 @@ def test_duality_gap_vanishes_at_demand_and_grows_off_it():
 
 
 def test_duality_gap_charges_rate_bought_above_the_cheapest_price():
-    demand = solve_rate_for_price(LOG_HALF, 0.05, 100.0)
+    demand = log_demand_lambertw(0.5, 0.05)
     s = _one_user(LOG_HALF, [demand - 1.0, 1.0])
     gap = duality_gap(_candidate([demand - 1.0, 1.0], [0.05, 0.08]), s)
     assert gap == pytest.approx(0.03 * 1.0, rel=1e-9)

@@ -17,7 +17,6 @@ from helpers import (
     second_diff_tolerance,
     sig_demand_closed_form,
     sigmoidal_marginal_reference,
-    solve_rate_for_price_reference,
 )
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_scenario
 from carrieralloc.utility import (
@@ -267,15 +266,6 @@ def test_sigmoidal_marginal_bitwise_matches_reference():
     assert below >= 4000 and above >= 4000
 
 
-def test_solve_rate_bitwise_matches_reference():
-    rng = np.random.default_rng(12)
-    for u in random_utilities(rng, 300):
-        r_cap = float(10.0 ** rng.uniform(0.0, 3.0))
-        for p in np.geomspace(1e-6, 1e3, 12):
-            got = outcome(solve_rate_for_price, u, float(p), r_cap)
-            assert got == outcome(solve_rate_for_price_reference, u, float(p), r_cap)
-
-
 def test_marginal_rejects_zero_rate():
     for u in (SigmoidalUtility(a=1.0, b=10.0), LogarithmicUtility(k=1.0, r_max=10.0)):
         with pytest.raises(UtilityDomainError):
@@ -320,6 +310,18 @@ def test_solve_rate_rejects_bad_inputs():
         solve_rate_for_price(u, 0.0, 100.0)
     with pytest.raises(UtilityDomainError):
         solve_rate_for_price(u, 1.0, 0.0)
+    # true and false are not numbers
+    with pytest.raises(UtilityDomainError):
+        solve_rate_for_price(SigmoidalUtility(a=1.0, b=30.0), True, 100.0)
+    with pytest.raises(UtilityDomainError):
+        solve_rate_for_price(u, 1.0, True)
+
+
+def test_solve_rate_past_the_scalar_marginals_floor():
+    # the scalar sigmoidal marginal is 0 past b + 37/a; the rate where the
+    # marginal is 1e-20 lies at b + ln(a/p)/a, far beyond that
+    r = solve_rate_for_price(SigmoidalUtility(a=9.0, b=6.0), 1e-20, 1e6)
+    assert r == pytest.approx(6.0 + math.log(9e20) / 9.0, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +460,7 @@ def test_demands_match_closed_form_inverters():
             else:
                 want = log_demand_lambertw(u.k, float(p))
             assert r == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert solve_rate_for_price(u, float(p), 1e6) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_demands_stop_at_the_rate_ceiling():
