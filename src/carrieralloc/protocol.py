@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -155,47 +156,37 @@ class _AndersonMixer:
     Given the state x entering a round and the state g the round maps it to,
     step returns g - dG gamma, where gamma minimizes ||f - dF gamma|| over
     the last ``depth`` differences of residuals f = g - x (dF) and of map
-    outputs (dG), kept oldest first as the rows of two depth x n arrays.
-    The Gram matrix dF^T dF is kept up to date one row at a time and solved
-    by Cholesky, so a step costs O(depth * n).
+    outputs (dG), kept oldest first in two queues of at most ``depth``
+    arrays.  The Gram matrix dF^T dF is kept up to date one row at a time and
+    solved by Cholesky, so a step costs O(depth * n).
 
     Runs repeat bit for bit on any numpy: every dot product is exactly
-    rounded (_dots), g - dG gamma subtracts one row at a time, oldest first,
-    and the small Cholesky solve runs in Python floats.
+    rounded (_dots), g - dG gamma subtracts one difference at a time, oldest
+    first, and the small Cholesky solve runs in Python floats.
     """
 
     def __init__(self, depth: int):
-        self.depth = depth
-        self.size = 0  # rows of df and dg in use
-        self.df = self.dg = np.empty((depth, 0))
-        self.last_f: Optional[np.ndarray] = None
-        self.last_g: Optional[np.ndarray] = None
-        # lower triangle: row i holds the products of row i of df with rows
-        # 0..i, all that _solve reads
+        self.df, self.dg = deque(maxlen=depth), deque(maxlen=depth)
+        self.last: Optional[Tuple[np.ndarray, np.ndarray]] = None  # the last (f, g)
+        # lower triangle, all that _solve reads: row i holds df[i] . df[0..i]
         self.gram: List[List[float]] = []
 
     def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        f = g - x
-        if self.last_f is not None:
-            self._push(f - self.last_f, g - self.last_g)
-        self.last_f, self.last_g = f, g
-        gamma = self._solve(_dots(self.df[: self.size], f)) if self.size else None
+        f, last, gamma = g - x, self.last, None
+        self.last = f, g
+        if last is not None:
+            if len(self.df) == self.df.maxlen:  # the oldest difference leaves
+                self.gram = [row[1:] for row in self.gram[1:]]
+            self.df.append(f - last[0])
+            self.dg.append(g - last[1])
+            df = np.array(self.df)
+            self.gram.append(_dots(df, df[-1]))
+            gamma = self._solve(_dots(df, f))
         if gamma is None:
             return g.copy()
-        # g - c_0 dg_0 - c_1 dg_1 - ..., one row at a time, oldest first
-        terms = np.concatenate((g[None], np.array(gamma)[:, None] * self.dg[: self.size]))
+        # g - c_0 dg_0 - c_1 dg_1 - ..., one difference at a time, oldest first
+        terms = np.concatenate((g[None], np.array(gamma)[:, None] * np.array(self.dg)))
         return np.subtract.accumulate(terms)[-1]
-
-    def _push(self, df: np.ndarray, dg: np.ndarray) -> None:
-        if self.size == 0:
-            self.df, self.dg = np.empty((self.depth, df.size)), np.empty((self.depth, dg.size))
-        if self.size == self.depth:
-            self.df[:-1], self.dg[:-1] = self.df[1:], self.dg[1:]
-            self.gram = [row[1:] for row in self.gram[1:]]
-            self.size -= 1
-        self.df[self.size], self.dg[self.size] = df, dg
-        self.size += 1
-        self.gram.append(_dots(self.df[: self.size], df))
 
     def _solve(self, rhs: List[float]) -> Optional[List[float]]:
         """(G + lam I) gamma = rhs by Cholesky; None if G is degenerate."""

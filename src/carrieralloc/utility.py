@@ -258,8 +258,11 @@ def demands(
     [ln 5e-324, ln r_cap + 1e-12] that starts at the smallest positive rate
     and that every evaluation narrows; a step that leaves the bracket goes
     to its midpoint, unless it is a Newton step of zero on a falling marginal
-    below the cap: that is the root, even on a bracket end.  Returns the
-    rates and dr/d(ln p) = m/m' from the last evaluation.
+    below the cap: that is the root, even on a bracket end.  A user settles
+    at the first step that moves ln r by at most 1e-10 or leaves its bracket
+    at most 1e-15 wide, and keeps its rate and dr/d(ln p) = m/m' from that
+    evaluation, so its answer's bits are those of a batch of one.  Returns
+    the rates and slopes once every user has settled.
     """
     with np.errstate(divide="ignore"):
         y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
@@ -267,6 +270,7 @@ def demands(
     cap = np.log(r_cap) if np.ndim(r_cap) else math.log(r_cap)
     x_lo, x_hi = np.full(y.shape, _LN_MIN_RATE), np.full(y.shape, cap + 1e-12)  # cap is tried once
     x = np.clip(-y if start is None else np.log(start), _LN_MIN_RATE, cap)
+    x_out, slope_out, settled = np.empty(y.shape), np.empty(y.shape), np.zeros(y.shape, bool)
     for _ in range(200):
         r = np.exp(x)
         m, dm = marginals(params, r)
@@ -277,8 +281,12 @@ def demands(
         x_lo, x_hi = np.where(lm > y, x, x_lo), np.where(lm > y, x_hi, x)
         done = (new == x) & (slope < 0.0) & (x < cap)
         new = np.where((new > x_lo) & (new < x_hi) | done, new, 0.5 * (x_lo + x_hi))
-        if np.all(np.abs(new - x) <= 1e-10) or np.all(x_hi - x_lo <= 1e-15):
-            return np.minimum(np.exp(new), r_cap), np.where(new < cap, slope, 0.0)
+        now = ~settled & ((np.abs(new - x) <= 1e-10) | (x_hi - x_lo <= 1e-15))
+        np.copyto(x_out, new, where=now)
+        np.copyto(slope_out, slope, where=now)
+        settled |= now
+        if settled.all():
+            return np.minimum(np.exp(x_out), r_cap), np.where(x_out < cap, slope_out, 0.0)
         x = new
     raise RootFindingError("Newton inverter failed to converge")
 

@@ -9,7 +9,10 @@ sweep (carrier 1 at R1 = 20, 30, ..., 300) the protocol runs on the nine
 inputs of ``generators.ensemble``, and one line gives the median and the
 largest rounds and the number of runs that end at the round limit (a failed
 run counts its round limit).  Then one line per input gives its total
-rounds over the sweep, its rounds at R1 = 50 and its failures.
+rounds over the sweep, its rounds at R1 = 50 and its failures.  Two more
+lines give the same for the as-given sweep with both families' scalar
+marginal moved one ulp up and one ulp down, a stand-in for any change to the
+protocol's float work.
 
 Last, the 18 small synthetic scenarios and ``paper-split`` (the paper
 sweep with carrier 1 cut into two equal carriers) run once each, and a line
@@ -18,10 +21,12 @@ failure.  About 30 s on a 2-CPU machine, two thirds of it the failures'
 10^4 rounds.
 """
 
+import math
 import statistics
 import time
 
 from generators import ensemble, small_synthetic, split_carrier
+from helpers import paper_sweep_with_nudged_marginals
 from carrieralloc.protocol import EngineConfig, NonConvergenceError, run
 from carrieralloc.scenario import build_paper_scenario
 
@@ -55,6 +60,10 @@ def report_ensemble():
               f"failures {failures[name]}")
     totals = [sum(counts) for counts in rounds.values()]
     print(f"ensemble: totals {min(totals)}-{max(totals)}, median {statistics.median(totals):g}")
+    for label, direction in (("+1", math.inf), ("-1", -math.inf)):
+        point = paper_sweep_with_nudged_marginals(direction)
+        print(f"as given, marginal {label} ulp: total {sum(n for n, _ in point)},",
+              f"R1=50 {point[at_50][0]}, failures {sum(not certified for _, certified in point)}")
 
 
 def report_once(family, scenarios):

@@ -9,7 +9,8 @@ from scipy.special import lambertw
 
 from generators import random_utilities  # noqa: F401 (test_acceptance.py imports it from here)
 from carrieralloc.oracle import OracleError, duality_gap, kkt_check, solve_central
-from carrieralloc.protocol import ANDERSON_REGULARIZATION
+from carrieralloc.protocol import ANDERSON_REGULARIZATION, EngineConfig
+from carrieralloc.scenario import SweepSpec, build_paper_scenario, run_sweep
 from carrieralloc.utility import (
     GAP_TOL,
     Layout,
@@ -34,6 +35,23 @@ def sig_demand_closed_form(a: float, b: float, p: float) -> float:
     d = 1.0 / (1.0 + math.exp(min(a * b, 700.0)))
     s = ((a - p) + math.sqrt((a - p) ** 2 + 4.0 * a * p * d)) / (2.0 * a)
     return b + math.log(s / (1.0 - s)) / a
+
+
+def paper_sweep_with_nudged_marginals(direction: float):
+    """(rounds, certified) at each of the paper sweep's 29 points (R1 = 20,
+    30, ..., 300) with both families' scalar marginal moved one ulp towards
+    ``direction`` (+inf or -inf), as a stand-in for any change to the
+    protocol's float work."""
+    originals = [(cls, cls.marginal) for cls in (SigmoidalUtility, LogarithmicUtility)]
+    try:
+        for cls, marginal in originals:
+            cls.marginal = lambda self, r, m=marginal: math.nextafter(m(self, r), direction)
+        sweep = SweepSpec(carrier_id=1, start=20.0, stop=300.0, step=10.0)
+        records = run_sweep(build_paper_scenario(300.0), sweep, EngineConfig())
+    finally:
+        for cls, marginal in originals:
+            cls.marginal = marginal
+    return [(rec.result.rounds, rec.result.converged) for rec in records]
 
 
 def scenario_yaml_reference(scenario, dumper, sweep=None):

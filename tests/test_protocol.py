@@ -251,13 +251,14 @@ def test_anderson_mixer_steps_plain_when_it_cannot_solve():
     # an indefinite Gram matrix once the next difference is added
     mixer = primed()
     mixer.gram = [[1.0], [2.0, 1.0]]
-    mixer.df[1], mixer.dg[1], mixer.size = 1.0, 1.0, 2
+    mixer.df.append(np.ones(2))
+    mixer.dg.append(np.ones(2))
     g = x + 0.5
     assert mixer.step(x, g).tolist() == g.tolist()
     # a right-hand side that overflows: the stored difference is huge, the
     # Gram matrix is not, and the new residual equals the last one
     mixer = primed()
-    mixer.df[0], mixer.gram = 1e308, [[1.0]]
+    mixer.df[0][:], mixer.gram = 1e308, [[1.0]]
     g = x + 2.0
     with np.errstate(over="ignore"):
         assert mixer.step(x, g).tolist() == g.tolist()
@@ -274,7 +275,7 @@ def test_anderson_mixer_steps_plain_when_a_dot_product_is_no_float():
     mixer = _AndersonMixer(3)
     mixer.step(x, x + 1.0)
     mixer.step(x, x + 2.0)
-    mixer.df[0] = 1e200
+    mixer.df[0][:] = 1e200
     g = x + np.array([1e200, -1e200])
     with np.errstate(over="ignore"):
         assert mixer.step(x, g).tolist() == g.tolist()

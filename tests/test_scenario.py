@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from generators import few_carriers, in_units
-from helpers import count_layouts, scenario_yaml_reference
+from helpers import count_layouts, paper_sweep_with_nudged_marginals, scenario_yaml_reference
 from carrieralloc import scenario as scenario_module
 from carrieralloc.cli import main
 from carrieralloc.oracle import OracleError, solve_central
@@ -685,6 +685,40 @@ def test_paper_sweep_rounds_and_rates_are_pinned():
         for link in sorted(rec.result.rates):
             digest.update(struct.pack("<d", rec.result.rates[link]))
     assert digest.hexdigest() == PAPER_SWEEP_RATES_SHA256
+
+
+# A one-ulp nudge of the marginal stands for any change to the protocol's
+# bits.  It moves the near-tie point R1=50 (325 rounds as pinned) by up to 7x,
+# and no other point by 5%: +1 ulp gives 238 rounds there, -1 ulp 2,283.
+PINNED_BITS = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the pinned bits are CPython 3.11's",
+)
+R1_50 = (50 - 20) // 10  # its index in the sweep
+NEAR_TIE_SLOW_MODE = (
+    "R1=50 sits on the near-tie band's slow mode (ROADMAP item 14): two flat "
+    "users trade total at one price, and its round count is chaotic in the "
+    "last bit of a marginal"
+)
+
+
+@pytest.fixture(scope="module", params=[math.inf, -math.inf], ids=["+1ulp", "-1ulp"])
+def nudged_sweep(request):
+    return paper_sweep_with_nudged_marginals(request.param)
+
+
+@PINNED_BITS
+def test_a_one_ulp_nudge_of_the_marginal_moves_no_point_but_r1_50(nudged_sweep):
+    assert all(certified for _, certified in nudged_sweep)
+    for i, ((rounds, _), pinned) in enumerate(zip(nudged_sweep, PAPER_SWEEP_ROUNDS)):
+        if i != R1_50:
+            assert abs(rounds - pinned) <= 0.05 * pinned, (20 + 10 * i, rounds)
+
+
+@PINNED_BITS
+@pytest.mark.xfail(strict=True, reason=NEAR_TIE_SLOW_MODE)
+def test_a_one_ulp_nudge_of_the_marginal_keeps_r1_50(nudged_sweep):
+    assert abs(nudged_sweep[R1_50][0] - 325) <= 0.05 * 325
 
 
 def test_run_sweep_records_per_point_failures(tmp_path):

@@ -470,6 +470,18 @@ def test_demands_stop_at_the_rate_ceiling():
     assert rates[1] == pytest.approx(sig_demand_closed_form(2.0, 5.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_demands_answer_each_user_as_it_answers_it_alone():
+    """A user's rate and slope keep their bits whatever users share its batch."""
+    utilities = random_utilities(np.random.default_rng(63), 200)
+    params = parameter_arrays(utilities)
+    for p in (1e-3, 0.1, 1.0, 10.0):
+        rates, slopes = demands(params, p, 1e6)
+        for u, r, slope in zip(utilities, rates.tolist(), slopes.tolist()):
+            assert solve_rate_for_price(u, p, 1e6).hex() == r.hex(), (u, p)
+            assert demands(parameter_arrays([u]), p, 1e6)[1][0].hex() == slope.hex(), (u, p)
+
+
 # ---------------------------------------------------------------------------
 # Layout
 
