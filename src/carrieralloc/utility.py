@@ -252,25 +252,22 @@ def demands(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every user's rate in (0, r_cap] where its marginal equals its price.
 
-    ``price`` and ``r_cap`` are one value or one per user; at price 0 the rate
-    is r_cap.  Newton on ln m(e^x) = ln p in x = ln r from ``start`` (default
-    1/p: both marginals behave like 1/r near 0), clipped into the bracket
-    [ln 5e-324, ln r_cap + 1e-12] that starts at the smallest positive rate
-    and that every evaluation narrows; a step that leaves the bracket goes
-    to its midpoint, unless it is a Newton step of zero on a falling marginal
-    below the cap: that is the root, even on a bracket end.  A user settles
-    at the first step that moves ln r by at most 1e-10 or leaves its bracket
-    at most 1e-15 wide, and keeps its rate and dr/d(ln p) = m/m' from that
-    evaluation, so its answer's bits are those of a batch of one.  Returns
-    the rates and slopes once every user has settled.
-    """
+    ``price`` and ``r_cap`` are one value or one per user, both read as one
+    per user; at price 0 the rate is r_cap.  Newton on ln m(e^x) = ln p in
+    x = ln r from ``start`` (default 1/p: both marginals behave like 1/r near
+    0), clipped into the bracket [ln 5e-324, ln r_cap + 1e-12] that every
+    evaluation narrows; a step that leaves it goes to its midpoint, unless it
+    is a Newton step of zero on a falling marginal below the cap: that is the
+    root, even on a bracket end.  A user settles at the first step that moves
+    ln r by at most 1e-10 or leaves its bracket at most 1e-15 wide, and leaves
+    the iteration with that evaluation's rate and dr/d(ln p) = m/m' (0 at the
+    cap): all of it elementwise, so its bits are those of a batch of one."""
+    price, r_cap, users = np.broadcast_arrays(price, r_cap, np.arange(params[0].size))
     with np.errstate(divide="ignore"):
-        y = np.log(np.broadcast_to(np.asarray(price, dtype=float), params[0].shape))
-    # the oracle's one cap keeps libm's log, whose last bit numpy's does not always match
-    cap = np.log(r_cap) if np.ndim(r_cap) else math.log(r_cap)
-    x_lo, x_hi = np.full(y.shape, _LN_MIN_RATE), np.full(y.shape, cap + 1e-12)  # cap is tried once
+        y, cap = np.log(price), np.log(r_cap)
+    x_lo, x_hi = np.full(y.shape, _LN_MIN_RATE), cap + 1e-12  # cap is tried once
     x = np.clip(-y if start is None else np.log(start), _LN_MIN_RATE, cap)
-    x_out, slope_out, settled = np.empty(y.shape), np.empty(y.shape), np.zeros(y.shape, bool)
+    rates, slopes = np.empty(y.shape), np.empty(y.shape)
     for _ in range(200):
         r = np.exp(x)
         m, dm = marginals(params, r)
@@ -281,12 +278,15 @@ def demands(
         x_lo, x_hi = np.where(lm > y, x, x_lo), np.where(lm > y, x_hi, x)
         done = (new == x) & (slope < 0.0) & (x < cap)
         new = np.where((new > x_lo) & (new < x_hi) | done, new, 0.5 * (x_lo + x_hi))
-        now = ~settled & ((np.abs(new - x) <= 1e-10) | (x_hi - x_lo <= 1e-15))
-        np.copyto(x_out, new, where=now)
-        np.copyto(slope_out, slope, where=now)
-        settled |= now
-        if settled.all():
-            return np.minimum(np.exp(x_out), r_cap), np.where(x_out < cap, slope_out, 0.0)
+        now = (np.abs(new - x) <= 1e-10) | (x_hi - x_lo <= 1e-15)
+        if now.any():
+            out, keep = users[now], np.flatnonzero(~now)
+            rates[out] = np.minimum(np.exp(new[now]), r_cap[out])
+            slopes[out] = np.where(new[now] < cap[now], slope[now], 0.0)
+            users, new, x_lo, x_hi, y, cap, *params = (
+                v[keep] for v in (users, new, x_lo, x_hi, y, cap, *params))
+        if not users.size:
+            return rates, slopes
         x = new
     raise RootFindingError("Newton inverter failed to converge")
 

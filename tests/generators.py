@@ -4,7 +4,8 @@ transform that rewrites a scenario into an equivalent one.
 Generators are seeded: each takes a ``random.Random``, a numpy ``Generator``
 or a seed, as its stream was first written, and the same seed always gives
 the same scenarios (``tests/test_generators.py`` pins a SHA-256 of each
-one's YAML).  All of them draw utilities through ``utility``.
+one's YAML).  All of them but ``scarce``, whose steep users follow one
+fixed recipe, draw utilities through ``utility``.
 
     generator             rng      carriers  users  used by
     synthetic             seed     given     given  CI, fixed-point test, audit
@@ -12,6 +13,7 @@ one's YAML).  All of them draw utilities through ``utility``.
     wide_range            numpy    2-32      1-100  oracle tests, CI
     random_multi_carrier  numpy    2-16      2-2K+2 oracle tests
     multi_carrier         seed     given     given  protocol pins
+    scarce                -        4         given  CI's oracle at scale
     few_carriers          numpy    1-3       1-5    file round trip
     flat_stretch          -        1         2      oracle, protocol, CLI
 
@@ -198,6 +200,21 @@ def multi_carrier(seed, n_carriers, n_users):
         for j, u in enumerate(random_utilities(rng, n_users))
     )
     return Scenario(carriers=carriers, ues=ues, name=f"multi-{seed}")
+
+
+def scarce(n):
+    """``n`` steep sigmoidal users on four carriers of n/4 each, far below
+    their inflections: user j (from 0) has a = 50 U(0.9, 1.1), then
+    b = 1000 U(0.9, 1.1), from a fresh ``default_rng(0)``, and reaches
+    carrier 1 + (j mod 4).  The oracle's scale recipe (ROADMAP item 6)."""
+    rng = np.random.default_rng(0)
+    ues = []
+    for j in range(n):
+        a = 50.0 * float(rng.uniform(0.9, 1.1))
+        b = 1000.0 * float(rng.uniform(0.9, 1.1))
+        ues.append(UESpec(id=j + 1, utility=SigmoidalUtility(a=a, b=b), carriers=(1 + j % 4,)))
+    carriers = tuple(CarrierSpec(id=c, capacity=n / 4) for c in range(1, 5))
+    return Scenario(carriers=carriers, ues=tuple(ues), name=f"scarce-{n}")
 
 
 def few_carriers(rng, name):

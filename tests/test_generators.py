@@ -27,6 +27,7 @@ from generators import (
     relabelled,
     reordered,
     replicated,
+    scarce,
     small_synthetic,
     split_carrier,
     synthetic,
@@ -64,6 +65,7 @@ STREAMS = {
     # CI's oracle at 10^4 users
     "synthetic 1 x 10^4 x 8": lambda: synthetic(1, 1, 10000, 8),
     "synthetic 1 x 10^4 x 32": lambda: synthetic(1, 1, 10000, 32),
+    "scarce 10^4": lambda: [scarce(10000)],
     # the fixed-point test and the stability audit
     "overlap 0 x 100": lambda: list(overlap_family().values()),
     # CI's oracle robustness and test_oracle
@@ -100,6 +102,7 @@ PINS = {
     "synthetic small": "b295160b923fbd403c2a3a0dae7d965546cba68b7bbc1a2e0bfbfe847a68d777",
     "synthetic 1 x 10^4 x 8": "7222a68c4b82af75eb19dc0ab05049f0c0426f0b57d590dac52d7e65c2a2ccfd",
     "synthetic 1 x 10^4 x 32": "cbe2473f6848132d7376b64588076d49a7dd537264c973ab4f1b20898bc19009",
+    "scarce 10^4": "1f1a647842f87f5be4b3683b87551b5209fbfbce257558609c11544739b00bd2",
     "overlap 0 x 100": "978679d9100b1ab0e9c3994c4a6c905829986348e4b2c482f88559173856bcfd",
     "wide_range 1 x 300": "8b81a32bb991a4c6106c5566acf16d21dc5c3d1495080614559c70f1297ea935",
     "wide_range 2 x 300": "bcd2b659266cb8ba717557086c4825050d9019200eea320043451b7f79c71649",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from helpers import (
     sig_demand_closed_form,
     sigmoidal_marginal_reference,
 )
+from carrieralloc import utility
 from carrieralloc.scenario import CarrierSpec, Scenario, UESpec, build_paper_scenario
 from carrieralloc.utility import (
     _MARGIN,
@@ -480,6 +482,47 @@ def test_demands_answer_each_user_as_it_answers_it_alone():
         for u, r, slope in zip(utilities, rates.tolist(), slopes.tolist()):
             assert solve_rate_for_price(u, p, 1e6).hex() == r.hex(), (u, p)
             assert demands(parameter_arrays([u]), p, 1e6)[1][0].hex() == slope.hex(), (u, p)
+
+
+def test_demands_read_a_cap_of_one_number_as_a_cap_per_user():
+    """A user's rate and slope keep their bits whether its price and cap are
+    one number, one-element arrays or ``solve_rate_for_price``'s arguments,
+    at prices around m(cap), on the first 10 caps exp(U(-5, 8)) whose libm
+    log differs from numpy's: none, on a machine whose two logs agree."""
+    caps = np.exp(np.random.default_rng(0).uniform(-5.0, 8.0, 100_000)).tolist()
+    caps = [c for c in caps if math.log(c) != float(np.log(np.array([c]))[0])][:10]
+    for u in random_utilities(random.Random(1), 30):
+        params = parameter_arrays([u])
+        for cap in caps:
+            m_cap = float(marginals(params, np.array([cap]))[0][0])
+            for f in (0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01, 2.0):
+                p = m_cap * f
+                rate, slope = (v[0].hex() for v in demands(params, p, cap))
+                per_user = demands(params, np.array([p]), np.array([cap]))
+                assert (rate, slope) == tuple(v[0].hex() for v in per_user), (u, cap, f)
+                if p > 0.0:
+                    assert solve_rate_for_price(u, p, cap).hex() == rate, (u, cap, f)
+
+
+def test_demands_evaluate_only_the_users_not_yet_settled(monkeypatch):
+    """A settled user leaves the iteration: the batch ``marginals`` sees never
+    grows, and over one call its sizes sum to less than every user at every
+    step.  A demand that kept evaluating settled users would keep every
+    answer's bits, so only this count shows it."""
+    utilities = random_utilities(np.random.default_rng(63), 200)
+    params = parameter_arrays(utilities)
+    sizes = []
+
+    def recording(params, r):
+        sizes.append(r.size)
+        return marginals(params, r)
+
+    monkeypatch.setattr(utility, "marginals", recording)
+    for p in (1e-3, 0.1, 1.0, 10.0):
+        sizes.clear()
+        demands(params, p, 1e6)
+        assert sizes[0] == 200 and all(b <= a for a, b in zip(sizes, sizes[1:])), (p, sizes)
+        assert sum(sizes) < 200 * len(sizes), (p, sizes)
 
 
 # ---------------------------------------------------------------------------
